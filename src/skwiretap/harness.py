@@ -16,18 +16,19 @@ from dataclasses import dataclass
 from typing import IO, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+from scipy.special import ndtri
 from scipy.stats import kurtosis as _kurtosis
 from scipy.stats import skew as _skew
 
 from .channels import (
     ROLE_FORWARD,
     ROLE_MESSAGE,
+    ROLE_TAP,
     AffineChannel,
     EveTap,
     ThermalWiretapParams,
-    TrialLanes,
-    _LanePool,
     as_affine,
+    lane_uniforms,
     noise_from_uniforms,
     noise_model_from_config,
     noise_model_to_config,
@@ -40,7 +41,7 @@ from .infotheory import (
     leakage_budget,
     sk_error_bound,
 )
-from .protocol import Codebook, SkSchedule, Transcript, make_codebook, make_schedule, run_protocol
+from .protocol import Codebook, SkSchedule, Transcript, make_codebook, make_schedule
 
 __all__ = [
     "ConfigError",
@@ -314,43 +315,25 @@ class TrialResult:
     transcript: Optional[Transcript] = None
 
 
-def _message_for_trial(cfg: ExperimentConfig, trial: int, message_count: int) -> int:
+def _messages(cfg: ExperimentConfig, start: int, stop: int, message_count: int) -> np.ndarray:
     sel = cfg.message_selection
     if sel.policy == "uniform-random":
-        u = TrialLanes(cfg.root_seed, trial).message.uniform(0)
-        return min(1 + int(u * message_count), message_count)
+        u = lane_uniforms(cfg.root_seed, ROLE_MESSAGE, np.arange(start, stop), 1)[:, 0]
+        return np.minimum(1 + (u * message_count).astype(np.int64), message_count)
     if sel.policy == "round-robin":
-        return 1 + trial % message_count
+        return 1 + np.arange(start, stop, dtype=np.int64) % message_count
     if sel.fixed_m > message_count:
         raise ConfigError(f"fixed_m={sel.fixed_m} exceeds message count {message_count}")
-    return sel.fixed_m
+    return np.full(stop - start, sel.fixed_m, dtype=np.int64)
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int, keep_transcript: bool = False) -> TrialResult:
-    """Run one protocol trial through the scalar round-by-round machinery."""
-    if not 0 <= trial_index < cfg.trials:
-        raise ConfigError(f"trial_index={trial_index} outside [0, {cfg.trials})")
-    codebook = cfg.codebook()
-    schedule = cfg.schedule()
-    m = _message_for_trial(cfg, trial_index, codebook.message_count)
-    transcript = run_protocol(
-        m, codebook, schedule, cfg.channel, cfg.tap, TrialLanes(cfg.root_seed, trial_index)
-    )
-    return TrialResult(
-        trial=trial_index,
-        m=m,
-        m_hat=transcript.m_hat,
-        theta_n=transcript.theta_n,
-        per_round_power=transcript.x * transcript.x,
-        transcript=transcript if keep_transcript else None,
-    )
+def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int, record: bool = False) -> dict:
+    """Vectorized execution of trials [start, stop); every simulation path runs through here.
 
-
-def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
-    """Vectorized execution of trials [start, stop).
-
-    Every arithmetic expression mirrors the scalar protocol path exactly, so
-    the two produce bit-identical results (asserted in the test suite).
+    Every arithmetic expression mirrors the scalar protocol path
+    (``protocol.run_protocol`` on ``TrialLanes``) exactly, so the two produce
+    bit-identical results (asserted in the test suite). With ``record`` the
+    full per-round x, noise and y and the tap output w0 are returned too.
     """
     count = stop - start
     n = cfg.n
@@ -359,53 +342,69 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
     noise_model = cfg.channel.noise
     gain = cfg.channel.gain
     mean = noise_model.mean
-    m_count = codebook.message_count
+    trials = np.arange(start, stop)
 
-    pool = _LanePool()
-    uniforms = np.empty((count, n + 1))
-    for idx, trial in enumerate(range(start, stop)):
-        uniforms[idx] = pool.uniforms(cfg.root_seed, trial, ROLE_FORWARD, n + 1)
-    eps = noise_from_uniforms(noise_model, uniforms)
+    eps = noise_from_uniforms(noise_model, lane_uniforms(cfg.root_seed, ROLE_FORWARD, trials, n + 1))
+    m = _messages(cfg, start, stop, codebook.message_count)
+    theta_m = codebook.midpoints(m)
 
-    sel = cfg.message_selection
-    if sel.policy == "uniform-random":
-        msg_u = np.empty(count)
-        for idx, trial in enumerate(range(start, stop)):
-            msg_u[idx] = pool.uniforms(cfg.root_seed, trial, ROLE_MESSAGE, 1)[0]
-        m = np.minimum(1 + (msg_u * m_count).astype(np.int64), m_count)
-    elif sel.policy == "round-robin":
-        m = 1 + np.arange(start, stop, dtype=np.int64) % m_count
-    else:
-        if sel.fixed_m > m_count:
-            raise ConfigError(f"fixed_m={sel.fixed_m} exceeds message count {m_count}")
-        m = np.full(count, sel.fixed_m, dtype=np.int64)
-
-    theta_m = codebook.midpoints()[m - 1]
-    x2 = np.empty((count, n + 1))
-    y_rounds = np.empty((count, n))
-
-    x0 = theta_m
-    y0 = gain * (x0 + eps[:, 0])
-    y0_reduced = y0 / gain
-    n0 = y0_reduced - x0
-    x2[:, 0] = x0 * x0
+    x = np.empty((count, n + 1))
+    y = np.empty((count, n + 1))
+    x[:, 0] = theta_m
+    y[:, 0] = gain * (theta_m + eps[:, 0])
+    y0_reduced = y[:, 0] / gain
+    n0 = y0_reduced - theta_m
     nhat = np.full(count, float(mean))
     for i in range(1, n + 1):
-        x = schedule.gamma[i] * (n0 - nhat)
-        y = gain * (x + eps[:, i])
-        nhat = nhat + schedule.k_gain[i] * (y / gain - mean)
-        x2[:, i] = x * x
-        y_rounds[:, i - 1] = y
+        x_i = schedule.gamma[i] * (n0 - nhat)
+        y_i = gain * (x_i + eps[:, i])
+        nhat = nhat + schedule.k_gain[i] * (y_i / gain - mean)
+        x[:, i] = x_i
+        y[:, i] = y_i
     theta_n = y0_reduced - nhat
-    m_hat = codebook.decode_value(theta_n)
-    return {
-        "m": m,
-        "m_hat": m_hat,
-        "theta_m": theta_m,
-        "theta_n": theta_n,
-        "x2": x2,
-        "y_rounds": y_rounds,
-    }
+    out = {"m": m, "m_hat": codebook.decode_value(theta_n), "theta_m": theta_m, "theta_n": theta_n}
+    if record:
+        tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, trials, 1)[:, 0]
+        out.update(
+            x=x.copy(),
+            noise=y / gain - x,
+            y=y,
+            w0=y[:, 0] + math.sqrt(cfg.tap.variance) * ndtri(tap_u),
+        )
+    out["x2"] = np.multiply(x, x, out=x)
+    out["y_rounds"] = y[:, 1:]
+    return out
+
+
+def run_trial(cfg: ExperimentConfig, trial_index: int, keep_transcript: bool = False) -> TrialResult:
+    """Run one protocol trial: a one-trial slice of the batch computation."""
+    if not 0 <= trial_index < cfg.trials:
+        raise ConfigError(f"trial_index={trial_index} outside [0, {cfg.trials})")
+    out = _simulate_chunk(cfg, trial_index, trial_index + 1, record=keep_transcript)
+    return TrialResult(
+        trial=trial_index,
+        m=int(out["m"][0]),
+        m_hat=int(out["m_hat"][0]),
+        theta_n=float(out["theta_n"][0]),
+        per_round_power=out["x2"][0],
+        transcript=_transcripts(out)[0] if keep_transcript else None,
+    )
+
+
+def _transcripts(out: dict) -> List[Transcript]:
+    return [
+        Transcript(
+            m=int(out["m"][j]),
+            m_hat=int(out["m_hat"][j]),
+            theta_m=float(out["theta_m"][j]),
+            theta_n=float(out["theta_n"][j]),
+            w0=float(out["w0"][j]),
+            x=out["x"][j],
+            noise=out["noise"][j],
+            y=out["y"][j],
+        )
+        for j in range(len(out["m"]))
+    ]
 
 
 def _chunk_worker(args) -> Tuple[int, dict]:
@@ -634,11 +633,14 @@ def collect_transcripts(cfg: ExperimentConfig, limit: int = 10_000) -> List[Tran
     """Full transcripts of the first min(trials, limit) trials.
 
     Retention is off during normal runs to keep memory flat; this re-executes
-    the leading trials through the scalar path, which reproduces the batch
-    results bit-identically.
+    the leading trials through the batch computation, chunk by chunk, with
+    recording on, so the transcripts match the report's trials bit for bit.
     """
     count = min(cfg.trials, limit)
-    return [run_trial(cfg, t, keep_transcript=True).transcript for t in range(count)]
+    transcripts: List[Transcript] = []
+    for start in range(0, count, CHUNK_TRIALS):
+        transcripts += _transcripts(_simulate_chunk(cfg, start, min(start + CHUNK_TRIALS, count), record=True))
+    return transcripts
 
 
 def write_transcripts_csv(transcripts: Sequence[Transcript], fh: IO[str]) -> None:
@@ -719,7 +721,7 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
             empirical=report.error_rate,
             predicted=bound,
             tolerance=err_tol,
-            passed=report.error_rate <= err_tol,
+            passed=bool(report.error_rate <= err_tol),
         )
     )
 
@@ -731,7 +733,7 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
             empirical=ratio,
             predicted=1.0,
             tolerance=ratio_tol,
-            passed=abs(ratio - 1.0) <= ratio_tol,
+            passed=bool(abs(ratio - 1.0) <= ratio_tol),
         )
     )
 
@@ -742,7 +744,7 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
             empirical=float(report.power_mean[0]),
             predicted=cfg.n_s,
             tolerance=0.0,
-            passed=report.power_mean[0] <= cfg.n_s,
+            passed=bool(report.power_mean[0] <= cfg.n_s),
         )
     )
     if cfg.n >= 1:
@@ -770,7 +772,7 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
                 empirical=report.diag.max_abs_offdiag_corr,
                 predicted=0.0,
                 tolerance=corr_tol,
-                passed=report.diag.max_abs_offdiag_corr <= corr_tol,
+                passed=bool(report.diag.max_abs_offdiag_corr <= corr_tol),
             )
         )
 
@@ -783,7 +785,7 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
                 empirical=report.diag.theta_skewness,
                 predicted=0.0,
                 tolerance=skew_tol,
-                passed=abs(report.diag.theta_skewness) <= skew_tol,
+                passed=bool(abs(report.diag.theta_skewness) <= skew_tol),
             )
         )
         rows.append(
@@ -792,7 +794,7 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
                 empirical=report.diag.theta_excess_kurtosis,
                 predicted=0.0,
                 tolerance=kurt_tol,
-                passed=abs(report.diag.theta_excess_kurtosis) <= kurt_tol,
+                passed=bool(abs(report.diag.theta_excess_kurtosis) <= kurt_tol),
             )
         )
 
@@ -804,8 +806,9 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
                 empirical=lhs,
                 predicted=report.leakage.total_bits,
                 tolerance=1e-12 * max(1.0, abs(report.leakage.total_bits)),
-                passed=abs(lhs - report.leakage.total_bits)
-                <= 1e-12 * max(1.0, abs(report.leakage.total_bits)),
+                passed=bool(
+                    abs(lhs - report.leakage.total_bits) <= 1e-12 * max(1.0, abs(report.leakage.total_bits))
+                ),
             )
         )
 

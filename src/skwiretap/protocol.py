@@ -61,8 +61,10 @@ class Codebook:
             raise ValueError(f"message m={m} outside [1, {self.message_count}]")
         return self.amplitude_bound * (2 * m - 1 - self.message_count) / self.message_count
 
-    def midpoints(self) -> np.ndarray:
-        m = np.arange(1, self.message_count + 1)
+    def midpoints(self, m: Optional[np.ndarray] = None) -> np.ndarray:
+        """Midpoints of the message indices m (an int array), or of every message."""
+        if m is None:
+            m = np.arange(1, self.message_count + 1)
         return self.amplitude_bound * (2 * m - 1 - self.message_count) / self.message_count
 
     def decode_value(self, theta) -> "int | np.ndarray":

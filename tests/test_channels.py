@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import Philox
 from scipy.special import ndtr, ndtri
 
 from skwiretap.channels import (
@@ -16,13 +17,14 @@ from skwiretap.channels import (
     RngLane,
     ThermalWiretapParams,
     TrialLanes,
-    _LanePool,
     as_affine,
     eve_tap_transmit,
     forward_transmit,
+    lane_uniforms,
     noise_from_uniforms,
     noise_model_from_config,
     noise_model_to_config,
+    philox_raw,
     sample_noise,
 )
 
@@ -107,12 +109,24 @@ class TestRngLanes:
         b = RngLane(*lane_b).uniforms(100_000)
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
-    def test_lane_pool_matches_fresh_lanes(self):
-        pool = _LanePool()
-        for trial, role, count in [(0, ROLE_FORWARD, 11), (9, ROLE_TAP, 1), (12345, ROLE_MESSAGE, 3)]:
-            fresh = RngLane(SEED, trial, role).uniforms(count)
-            pooled = pool.uniforms(SEED, trial, role, count)
-            assert np.array_equal(fresh, pooled)
+    def test_batch_lanes_match_fresh_lanes(self):
+        trials = [0, 9, 12345, 2**56 - 1]
+        for role, count in [(ROLE_FORWARD, 11), (ROLE_TAP, 1), (ROLE_MESSAGE, 3)]:
+            batch = lane_uniforms(SEED, role, trials, count)
+            for row, trial in zip(batch, trials):
+                assert np.array_equal(row, RngLane(SEED, trial, role).uniforms(count))
+
+    def test_high_seeds_do_not_alias(self):
+        # a list key with a word >= 2^63 would be rounded through float64,
+        # merging seeds in blocks of 2048 and message lanes in blocks of 32 trials
+        high = 2**63 + 12345
+        assert not np.array_equal(RngLane(high, 0, 0).uniforms(4), RngLane(high + 7, 0, 0).uniforms(4))
+        a = RngLane(high, 0, ROLE_MESSAGE).uniforms(1)
+        b = RngLane(high, 1, ROLE_MESSAGE).uniforms(1)
+        assert not np.array_equal(a, b)
+        key = np.array([high, (ROLE_FORWARD << 56) | 5], dtype=np.uint64)
+        raw = Philox(key=key).random_raw(3)
+        assert np.array_equal(RngLane(high, 5, ROLE_FORWARD).uniforms(3), ((raw >> np.uint64(11)) + 0.5) * 2.0**-53)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError, match="trial"):
@@ -120,11 +134,47 @@ class TestRngLanes:
         with pytest.raises(ValueError, match="root_seed"):
             RngLane(1 << 64, 0, ROLE_FORWARD)
 
+    def test_batch_domain_checks(self):
+        with pytest.raises(ValueError, match="trial"):
+            lane_uniforms(SEED, ROLE_FORWARD, [3, -1], 2)
+        with pytest.raises(ValueError, match="trial"):
+            lane_uniforms(SEED, ROLE_FORWARD, [2**56], 2)
+        with pytest.raises(ValueError, match="root_seed"):
+            lane_uniforms(1 << 64, ROLE_FORWARD, [0], 2)
+        with pytest.raises(ValueError, match="role"):
+            lane_uniforms(SEED, 256, [0], 2)
+        assert lane_uniforms(SEED, ROLE_FORWARD, [], 5).shape == (0, 5)
+        assert lane_uniforms(SEED, ROLE_FORWARD, [1, 2], 0).shape == (2, 0)
+
     def test_trial_lanes_bundle(self):
         lanes = TrialLanes(SEED, 7)
         assert lanes.forward.role == ROLE_FORWARD
         assert lanes.tap.role == ROLE_TAP
         assert lanes.message.role == ROLE_MESSAGE
+
+
+class TestPhiloxKernel:
+    """The batch kernel against numpy.random.Philox keyed with exact uint64 words."""
+
+    @pytest.mark.parametrize("role", [ROLE_FORWARD, ROLE_TAP, ROLE_MESSAGE])
+    def test_matches_numpy_philox(self, role):
+        rng = np.random.default_rng(2718 + role)
+        seeds = [0, 2**63 - 1, 2**63, 2**64 - 1] + [int(s) for s in rng.integers(0, 2**64, 6, dtype=np.uint64)]
+        trials = [0, 1, 2**56 - 1] + [int(t) for t in rng.integers(0, 2**56, 5)]
+        for seed in seeds:
+            for count in range(1, 31):  # crosses the 4-word block boundary
+                batch = philox_raw(seed, role, trials, count)
+                assert batch.shape == (len(trials), count)
+                for row, trial in zip(batch, trials):
+                    key = np.array([seed, (role << 56) | trial], dtype=np.uint64)
+                    assert np.array_equal(row, Philox(key=key).random_raw(count))
+
+    def test_many_lanes_span_several_passes(self):
+        # enough lanes that the kernel splits them into passes
+        trials = np.arange(40_000)
+        batch = lane_uniforms(SEED, ROLE_FORWARD, trials, 3)
+        for trial in (0, 16_383, 16_384, 39_999):
+            assert np.array_equal(batch[trial], RngLane(SEED, trial, ROLE_FORWARD).uniforms(3))
 
 
 def _lane_u(count, trial=0):

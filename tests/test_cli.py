@@ -131,6 +131,16 @@ class TestSimulate:
         assert lines[0] == "trial,i,x,n,y"
         assert len(lines) == 1 + THERMAL_CFG["trials"] * (THERMAL_CFG["n"] + 2)
 
+    def test_json_format_is_strict_json(self, cfg_path, tmp_path, capsys):
+        def reject(name):
+            raise ValueError(f"non-finite constant {name} in JSON output")
+
+        assert run_cli("simulate", "--config", cfg_path, "--out", tmp_path, "--format", "json") == 0
+        result = json.loads(capsys.readouterr().out, parse_constant=reject)
+        assert result["verdict"]["pass"] is True
+        assert all(row["pass"] is True for row in result["verdict"]["rows"])
+        assert result["report"] == json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+
     def test_byte_identical_across_runs_and_threads(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli("simulate", "--config", cfg_path, "--out", out1) == 0

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams
+from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes
 from skwiretap.harness import (
     CHUNK_TRIALS,
     ConfigError,
@@ -29,6 +29,7 @@ from skwiretap.harness import (
     write_transcripts_csv,
 )
 from skwiretap.infotheory import leakage_budget
+from skwiretap.protocol import run_protocol
 
 SEED = 161803
 
@@ -57,6 +58,11 @@ def _affine_cfg(family="two-point", gain=1.0, **overrides) -> ExperimentConfig:
     return ExperimentConfig(
         channel=AffineChannel(gain, NoiseModel(family, 1.0)), n_s=3.0, tap=EveTap(1.0), **kwargs
     )
+
+
+def _high_seed_cfg() -> ExperimentConfig:
+    # a root seed >= 2^63 does not fit a signed 64-bit word
+    return _thermal_cfg(root_seed=2**63 + 12345)
 
 
 class TestConfig:
@@ -181,17 +187,53 @@ class TestBatchEqualsScalar:
             assert np.array_equal(full[key][150:], tail[key])
         assert np.array_equal(full["x2"][150:], tail["x2"])
 
-    @pytest.mark.parametrize("factory", [_thermal_cfg, lambda: _affine_cfg("uniform", 2.0)])
+    @pytest.mark.parametrize("factory", [_thermal_cfg, lambda: _affine_cfg("uniform", 2.0), _high_seed_cfg])
     def test_scalar_path_bitwise(self, factory):
+        # oracle: the round-by-round state machines on per-trial Philox lanes
         cfg = factory()
+        codebook, schedule = cfg.codebook(), cfg.schedule()
         out = _simulate_chunk(cfg, 0, cfg.trials)
-        for trial in (0, 1, 77, 1999):
+        for trial in (0, 1, 31, 32, 77, 1999):
+            lanes = TrialLanes(cfg.root_seed, trial)
+            m = min(1 + int(lanes.message.uniform(0) * codebook.message_count), codebook.message_count)
+            oracle = run_protocol(m, codebook, schedule, cfg.channel, cfg.tap, lanes)
+            assert out["m"][trial] == m
+            assert out["m_hat"][trial] == oracle.m_hat
+            assert out["theta_m"][trial] == oracle.theta_m
+            assert out["theta_n"][trial] == oracle.theta_n
+            assert np.array_equal(out["x2"][trial], oracle.x * oracle.x)
+            assert np.array_equal(out["y_rounds"][trial], oracle.y[1:])
+
             res = run_trial(cfg, trial, keep_transcript=True)
-            assert res.m == out["m"][trial]
-            assert res.m_hat == out["m_hat"][trial]
-            assert res.theta_n == out["theta_n"][trial]
-            assert np.array_equal(res.per_round_power, out["x2"][trial])
-            assert np.array_equal(res.transcript.y[1:], out["y_rounds"][trial])
+            assert (res.m, res.m_hat, res.theta_n) == (oracle.m, oracle.m_hat, oracle.theta_n)
+            assert np.array_equal(res.per_round_power, oracle.x * oracle.x)
+            t = res.transcript
+            assert (t.theta_m, t.w0) == (oracle.theta_m, oracle.w0)
+            for field in ("x", "noise", "y"):
+                assert np.array_equal(getattr(t, field), getattr(oracle, field))
+
+    def test_largest_codebook(self):
+        # 2^40 messages: the batch path must not build the full midpoint table
+        cfg = _thermal_cfg(n=40, rate=1.0, trials=64)
+        codebook = cfg.codebook()
+        assert codebook.message_count == 2**40
+        assert run_experiment(cfg).realized_rate == 1.0
+        lanes = TrialLanes(cfg.root_seed, 5)
+        m = min(1 + int(lanes.message.uniform(0) * codebook.message_count), codebook.message_count)
+        oracle = run_protocol(m, codebook, cfg.schedule(), cfg.channel, cfg.tap, lanes)
+        res = run_trial(cfg, 5)
+        assert (res.m, res.m_hat, res.theta_n) == (oracle.m, oracle.m_hat, oracle.theta_n)
+
+    def test_transcripts_match_chunk(self):
+        # collect_transcripts crosses a chunk boundary and keeps trial order
+        cfg = _affine_cfg("shifted-exponential", 0.5, trials=CHUNK_TRIALS + 3, n=2)
+        transcripts = collect_transcripts(cfg, limit=CHUNK_TRIALS + 2)
+        out = _simulate_chunk(cfg, CHUNK_TRIALS - 1, CHUNK_TRIALS + 2)
+        assert len(transcripts) == CHUNK_TRIALS + 2
+        for j, t in enumerate(transcripts[CHUNK_TRIALS - 1 :]):
+            assert (t.m, t.m_hat, t.theta_n) == (out["m"][j], out["m_hat"][j], out["theta_n"][j])
+            assert np.array_equal(t.x * t.x, out["x2"][j])
+            assert np.array_equal(t.y[1:], out["y_rounds"][j])
 
     @pytest.mark.parametrize("selection", [MessageSelection.round_robin(), MessageSelection.fixed(2)])
     def test_selection_policies_agree(self, selection):
