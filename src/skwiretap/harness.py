@@ -558,23 +558,24 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     x2 = np.empty((trials, n + 1))
     y_rounds = np.empty((trials, n))
 
-    spans = [(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
-    if threads > 1 and len(spans) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(_chunk_worker, [(cfg, s, e) for s, e in spans])
-            chunks = dict(results)
-    else:
-        chunks = {s: _simulate_chunk(cfg, s, e) for s, e in spans}
-
-    for start, end in spans:
-        out = chunks[start]
-        sl = slice(start, end)
+    def store(start: int, out: dict) -> None:
+        sl = slice(start, start + len(out["m"]))
         m[sl] = out["m"]
         m_hat[sl] = out["m_hat"]
         theta_m[sl] = out["theta_m"]
         theta_n[sl] = out["theta_n"]
         x2[sl] = out["x2"]
         y_rounds[sl] = out["y_rounds"]
+
+    # each chunk is stored as it arrives, so no more than a few are held at once
+    spans = [(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
+    if threads > 1 and len(spans) > 1:
+        with ProcessPoolExecutor(max_workers=threads) as pool:
+            for start, out in pool.map(_chunk_worker, [(cfg, s, e) for s, e in spans]):
+                store(start, out)
+    else:
+        for start, end in spans:
+            store(start, _simulate_chunk(cfg, start, end))
 
     gain = cfg.channel.gain
     var_noise = cfg.channel.noise.variance
