@@ -13,7 +13,7 @@ import math
 import os
 import sys
 from pathlib import Path
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -21,6 +21,8 @@ from .acceptance import run_all
 from .harness import (
     ConfigError,
     ExperimentConfig,
+    _config_float,
+    _config_int,
     collect_transcripts,
     compare_bounds,
     report_flat_row,
@@ -62,28 +64,40 @@ class _Parser(argparse.ArgumentParser):
         raise CliError(EXIT_CONFIG, message)
 
 
-def _default_threads() -> int:
-    raw = os.environ.get(THREADS_ENV_VAR)
-    if raw is None:
-        return 1
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"{THREADS_ENV_VAR}={raw!r} is not an integer") from exc
-    return max(1, value)
+def _threads(args) -> int:
+    """Worker count for simulate/sweep: --threads, then $SKWIRETAP_THREADS, then 1."""
+    if args.threads is None:
+        raw = os.environ.get(THREADS_ENV_VAR, "1")
+        try:
+            return max(1, int(raw))
+        except ValueError as exc:
+            raise CliError(EXIT_CONFIG, f"{THREADS_ENV_VAR}={raw!r} is not an integer") from exc
+    if args.threads < 1:
+        raise CliError(EXIT_CONFIG, f"--threads {args.threads} must be >= 1")
+    return args.threads
+
+
+def _reject_constant(name: str):
+    raise ValueError(f"{name} is not a number")
 
 
 def _load_json(path: str) -> dict:
+    """A config file's top-level JSON object; NaN and Infinity are rejected."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
     try:
-        return json.loads(text)
+        obj = json.loads(text, parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise CliError(
             EXIT_CONFIG, f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
         ) from exc
+    except ValueError as exc:
+        raise CliError(EXIT_CONFIG, f"malformed JSON in {path}: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise CliError(EXIT_CONFIG, f"{path} must hold a JSON object, not {type(obj).__name__}")
+    return obj
 
 
 def _flatten(obj, prefix: str = "") -> dict:
@@ -109,7 +123,7 @@ def _format_cell(value) -> str:
 
 def _emit(result: dict, fmt: str, out: Optional[str]) -> None:
     if fmt == "json":
-        text = json.dumps(result, indent=2)
+        text = json.dumps(result, indent=2, allow_nan=False)
     elif fmt == "csv":
         flat = _flatten(result)
         header = ",".join(flat.keys())
@@ -135,14 +149,14 @@ def _emit(result: dict, fmt: str, out: Optional[str]) -> None:
 _PHYSICS_FIELDS = ("eta", "n_th", "n_s", "sigma2", "n", "rate", "tap_variance")
 
 
-def _physics_params(args) -> dict:
+def _physics_params(args) -> Tuple[dict, BoundQuery]:
     params = {}
     if args.config:
         obj = _load_json(args.config)
         unknown = set(obj) - set(_PHYSICS_FIELDS)
         if unknown:
             raise CliError(EXIT_CONFIG, f"unknown fields in {args.config}: {sorted(unknown)}")
-        params.update(obj)
+        params.update((k, v) for k, v in obj.items() if v is not None)
     for field in _PHYSICS_FIELDS:
         value = getattr(args, field, None)
         if value is not None:
@@ -150,19 +164,25 @@ def _physics_params(args) -> dict:
     for field in ("eta", "n_s", "n", "rate"):
         if field not in params:
             raise CliError(EXIT_CONFIG, f"missing required parameter --{field.replace('_', '-')}")
+    for field, value in params.items():
+        params[field] = _config_int(value, field) if field == "n" else _config_float(value, field)
     params.setdefault("n_th", 0.0)
     params.setdefault("tap_variance", None)
-    if params.get("sigma2") is None:
+    if "sigma2" not in params:
         params["sigma2"] = induced_sigma2(params["eta"], params["n_th"])
-    params["n"] = int(params["n"])
-    return params
+        if not math.isfinite(params["sigma2"]):
+            raise CliError(EXIT_CONFIG, f"eta={params['eta']!r} makes the induced sigma2 overflow")
+    query = BoundQuery(
+        n_s=params["n_s"], sigma2=params["sigma2"], eta=params["eta"], n_th=params["n_th"],
+        n=params["n"], rate=params["rate"],
+    )
+    if not math.isfinite(query.n_s / query.sigma2):
+        raise CliError(EXIT_CONFIG, f"n_s/sigma2 = {query.n_s!r}/{query.sigma2!r} overflows")
+    return params, query
 
 
 def cmd_rates(args) -> int:
-    p = _physics_params(args)
-    query = BoundQuery(
-        n_s=p["n_s"], sigma2=p["sigma2"], eta=p["eta"], n_th=p["n_th"], n=p["n"], rate=p["rate"]
-    )
+    p, query = _physics_params(args)
     p_h = awgn_capacity(query.n_s, query.sigma2)
     realized = make_codebook(query.n, query.rate, query.n_s).realized_rate
     if query.eta < 1.0:
@@ -183,10 +203,7 @@ def cmd_rates(args) -> int:
 
 
 def cmd_bounds(args) -> int:
-    p = _physics_params(args)
-    query = BoundQuery(
-        n_s=p["n_s"], sigma2=p["sigma2"], eta=p["eta"], n_th=p["n_th"], n=p["n"], rate=p["rate"]
-    )
+    p, query = _physics_params(args)
     p_h = awgn_capacity(query.n_s, query.sigma2)
     sk = sk_error_bound(query)
     tet: dict
@@ -236,7 +253,7 @@ def cmd_simulate(args) -> int:
     if args.seed is not None:
         obj["root_seed"] = args.seed
     cfg = ExperimentConfig.from_dict(obj)
-    report = run_experiment(cfg, threads=args.threads)
+    report = run_experiment(cfg, threads=_threads(args))
     verdict = compare_bounds(report)
 
     out_dir = Path(args.out or ".")
@@ -250,7 +267,8 @@ def cmd_simulate(args) -> int:
         raise CliError(EXIT_IO, f"cannot write outputs under {out_dir}: {exc}") from exc
 
     if args.format == "json":
-        print(json.dumps({"report": report.to_dict(), "verdict": verdict.to_dict()}, indent=2))
+        result = {"report": report.to_dict(), "verdict": verdict.to_dict()}
+        print(json.dumps(result, indent=2, allow_nan=False))
     elif args.format == "csv":
         flat = _flatten(verdict.to_dict())
         print(",".join(flat.keys()))
@@ -301,7 +319,7 @@ def _apply_axis(base: dict, axis: str, value) -> dict:
 def cmd_sweep(args) -> int:
     obj = _load_json(args.config)
     sweep_spec = obj.pop("sweep", None)
-    if sweep_spec is None:
+    if not isinstance(sweep_spec, Mapping):
         raise CliError(EXIT_CONFIG, "sweep config requires a 'sweep' object")
     axes = [a for a in _SWEEP_AXES if a == sweep_spec.get("axis")]
     if not axes:
@@ -310,11 +328,12 @@ def cmd_sweep(args) -> int:
         obj["root_seed"] = args.seed
     axis = axes[0]
     values = _sweep_values(axis, sweep_spec)
+    threads = _threads(args)
 
     rows = []
     for value in values:
         cfg = ExperimentConfig.from_dict(_apply_axis(obj, axis, value))
-        report = run_experiment(cfg, threads=args.threads)
+        report = run_experiment(cfg, threads=threads)
         rows.append(report_flat_row(report))
 
     out_path = Path(args.out or "sweep.csv")
@@ -336,23 +355,35 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERDICT
 
 
-def _add_common(parser: argparse.ArgumentParser, config_required: bool = False) -> None:
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
+    return value
+
+
+def _add_io(parser: argparse.ArgumentParser, config_required: bool, formats: bool = True) -> None:
     parser.add_argument("--config", required=config_required, help="JSON config file")
-    parser.add_argument("--seed", type=int, default=None, help="override root seed")
     parser.add_argument("--out", default=None, help="output path")
-    parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
+    if formats:
+        parser.add_argument("--format", choices=("json", "csv", "table"), default="table")
+
+
+def _add_run(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--seed", type=int, default=None, help="override root seed")
     parser.add_argument("--threads", type=int, default=None, help="worker process count")
-    parser.add_argument("--dump-transcripts", action="store_true")
 
 
 def _add_physics(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=float, help="transmissivity in (0, 1]")
-    parser.add_argument("--n-th", dest="n_th", type=float, help="thermal photon number >= 0")
-    parser.add_argument("--n-s", dest="n_s", type=float, help="mean photon number per mode > 0")
-    parser.add_argument("--sigma2", type=float, help="override the induced noise variance")
+    parser.add_argument("--eta", type=_finite_float, help="transmissivity in (0, 1]")
+    parser.add_argument("--n-th", dest="n_th", type=_finite_float, help="thermal photon number >= 0")
+    parser.add_argument("--n-s", dest="n_s", type=_finite_float, help="mean photon number per mode > 0")
+    parser.add_argument("--sigma2", type=_finite_float, help="override the induced noise variance")
     parser.add_argument("--n", type=int, help="estimation rounds after round 0")
-    parser.add_argument("--rate", type=float, help="nominal rate in bits/round")
-    parser.add_argument("--tap-variance", dest="tap_variance", type=float, help="eavesdropper tap noise variance")
+    parser.add_argument("--rate", type=_finite_float, help="nominal rate in bits/round")
+    parser.add_argument(
+        "--tap-variance", dest="tap_variance", type=_finite_float, help="eavesdropper tap noise variance"
+    )
 
 
 def build_parser() -> _Parser:
@@ -361,24 +392,26 @@ def build_parser() -> _Parser:
 
     p_rates = sub.add_parser("rates", help="closed-form achievable rates")
     _add_physics(p_rates)
-    _add_common(p_rates)
+    _add_io(p_rates, config_required=False)
     p_rates.set_defaults(func=cmd_rates)
 
     p_bounds = sub.add_parser("bounds", help="analytic error bounds and the leakage budget")
     _add_physics(p_bounds)
-    _add_common(p_bounds)
+    _add_io(p_bounds, config_required=False)
     p_bounds.set_defaults(func=cmd_bounds)
 
     p_sim = sub.add_parser("simulate", help="run a Monte Carlo experiment from a JSON config")
-    _add_common(p_sim, config_required=True)
+    _add_io(p_sim, config_required=True)
+    _add_run(p_sim)
+    p_sim.add_argument("--dump-transcripts", action="store_true")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_sweep = sub.add_parser("sweep", help="run an experiment per point along one axis")
-    _add_common(p_sweep, config_required=True)
+    _add_io(p_sweep, config_required=True, formats=False)
+    _add_run(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_verify = sub.add_parser("verify", help="run the built-in verification suite")
-    _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
 
     return parser
@@ -388,10 +421,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        if getattr(args, "threads", None) is None:
-            args.threads = _default_threads()
-        if args.threads < 1:
-            raise CliError(EXIT_CONFIG, f"--threads {args.threads} must be >= 1")
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -399,7 +428,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except ValueError as exc:
+    except (ValueError, OverflowError) as exc:
         print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:

@@ -184,6 +184,14 @@ def rate_squeezed_homodyne(eta: float, n_s: float) -> float:
     return 0.5 * math.log1p(num / den) / _LN2
 
 
+def _pow2(x: float) -> float:
+    """2 ** x, with +inf where it exceeds double range instead of OverflowError."""
+    try:
+        return 2.0 ** x
+    except OverflowError:
+        return math.inf
+
+
 def sk_error_bound(b: BoundQuery) -> float:
     """Doubly-exponential decoding-error bound for the feedback protocol.
 
@@ -193,14 +201,17 @@ def sk_error_bound(b: BoundQuery) -> float:
     :func:`sk_error_bound_log10` for reporting in that regime.
     """
     p_h = rate_coherent_homodyne(b)
-    exponent = 2.0 ** (2.0 * b.n * (p_h - b.rate) - 1.0) * b.n_s / b.sigma2
+    exponent = _pow2(2.0 * b.n * (p_h - b.rate) - 1.0) * b.n_s / b.sigma2
     return min(_SQRT_2_OVER_PI * math.exp(-exponent), _SQRT_2_OVER_PI)
 
 
 def sk_error_bound_log10(b: BoundQuery) -> float:
-    """log10 of :func:`sk_error_bound`, finite even when the bound underflows."""
+    """log10 of :func:`sk_error_bound`, finite even when the bound underflows.
+
+    -inf once the exponent itself exceeds double range.
+    """
     p_h = rate_coherent_homodyne(b)
-    exponent = 2.0 ** (2.0 * b.n * (p_h - b.rate) - 1.0) * b.n_s / b.sigma2
+    exponent = _pow2(2.0 * b.n * (p_h - b.rate) - 1.0) * b.n_s / b.sigma2
     return math.log10(_SQRT_2_OVER_PI) - exponent / math.log(10.0)
 
 
@@ -208,12 +219,13 @@ def chebyshev_error_bound(gain: float, var_noise: float, b: BoundQuery) -> float
     """Second-moment decoding-error bound for general affine channels.
 
     gain^2 * 2^(-2 n (C - R)) * var_noise / n_s with C the AWGN capacity at
-    the same second moments. Valid for any additive noise, Gaussian or not.
+    the same second moments. Valid for any additive noise, Gaussian or not;
+    +inf where the rate is so far above C that 2^(2 n (R - C)) overflows.
     """
     _require(gain != 0, "gain", gain, "!= 0")
     _require(var_noise > 0, "var_noise", var_noise, "> 0")
     c = awgn_capacity(b.n_s, var_noise)
-    return gain * gain * 2.0 ** (-2.0 * b.n * (c - b.rate)) * var_noise / b.n_s
+    return gain * gain * _pow2(-2.0 * b.n * (c - b.rate)) * var_noise / b.n_s
 
 
 def phi(nu: float, n_s: float, sigma2: float) -> float:
@@ -224,7 +236,11 @@ def phi(nu: float, n_s: float, sigma2: float) -> float:
     _require(0 < nu <= 1, "nu", nu, "(0, 1]")
     _require(n_s > 0, "n_s", n_s, "> 0")
     _require(sigma2 > 0, "sigma2", sigma2, "> 0")
-    return 0.5 * nu * math.log1p(n_s / (sigma2 * nu)) / _LN2
+    denominator = sigma2 * nu
+    if denominator == 0.0 or math.isinf(n_s / denominator):
+        # the ratio leaves double range; log1p(x) and log(x) agree there
+        return 0.5 * nu * (math.log(n_s) - math.log(sigma2) - math.log(nu)) / _LN2
+    return 0.5 * nu * math.log1p(n_s / denominator) / _LN2
 
 
 def phi_inverse(rate: float, n_s: float, sigma2: float) -> float:

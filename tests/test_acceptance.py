@@ -3,9 +3,14 @@ tolerance and prints one pass/fail line. The Monte Carlo experiments behind
 criteria 3..7 and 10 are shared across this module via a session fixture.
 """
 
+import dataclasses
+from fnmatch import fnmatchcase
+
+import numpy as np
 import pytest
 
 from skwiretap import acceptance
+from skwiretap.harness import compare_bounds
 
 
 @pytest.fixture(scope="session")
@@ -64,3 +69,90 @@ def test_criterion_09_tetration_machinery(results):
 
 def test_criterion_10_determinism(results):
     _check(results, 10)
+
+
+def _row(report, quantity):
+    (row,) = [r for r in compare_bounds(report).rows if fnmatchcase(r.quantity, quantity)]
+    return row
+
+
+def _set_power(report, round_index, value):
+    power = report.power_mean.copy()
+    power[round_index] = value
+    return {"power_mean": power}
+
+
+def _diag(report, **changes):
+    return {"diag": dataclasses.replace(report.diag, **changes)}
+
+
+# (criterion, report key, perturbation of that report, compare_bounds row that must fail)
+NEGATIVE_CONTROLS = {
+    "3-variance": (
+        acceptance.criterion_variance_of_theta, "main",
+        lambda r: {"empirical_var_theta": r.empirical_var_theta * 1.2}, "var_theta_ratio",
+    ),
+    "4-one-error-deep": (
+        acceptance.criterion_error_bound, "main",
+        lambda r: {"error_count": 1, "error_rate": 1.0 / r.config.trials}, "error_rate_vs_bound",
+    ),
+    "4-edge-above-tolerance": (
+        acceptance.criterion_error_bound, "edge",
+        lambda r: {"error_rate": _row(r, "error_rate_vs_bound").tolerance + 0.01}, "error_rate_vs_bound",
+    ),
+    "5-round-shifted-10se": (
+        acceptance.criterion_power_constraint, "main",
+        lambda r: _set_power(r, 4, r.config.n_s + 10.0 * r.power_se[4]), "power_round*_within_5se",
+    ),
+    "5-round0-above-ns": (
+        acceptance.criterion_power_constraint, "main",
+        lambda r: _set_power(r, 0, r.config.n_s * 1.01), "power_round0_leq_ns",
+    ),
+    "6-affine-variance": (
+        acceptance.criterion_non_gaussian, "uniform_a2",
+        lambda r: {"empirical_var_theta": r.empirical_var_theta * 1.2}, "var_theta_ratio",
+    ),
+    "6-chebyshev-above-tolerance": (
+        acceptance.criterion_non_gaussian, "two-point_cheb",
+        lambda r: {"error_rate": _row(r, "error_rate_vs_bound").tolerance + 0.01}, "error_rate_vs_bound",
+    ),
+    "7-correlation": (
+        acceptance.criterion_independence, "independence",
+        lambda r: _diag(r, max_abs_offdiag_corr=0.1), "max_feedback_corr",
+    ),
+    "7-skewness": (
+        acceptance.criterion_independence, "independence",
+        lambda r: _diag(r, theta_skewness=1.0), "theta_skewness",
+    ),
+    "7-kurtosis": (
+        acceptance.criterion_independence, "independence",
+        lambda r: _diag(r, theta_excess_kurtosis=-1.0), "theta_excess_kurtosis",
+    ),
+}
+
+
+def _perturbed(key, changes):
+    reports = dict(acceptance.shared_reports(threads=1))
+    reports[key] = dataclasses.replace(reports[key], **changes(reports[key]))
+    return reports
+
+
+@pytest.mark.parametrize("case", sorted(NEGATIVE_CONTROLS))
+def test_criterion_and_its_row_fail_on_a_perturbed_report(case):
+    criterion, key, changes, quantity = NEGATIVE_CONTROLS[case]
+    assert criterion(acceptance.shared_reports(threads=1)).passed
+    reports = _perturbed(key, changes)
+    result = criterion(reports)
+    assert not result.passed, result.details
+    assert not _row(reports[key], quantity).passed
+
+
+def test_chebyshev_criterion_is_stricter_than_its_row():
+    # an error rate between the bound and the row's 5-SE slack fails criterion 6 only
+    report = acceptance.shared_reports(threads=1)["uniform_cheb"]
+    row = _row(report, "error_rate_vs_bound")
+    assert row.predicted < row.tolerance
+    between = float(np.nextafter(row.predicted, 1.0))
+    reports = _perturbed("uniform_cheb", lambda r: {"error_rate": between})
+    assert _row(reports["uniform_cheb"], "error_rate_vs_bound").passed
+    assert not acceptance.criterion_non_gaussian(reports).passed

@@ -1,12 +1,17 @@
 """CLI behavior: commands, formats, strict configs, exit codes, artifacts."""
 
+import contextlib
 import csv
+import io
 import json
 import math
+import tempfile
 from pathlib import Path
 
 import jsonschema
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from skwiretap import cli
 from skwiretap.harness import VerdictRow, VerdictTable
@@ -31,6 +36,19 @@ def cfg_path(tmp_path):
 
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
+
+
+def _reject_constant(name):
+    raise ValueError(f"non-finite constant {name} in JSON output")
+
+
+def _one_line_error(capsys) -> str:
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1 and "Traceback" not in err, err
+    return err
+
+
+PHYSICS = ("--eta", 0.5, "--n-th", 1, "--n-s", 3, "--n", 10, "--rate", 0.5)
 
 
 class TestRates:
@@ -116,6 +134,119 @@ class TestBounds:
         assert result["tetration"]["underflow"] is True
 
 
+class TestBoundsOverflow:
+    # 2^(2 n (P_H - R) - 1) or 2^(2 n (R - C)) leaves double range in both cases
+    def test_exponent_beyond_double_range(self, capsys):
+        assert run_cli("bounds", "--eta", 0.5, "--n-s", 100, "--n", 1000, "--rate", 0.1, "--format", "json") == 0
+        result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert result["sk_bound"] == 0.0 and result["sk_bound_log10"] is None
+        assert result["chebyshev_bound"] == 0.0
+
+    def test_chebyshev_overflow_far_above_capacity(self, capsys):
+        assert run_cli("bounds", "--eta", 0.5, "--n-s", 3, "--n", 1000, "--rate", 10, "--format", "json") == 0
+        result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert result["chebyshev_bound"] is None and result["sk_bound"] > 0.0
+
+
+class TestInputBoundary:
+    """Malformed input ends with exit 1 and a one-line message, and JSON output is strict."""
+
+    def _physics_config(self, tmp_path, text):
+        path = tmp_path / "phys.json"
+        path.write_text(text)
+        return path
+
+    @pytest.mark.parametrize("command", ["rates", "bounds"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"eta": "0.5", "n_s": 3, "n": 4, "rate": 0.5}',
+            '{"eta": 0.5, "n_s": 3, "n": 10.7, "rate": 0.5}',
+            '{"eta": 0.5, "n_s": Infinity, "n": 4, "rate": 0.5}',
+            '{"eta": 0.5, "n_s": 3, "n": 4, "rate": NaN}',
+            '{"eta": 0.5, "n_s": 1e400, "n": 4, "rate": 0.5}',
+            '{"eta": 0.5, "n_s": 3, "n": 4, "rate": 0.5, "tap_variance": [1]}',
+            '{"eta": 0.5, "n_s": 3, "n": true, "rate": 0.5}',
+            '[0.5, 3, 4, 0.5]',
+        ],
+    )
+    def test_bad_physics_config(self, command, text, tmp_path, capsys):
+        assert run_cli(command, "--config", self._physics_config(tmp_path, text), "--format", "json") == 1
+        _one_line_error(capsys)
+
+    @pytest.mark.parametrize(
+        "flags", [("--n-s", "inf"), ("--rate", "nan"), ("--eta", "1e-320"), ("--sigma2", "5e-324")]
+    )
+    def test_non_finite_flags(self, flags, capsys):
+        argv = dict(zip(PHYSICS[::2], PHYSICS[1::2]))
+        argv.update([flags])
+        assert run_cli("rates", *[x for kv in argv.items() for x in kv], "--format", "json") == 1
+        _one_line_error(capsys)
+
+    def test_codebook_size_beyond_double_range(self, tmp_path, capsys):
+        # n * rate leaves double range inside make_codebook: a one-line domain error
+        path = self._physics_config(tmp_path, '{"eta": 0.5, "n_s": 3, "n": 1e300, "rate": 1e10}')
+        assert run_cli("rates", "--config", path) == 1
+        assert "domain error" in _one_line_error(capsys)
+
+    def test_tiny_sigma2_tower(self, capsys):
+        argv = ("--eta", 1, "--n-s", 1, "--sigma2", 1e-300, "--n", 50, "--rate", 100, "--format", "json")
+        assert run_cli("bounds", *argv) == 0
+        result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert result["tetration"]["order"] == 39
+
+    def test_null_optional_fields_mean_absent(self, tmp_path, capsys):
+        text = '{"eta": 0.5, "n_th": null, "sigma2": null, "n_s": 3, "n": 4, "rate": 0.5, "tap_variance": null}'
+        assert run_cli("bounds", "--config", self._physics_config(tmp_path, text), "--format", "json") == 0
+        result = json.loads(capsys.readouterr().out)
+        assert result["inputs"]["sigma2"] == 0.5 and result["leakage"] is None
+
+    def test_seed_override_on_non_object_config(self, tmp_path, capsys):
+        path = tmp_path / "array.json"
+        path.write_text(json.dumps([THERMAL_CFG]))
+        assert run_cli("simulate", "--config", path, "--seed", 3) == 1
+        assert "JSON object" in _one_line_error(capsys)
+
+    def test_non_object_sweep_block(self, tmp_path, capsys):
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(THERMAL_CFG, sweep=[1, 2])))
+        assert run_cli("sweep", "--config", path) == 1
+        assert "'sweep' object" in _one_line_error(capsys)
+
+
+_FUZZ_VALUES = st.one_of(
+    st.floats(min_value=0.01, max_value=10.0),
+    st.integers(min_value=-3, max_value=60),
+    st.integers(min_value=10**300, max_value=10**400),
+    st.floats(min_value=1e300, max_value=1.7e308),
+    st.floats(min_value=5e-324, max_value=1e-300),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.integers(), max_size=2),
+)
+
+
+@pytest.mark.parametrize("command", ["rates", "bounds"])
+@given(params=st.fixed_dictionaries(
+    {field: _FUZZ_VALUES for field in ("eta", "n_s", "n", "rate")},
+    optional={field: _FUZZ_VALUES for field in ("n_th", "sigma2", "tap_variance")},
+))
+def test_fuzz_physics_config(command, params):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "phys.json"
+        path.write_text(json.dumps(params))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run_cli(command, "--config", path, "--format", "json")
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+
+
 class TestSimulate:
     def test_end_to_end(self, cfg_path, tmp_path, capsys):
         out_dir = tmp_path / "out"
@@ -132,14 +263,12 @@ class TestSimulate:
         assert len(lines) == 1 + THERMAL_CFG["trials"] * (THERMAL_CFG["n"] + 2)
 
     def test_json_format_is_strict_json(self, cfg_path, tmp_path, capsys):
-        def reject(name):
-            raise ValueError(f"non-finite constant {name} in JSON output")
-
         assert run_cli("simulate", "--config", cfg_path, "--out", tmp_path, "--format", "json") == 0
-        result = json.loads(capsys.readouterr().out, parse_constant=reject)
+        result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
         assert result["verdict"]["pass"] is True
         assert all(row["pass"] is True for row in result["verdict"]["rows"])
-        assert result["report"] == json.loads((tmp_path / "report.json").read_text(), parse_constant=reject)
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject_constant)
+        assert result["report"] == report
 
     def test_byte_identical_across_runs_and_threads(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
@@ -272,6 +401,33 @@ class TestPlumbing:
         assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
         monkeypatch.setenv(cli.THREADS_ENV_VAR, "not-a-number")
         assert run_cli("simulate", "--config", cfg_path, "--out", out) == 1
+
+    def test_threads_env_var_ignored_where_unused(self, monkeypatch, capsys):
+        monkeypatch.setenv(cli.THREADS_ENV_VAR, "x")
+        assert run_cli("rates", *PHYSICS) == 0
+        assert run_cli("bounds", *PHYSICS) == 0
+
+    @pytest.mark.parametrize(
+        "command,flag",
+        [("verify", f) for f in ("--config=c.json", "--seed=1", "--out=o", "--format=json", "--threads=2")]
+        + [("verify", "--dump-transcripts")]
+        + [(c, f) for c in ("rates", "bounds") for f in ("--seed=1", "--threads=2", "--dump-transcripts")]
+        + [("sweep", "--format=json"), ("sweep", "--dump-transcripts")],
+    )
+    def test_subcommand_rejects_flags_it_does_not_read(self, command, flag, tmp_path, capsys):
+        base = {"verify": (), "rates": PHYSICS, "bounds": PHYSICS, "sweep": ("--config", tmp_path / "s.json")}
+        assert run_cli(command, *base[command], flag) == 1
+        assert "unrecognized arguments" in _one_line_error(capsys)
+
+    def test_sweep_reads_seed_and_threads(self, tmp_path):
+        sweep = {"axis": "n", "start": 2, "stop": 3, "steps": 2}
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(THERMAL_CFG, trials=300, sweep=sweep)))
+        outs = [tmp_path / f"{k}.csv" for k in range(3)]
+        assert run_cli("sweep", "--config", path, "--out", outs[0]) == 0
+        assert run_cli("sweep", "--config", path, "--out", outs[1], "--seed", 5) == 0
+        assert run_cli("sweep", "--config", path, "--out", outs[2], "--seed", 5, "--threads", 2) == 0
+        assert outs[0].read_bytes() != outs[1].read_bytes() == outs[2].read_bytes()
 
     def test_csv_format_single_row(self, capsys):
         assert (

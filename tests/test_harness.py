@@ -28,7 +28,7 @@ from skwiretap.harness import (
     wilson_interval,
     write_transcripts_csv,
 )
-from skwiretap.infotheory import leakage_budget
+from skwiretap.infotheory import BoundQuery, chebyshev_error_bound, leakage_budget, sk_error_bound
 from skwiretap.protocol import run_protocol
 
 SEED = 161803
@@ -272,6 +272,11 @@ class TestRunExperiment:
         report = run_experiment(_affine_cfg(trials=50))
         assert report.leakage is None
 
+    def test_bound_exponent_beyond_double_range(self):
+        # 2^(2 n (C - R) - 1) overflows a double at n = 600, R = 0.05: the SK bound is exactly 0
+        report = run_experiment(_thermal_cfg(n=600, rate=0.05, trials=200))
+        assert report.analytic_error_bound == 0.0 and report.error_count == 0
+
     def test_error_counts_decay_with_blocklength(self):
         # statistical monotonicity: violations allowed only inside overlapping CIs
         reports = [run_experiment(_thermal_cfg(n=n, rate=0.7, trials=30_000)) for n in (2, 4, 6, 8)]
@@ -332,6 +337,17 @@ class TestDiagnosticsOp:
 
 
 class TestCompareBounds:
+    def test_analytic_bound_choice(self):
+        # the acceptance suite reads these through compare_bounds instead of rebuilding them
+        thermal = run_experiment(_thermal_cfg(trials=200))
+        query = BoundQuery(n_s=3.0, sigma2=1.0, eta=0.5, n_th=1.0, n=4, rate=0.5)
+        assert thermal.analytic_error_bound == sk_error_bound(query) > 0.0
+        assert thermal.analytic_error_bound_kind == "sk"
+        affine = run_experiment(_affine_cfg(gain=2.0, trials=200))
+        query = BoundQuery(n_s=3.0, sigma2=1.0, n=4, rate=0.5)
+        assert affine.analytic_error_bound == chebyshev_error_bound(2.0, 1.0, query)
+        assert affine.analytic_error_bound_kind == "chebyshev"
+
     def test_reference_config_passes(self):
         verdict = compare_bounds(run_experiment(_thermal_cfg(trials=30_000, n=6)))
         assert verdict.passed

@@ -155,6 +155,14 @@ class TestSkErrorBound:
         b = BoundQuery(n_s=3.0, sigma2=1.0, n=50, rate=5.0)
         assert 0.0 < sk_error_bound(b) <= SQRT_2_OVER_PI
 
+    def test_exponent_beyond_double_range(self):
+        # the exponent 2^(2 n (P_H - R) - 1) n_s / sigma2 leaves double range from n = 137 on
+        # here; at n = 1000 the power of two alone does
+        values = [BoundQuery(n_s=100.0, sigma2=0.5, eta=0.5, n=n, rate=0.1) for n in (136, 137, 1000)]
+        assert [sk_error_bound(b) for b in values] == [0.0, 0.0, 0.0]
+        logs = [sk_error_bound_log10(b) for b in values]
+        assert -math.inf < logs[0] < -1e300 and logs[1:] == [-math.inf, -math.inf]
+
 
 class TestChebyshevBound:
     def test_reference_point(self):
@@ -176,6 +184,11 @@ class TestChebyshevBound:
         ]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
+    def test_overflow_far_above_capacity(self):
+        b = BoundQuery(n_s=3.0, sigma2=0.5, eta=0.5, n=1000, rate=10.0)
+        assert chebyshev_error_bound(1.0, 0.5, b) == math.inf
+        assert sk_error_bound(b) == SQRT_2_OVER_PI
+
 
 class TestPhi:
     def test_at_one_equals_coherent_rate(self):
@@ -196,6 +209,14 @@ class TestPhi:
         for nu in (0.0, -0.5, 1.0001):
             with pytest.raises(ValueError, match="nu="):
                 phi(nu, 3.0, 1.0)
+
+    def test_ratio_beyond_double_range(self):
+        # sigma2 * nu underflows to 0 at the bisection's lower end
+        assert 0.0 < phi(1e-300, 1.0, 1e-300) < 1e-296
+        values = [phi(nu, 1.0, 1e-300) for nu in (1e-300, 1e-10, 0.5, 1.0)]
+        assert all(b > a for a, b in zip(values, values[1:]))
+        assert values[-1] == awgn_capacity(1.0, 1e-300)
+        assert phi(phi_inverse(100.0, 1.0, 1e-300), 1.0, 1e-300) == pytest.approx(100.0, rel=1e-11)
 
 
 class TestPhiInverse:
