@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
 
 import numpy as np
 from numpy.random import Philox
@@ -43,8 +42,6 @@ __all__ = [
     "noise_from_uniforms",
     "forward_transmit",
     "eve_tap_transmit",
-    "noise_model_from_config",
-    "noise_model_to_config",
 ]
 
 NOISE_FAMILIES = ("gaussian", "uniform", "two-point", "shifted-exponential")
@@ -331,25 +328,3 @@ def eve_tap_transmit(tap: EveTap, y: float, lane: RngLane, position: int = 0) ->
     """Eavesdropper's copy of the round-0 feedback value: y plus Gaussian tap noise."""
     return y + math.sqrt(tap.variance) * float(ndtri(lane.uniforms(position + 1)[position]))
 
-
-# ---------------------------------------------------------------------------
-# Config (de)serialization
-# ---------------------------------------------------------------------------
-
-
-def noise_model_from_config(obj: Mapping) -> NoiseModel:
-    """Parse {"family": ..., "variance": ..., "mean": ...}; unknown keys are rejected."""
-    unknown = set(obj) - {"family", "variance", "mean"}
-    if unknown:
-        raise ValueError(f"unknown noise fields: {sorted(unknown)}")
-    if "family" not in obj or "variance" not in obj:
-        raise ValueError("noise model requires 'family' and 'variance'")
-    return NoiseModel(
-        family=obj["family"],
-        variance=float(obj["variance"]),
-        mean=float(obj.get("mean", 0.0)),
-    )
-
-
-def noise_model_to_config(nm: NoiseModel) -> dict:
-    return {"family": nm.family, "variance": nm.variance, "mean": nm.mean}

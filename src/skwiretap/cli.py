@@ -23,6 +23,7 @@ from .harness import (
     ExperimentConfig,
     _config_float,
     _config_int,
+    _fields,
     collect_transcripts,
     compare_bounds,
     report_flat_row,
@@ -152,15 +153,13 @@ _PHYSICS_FIELDS = ("eta", "n_th", "n_s", "sigma2", "n", "rate", "tap_variance")
 def _physics_params(args) -> Tuple[dict, BoundQuery]:
     params = {}
     if args.config:
-        obj = _load_json(args.config)
-        unknown = set(obj) - set(_PHYSICS_FIELDS)
-        if unknown:
-            raise CliError(EXIT_CONFIG, f"unknown fields in {args.config}: {sorted(unknown)}")
+        obj = _fields(_load_json(args.config), args.config, (), _PHYSICS_FIELDS)
         params.update((k, v) for k, v in obj.items() if v is not None)
     for field in _PHYSICS_FIELDS:
         value = getattr(args, field, None)
         if value is not None:
             params[field] = value
+    # a required parameter may come from the file or a flag, so this check names the flag
     for field in ("eta", "n_s", "n", "rate"):
         if field not in params:
             raise CliError(EXIT_CONFIG, f"missing required parameter --{field.replace('_', '-')}")
@@ -281,38 +280,33 @@ def cmd_simulate(args) -> int:
 _SWEEP_AXES = ("n", "rate", "n_s", "eta", "trials")
 
 
-def _sweep_values(axis: str, spec: Mapping) -> list:
-    unknown = set(spec) - {"axis", "start", "stop", "steps"}
-    if unknown:
-        raise CliError(EXIT_CONFIG, f"unknown sweep fields: {sorted(unknown)}")
-    try:
-        start, stop, steps = float(spec["start"]), float(spec["stop"]), int(spec["steps"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CliError(EXIT_CONFIG, f"sweep needs numeric start/stop and integer steps: {exc}") from exc
+def _sweep_values(spec: Mapping) -> Tuple[str, list]:
+    """The axis of the 'sweep' object and the config values along it."""
+    _fields(spec, "sweep", ("axis", "start", "stop", "steps"))
+    axis = spec["axis"]
+    if axis not in _SWEEP_AXES:
+        raise CliError(EXIT_CONFIG, f"sweep axis must be one of {_SWEEP_AXES}")
+    steps = _config_int(spec["steps"], "steps")
     if steps < 1:
         raise CliError(EXIT_CONFIG, f"sweep steps={steps} must be >= 1")
-    values = np.linspace(start, stop, steps)
+    start, stop = _config_float(spec["start"], "start"), _config_float(spec["stop"], "stop")
+    values = np.linspace(start, stop, steps).tolist()
     if axis in ("n", "trials"):
-        ints = [int(round(v)) for v in values]
-        if len(set(ints)) != len(ints):
+        values = [round(v) for v in values]
+        if len(set(values)) != len(values):
             raise CliError(EXIT_CONFIG, f"sweep over {axis} produced duplicate integer points")
-        return ints
-    return [float(v) for v in values]
+    return axis, values
 
 
 def _apply_axis(base: dict, axis: str, value) -> dict:
     obj = json.loads(json.dumps(base))  # deep copy
-    if axis in ("n", "rate", "trials"):
-        obj[axis] = value
+    chan = obj.get("channel")
+    if axis in ("eta", "n_s") and isinstance(chan, Mapping) and chan.get("type") == "thermal":
+        chan[axis] = value
     elif axis == "eta":
-        if obj.get("channel", {}).get("type") != "thermal":
-            raise CliError(EXIT_CONFIG, "sweeping eta requires a thermal channel config")
-        obj["channel"]["eta"] = value
-    elif axis == "n_s":
-        if obj.get("channel", {}).get("type") == "thermal":
-            obj["channel"]["n_s"] = value
-        else:
-            obj["n_s"] = value
+        raise CliError(EXIT_CONFIG, "sweeping eta requires a thermal channel config")
+    else:
+        obj[axis] = value
     return obj
 
 
@@ -321,13 +315,9 @@ def cmd_sweep(args) -> int:
     sweep_spec = obj.pop("sweep", None)
     if not isinstance(sweep_spec, Mapping):
         raise CliError(EXIT_CONFIG, "sweep config requires a 'sweep' object")
-    axes = [a for a in _SWEEP_AXES if a == sweep_spec.get("axis")]
-    if not axes:
-        raise CliError(EXIT_CONFIG, f"sweep axis must be one of {_SWEEP_AXES}")
+    axis, values = _sweep_values(sweep_spec)
     if args.seed is not None:
         obj["root_seed"] = args.seed
-    axis = axes[0]
-    values = _sweep_values(axis, sweep_spec)
     threads = _threads(args)
 
     rows = []

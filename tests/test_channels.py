@@ -22,8 +22,6 @@ from skwiretap.channels import (
     forward_transmit,
     lane_uniforms,
     noise_from_uniforms,
-    noise_model_from_config,
-    noise_model_to_config,
     philox_raw,
     sample_noise,
 )
@@ -282,16 +280,3 @@ class TestEveTap:
         w_vec = 0.5 + math.sqrt(0.8) * ndtri(lane.uniforms(3))
         for pos in range(3):
             assert eve_tap_transmit(tap, 0.5, lane, pos) == w_vec[pos]
-
-
-class TestNoiseConfig:
-    def test_round_trip(self):
-        nm = NoiseModel("two-point", 2.0, -0.5)
-        assert noise_model_from_config(noise_model_to_config(nm)) == nm
-
-    def test_defaults_and_strictness(self):
-        assert noise_model_from_config({"family": "gaussian", "variance": 1.0}).mean == 0.0
-        with pytest.raises(ValueError, match="unknown"):
-            noise_model_from_config({"family": "gaussian", "variance": 1.0, "skew": 2})
-        with pytest.raises(ValueError, match="requires"):
-            noise_model_from_config({"family": "gaussian"})

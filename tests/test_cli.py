@@ -14,7 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skwiretap import cli
-from skwiretap.harness import VerdictRow, VerdictTable
+from skwiretap.harness import ConfigError, ExperimentConfig, VerdictRow, VerdictTable
 
 THERMAL_CFG = {
     "channel": {"type": "thermal", "eta": 0.5, "n_th": 1.0, "n_s": 3.0},
@@ -25,6 +25,29 @@ THERMAL_CFG = {
     "root_seed": 7,
     "message_selection": "uniform-random",
 }
+
+AFFINE_CFG = {
+    "channel": {"type": "affine", "gain": 2.0, "noise": {"family": "two-point", "variance": 1.0, "mean": 0.0}},
+    "n_s": 3.0,
+    "tap": {"variance": 1.0},
+    "n": 4,
+    "rate": 0.5,
+    "trials": 1200,
+    "root_seed": 7,
+}
+
+# stands for a JSON number beyond double range, which json.dumps cannot write
+_HUGE = 1.2345e300
+
+
+def _with(base, path, value):
+    """A deep copy of ``base`` with the field at ``path`` (a key sequence) set to ``value``."""
+    obj = json.loads(json.dumps(base))
+    target = obj
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    return obj
 
 
 @pytest.fixture()
@@ -213,6 +236,32 @@ class TestInputBoundary:
         assert run_cli("sweep", "--config", path) == 1
         assert "'sweep' object" in _one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "command,obj,message",
+        [
+            ("simulate", _with(THERMAL_CFG, ("channel", "eta"), "0.5"), "eta='0.5' must be a finite number"),
+            ("simulate", _with(THERMAL_CFG, ("channel", "n_s"), "3"), "n_s='3' must be a finite number"),
+            ("simulate", _with(AFFINE_CFG, ("channel", "noise", "variance"), _HUGE),
+             "variance=inf must be a finite number"),
+            ("simulate", _with(THERMAL_CFG, ("tap",), {}), "tap requires 'variance'"),
+            ("simulate", _with(THERMAL_CFG, ("tap",), 5), "tap must be a JSON object, not int"),
+            ("simulate", _with(AFFINE_CFG, ("channel", "noise", "mean"), None), "mean=None must be a finite number"),
+            ("sweep", dict(THERMAL_CFG, sweep={"axis": "n", "start": 2, "stop": 4, "steps": 2.7}),
+             "steps=2.7 must be an integer"),
+            ("sweep", dict(THERMAL_CFG, sweep={"axis": "rate", "start": "0.4", "stop": 0.5, "steps": 2}),
+             "start='0.4' must be a finite number"),
+            ("sweep", dict(THERMAL_CFG, channel=[1], sweep={"axis": "eta", "start": 0.5, "stop": 0.9, "steps": 2}),
+             "sweeping eta requires a thermal channel config"),
+            ("sweep", dict(THERMAL_CFG, channel="thermal", sweep={"axis": "n_s", "start": 1, "stop": 3, "steps": 2}),
+             "channel must be a JSON object"),
+        ],
+    )
+    def test_bad_experiment_config(self, command, obj, message, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj).replace(repr(_HUGE), "1e400"))
+        assert run_cli(command, "--config", path, "--out", tmp_path / "out") == 1
+        assert message in _one_line_error(capsys)
+
 
 _FUZZ_VALUES = st.one_of(
     st.floats(min_value=0.01, max_value=10.0),
@@ -245,6 +294,32 @@ def test_fuzz_physics_config(command, params):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+
+
+# every field of the thermal and affine experiment configs, nested fields included
+_CONFIG_FIELDS = [
+    ("channel",), ("channel", "type"), ("channel", "eta"), ("channel", "n_th"), ("channel", "n_s"),
+    ("channel", "gain"), ("channel", "noise"), ("channel", "noise", "family"), ("channel", "noise", "variance"),
+    ("channel", "noise", "mean"), ("n_s",), ("tap",), ("tap", "variance"), ("n",), ("rate",), ("trials",),
+    ("root_seed",), ("message_selection",), ("message_selection", "type"), ("message_selection", "m"),
+]
+
+
+@given(
+    base=st.sampled_from([THERMAL_CFG, dict(AFFINE_CFG, message_selection={"type": "fixed", "m": 2})]),
+    edits=st.lists(st.tuples(st.sampled_from(_CONFIG_FIELDS), _FUZZ_VALUES), min_size=1, max_size=3),
+)
+def test_fuzz_experiment_config(base, edits):
+    obj = base
+    for path, value in edits:
+        with contextlib.suppress(KeyError, TypeError):  # the field's parent is absent or not an object
+            obj = _with(obj, path, value)
+    # from_dict directly: a fuzzed trials value must not run
+    try:
+        cfg = ExperimentConfig.from_dict(obj)
+    except ConfigError:
+        return
+    assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
 class TestSimulate:
@@ -309,6 +384,14 @@ class TestSimulate:
         monkeypatch.setattr(cli, "compare_bounds", lambda report: failing)
         assert run_cli("simulate", "--config", cfg_path, "--out", tmp_path / "v") == 3
         assert "FAIL" in capsys.readouterr().out
+
+    def test_variance_underflow_is_a_verdict_failure(self, tmp_path, capsys):
+        obj = dict(THERMAL_CFG, n=600, rate=0.05, trials=200)
+        path = tmp_path / "long.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 3
+        row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("var_theta_ratio"))
+        assert "inf" in row and "FAIL" in row
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("simulate", "--config", tmp_path / "absent.json") == 2

@@ -83,10 +83,14 @@ class TestConfig:
         }
         cfg = ExperimentConfig.from_dict(obj)
         assert cfg.thermal is None and cfg.channel.gain == 2.0
+        assert cfg.channel.noise.mean == 0.0  # the default when "mean" is absent
         assert cfg.root_seed == 0 and cfg.message_selection.policy == "uniform-random"
 
     def test_round_trip(self):
-        for cfg in (_thermal_cfg(), _affine_cfg(gain=2.0)):
+        noise = NoiseModel("two-point", 2.0, -0.5)
+        shifted = dataclasses.replace(_affine_cfg(), channel=AffineChannel(1.0, noise))
+        assert shifted.to_dict()["channel"]["noise"] == {"family": "two-point", "variance": 2.0, "mean": -0.5}
+        for cfg in (_thermal_cfg(), _affine_cfg(gain=2.0), shifted):
             assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
     @pytest.mark.parametrize(
@@ -105,6 +109,19 @@ class TestConfig:
         obj = json.loads(json.dumps(THERMAL_CFG_DICT))
         mutate(obj)
         with pytest.raises(ConfigError):
+            ExperimentConfig.from_dict(obj)
+
+    @pytest.mark.parametrize(
+        "noise,message",
+        [
+            ({"family": "gaussian", "variance": 1.0, "skew": 2}, r"unknown fields in noise: \['skew'\]"),
+            ({"family": "gaussian"}, "noise requires 'variance'"),
+        ],
+    )
+    def test_noise_object_strictness(self, noise, message):
+        obj = _affine_cfg().to_dict()
+        obj["channel"]["noise"] = noise
+        with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(obj)
 
     def test_affine_requires_top_level_ns(self):
@@ -333,7 +350,6 @@ class TestDiagnosticsOp:
         assert diag.max_abs_offdiag_corr == pytest.approx(report.diag.max_abs_offdiag_corr, rel=1e-9)
         assert diag.theta_skewness == pytest.approx(report.diag.theta_skewness, rel=1e-9)
         assert diag.theta_excess_kurtosis == pytest.approx(report.diag.theta_excess_kurtosis, rel=1e-9)
-        assert len(diag.per_round_mean_power) == cfg.n + 1
 
 
 class TestCompareBounds:
@@ -360,6 +376,13 @@ class TestCompareBounds:
         assert not verdict.passed
         failing = [r.quantity for r in verdict.rows if not r.passed]
         assert failing == ["var_theta_ratio"]
+
+    def test_predicted_variance_underflow(self):
+        # gain^2 var 2^(-2nC) is below the smallest double at n=600: the row fails instead of raising
+        report = run_experiment(_thermal_cfg(n=600, rate=0.05, trials=200))
+        assert report.predicted_var_theta == 0.0
+        row = next(r for r in compare_bounds(report).rows if r.quantity == "var_theta_ratio")
+        assert row.empirical == math.inf and not row.passed
 
     def test_gaussianity_rows_omitted_for_non_gaussian(self):
         verdict = compare_bounds(run_experiment(_affine_cfg(trials=5000, n=3)))
