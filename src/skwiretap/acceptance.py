@@ -179,12 +179,16 @@ def criterion_non_gaussian(reports: Dict[str, ExperimentReport]) -> CriterionRes
     return CriterionResult(6, "non-Gaussian affine channels", ok, "; ".join(details))
 
 
+def _number(value: Optional[float]) -> str:
+    return "null" if value is None else f"{value:.5f}"
+
+
 def criterion_independence(reports: Dict[str, ExperimentReport]) -> CriterionResult:
     """7: feedback observations uncorrelated; decoder statistic Gaussian-shaped."""
     rows = _rows(reports["independence"], "max_feedback_corr", "theta_skewness", "theta_excess_kurtosis")
     return CriterionResult(
         7, "feedback independence and Gaussianity", all(r.passed for r in rows),
-        ", ".join(f"{r.quantity}={r.empirical:.5f} (|.| <= {r.tolerance:.5f})" for r in rows) + " at n=6",
+        ", ".join(f"{r.quantity}={_number(r.empirical)} (|.| <= {r.tolerance:.5f})" for r in rows) + " at n=6",
     )
 
 

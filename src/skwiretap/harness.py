@@ -2,23 +2,24 @@
 
 Trials are embarrassingly parallel and individually addressed by
 (root_seed, trial_index), so a report is a pure function of its config:
-byte-identical across runs, execution orders, and worker counts. Per-trial
-scalars are collected into arrays indexed by trial and reduced in a fixed
-order, never in scheduling order.
+byte-identical across runs, execution orders, and worker counts. Each chunk
+of trials is reduced to a few sums (counts, means, central sums and one
+co-moment matrix), and the chunk sums are merged in chunk order, never in
+scheduling order, so memory stays flat in the trial count.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from typing import IO, List, Mapping, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from itertools import repeat
+from typing import IO, Dict, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy.special import ndtri
-from scipy.stats import kurtosis as _kurtosis
-from scipy.stats import skew as _skew
 
 from .channels import (
     ROLE_FORWARD,
@@ -62,7 +63,7 @@ __all__ = [
     "REPORT_SCHEMA_VERSION",
 ]
 
-REPORT_SCHEMA_VERSION = 1
+REPORT_SCHEMA_VERSION = 2
 
 # Fixed batch size: chunk boundaries must not depend on the worker count,
 # or float reductions would.
@@ -408,9 +409,15 @@ def _transcripts(out: dict) -> List[Transcript]:
     ]
 
 
-def _chunk_worker(args) -> Tuple[int, dict]:
-    cfg, start, stop = args
-    return start, _simulate_chunk(cfg, start, stop)
+def _chunk_moments(cfg: ExperimentConfig, start: int, stop: int) -> "_Moments":
+    """Trials [start, stop) reduced to their sums; the chunk's arrays are dropped here."""
+    out = _simulate_chunk(cfg, start, stop)
+    return _Moments.of(
+        int(np.count_nonzero(out["m"] != out["m_hat"])),
+        cfg.channel.gain * (out["theta_n"] - out["theta_m"]),
+        out["x2"],
+        out["y_rounds"],
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,25 +443,132 @@ def wilson_interval(successes: int, trials: int, z: float = 1.96) -> Tuple[float
 
 @dataclass(frozen=True)
 class Diagnostics:
-    """Sample statistics the analysis predicts for the transcript ensemble."""
+    """Sample statistics the analysis predicts for the transcript ensemble.
 
-    max_abs_offdiag_corr: float
-    theta_skewness: float
-    theta_excess_kurtosis: float
+    A statistic the trials leave undefined is ``None``, and ``null_reasons``
+    maps its field name to the reason.
+    """
+
+    max_abs_offdiag_corr: Optional[float]
+    theta_skewness: Optional[float]
+    theta_excess_kurtosis: Optional[float]
+    null_reasons: Mapping[str, str] = field(default_factory=dict)
 
 
-def _diagnostics_from_arrays(y_rounds: np.ndarray, theta_dev: np.ndarray) -> Diagnostics:
-    if y_rounds.shape[1] >= 2:
-        corr = np.corrcoef(y_rounds.T)
-        off = corr - np.diag(np.diag(corr))
-        max_corr = float(np.max(np.abs(off)))
-    else:
-        max_corr = 0.0
-    return Diagnostics(
-        max_abs_offdiag_corr=max_corr,
-        theta_skewness=float(_skew(theta_dev)),
-        theta_excess_kurtosis=float(_kurtosis(theta_dev)),
-    )
+# A spread at or below (resolution * |mean|)^2 is rounding in the mean, not a
+# variance: the statistic normalized by it is undefined (scipy.stats' rule).
+_RESOLUTION = float(np.finfo(np.float64).resolution)
+
+
+@dataclass(frozen=True)
+class _Moments:
+    """Sufficient statistics of a run of trials, mergeable in a fixed order.
+
+    ``of`` reduces one chunk with centered two-pass sums; ``merge`` is the
+    pairwise update of Chan, Golub & LeVeque (1979), with Pebay's terms
+    (SAND2008-6212) for the third and fourth central sums. The theta sums are
+    of the decoder statistic centered at the sent midpoint, the power sums of
+    each round's x^2 (rounds 0..n), the co-moment of the feedback rounds 1..n.
+    """
+
+    count: int
+    errors: int
+    theta_mean: float
+    theta_m2: float
+    theta_m3: float
+    theta_m4: float
+    power_mean: np.ndarray
+    power_m2: np.ndarray
+    y_mean: np.ndarray
+    y_comoment: np.ndarray
+
+    @classmethod
+    def of(cls, errors: int, theta_dev: np.ndarray, x2: np.ndarray, y_rounds: np.ndarray) -> "_Moments":
+        # einsum, not matmul: no multithreaded BLAS inside the pool workers,
+        # and the same summation for every worker count
+        theta_mean = theta_dev.mean()
+        c = theta_dev - theta_mean
+        c2 = c * c
+        power_mean = x2.mean(axis=0)
+        pc = x2 - power_mean
+        y_mean = y_rounds.mean(axis=0)
+        yc = y_rounds - y_mean
+        return cls(
+            count=len(theta_dev),
+            errors=errors,
+            theta_mean=float(theta_mean),
+            theta_m2=float(c2.sum()),
+            theta_m3=float((c2 * c).sum()),
+            theta_m4=float((c2 * c2).sum()),
+            power_mean=power_mean,
+            power_m2=np.einsum("ij,ij->j", pc, pc),
+            y_mean=y_mean,
+            y_comoment=np.einsum("ij,ik->jk", yc, yc),
+        )
+
+    def merge(self, other: "_Moments") -> "_Moments":
+        na, nb = self.count, other.count
+        count = na + nb
+        wa, wb = na / count, nb / count
+        cross = na * wb  # na * nb / count
+        d = other.theta_mean - self.theta_mean
+        d2 = d * d
+        a2, a3, b2, b3 = self.theta_m2, self.theta_m3, other.theta_m2, other.theta_m3
+        dp = other.power_mean - self.power_mean
+        dy = other.y_mean - self.y_mean
+        return _Moments(
+            count=count,
+            errors=self.errors + other.errors,
+            theta_mean=self.theta_mean + d * wb,
+            theta_m2=a2 + b2 + d2 * cross,
+            theta_m3=a3 + b3 + d2 * d * cross * (wa - wb) + 3.0 * d * (wa * b2 - wb * a2),
+            theta_m4=(
+                self.theta_m4
+                + other.theta_m4
+                + d2 * d2 * cross * (wa * wa - wa * wb + wb * wb)
+                + 6.0 * d2 * (wa * wa * b2 + wb * wb * a2)
+                + 4.0 * d * (wa * b3 - wb * a3)
+            ),
+            power_mean=self.power_mean + dp * wb,
+            power_m2=self.power_m2 + other.power_m2 + dp * dp * cross,
+            y_mean=self.y_mean + dy * wb,
+            y_comoment=self.y_comoment + other.y_comoment + np.outer(dy, dy * cross),
+        )
+
+    def diagnostics(self) -> Diagnostics:
+        """The diagnostics these sums define; the undefined ones are None, with a reason."""
+        count = self.count
+        reasons: Dict[str, str] = {}
+        corr: Optional[float] = 0.0  # fewer than 2 feedback rounds: no pair to correlate
+        if len(self.y_mean) >= 2:
+            flat = np.flatnonzero(np.diagonal(self.y_comoment) / count <= (_RESOLUTION * self.y_mean) ** 2)
+            if count < 2:
+                corr, reasons["max_abs_offdiag_corr"] = None, "fewer than 2 trials"
+            elif flat.size:
+                corr, reasons["max_abs_offdiag_corr"] = None, f"feedback round {flat[0] + 1} has zero variance"
+            else:
+                std = np.sqrt(np.diagonal(self.y_comoment))
+                off = self.y_comoment / std[:, None] / std[None, :]
+                np.fill_diagonal(off, 0.0)
+                corr = min(1.0, float(np.max(np.abs(off))))
+        skew = kurt = None
+        m2 = self.theta_m2 / count
+        if count < 2:
+            why = "fewer than 2 trials"
+        elif m2 <= (_RESOLUTION * self.theta_mean) ** 2:
+            why = "the decoder statistic has zero variance"
+        else:
+            why = None
+            skew = self.theta_m3 / count / m2**1.5
+            kurt = self.theta_m4 / count / (m2 * m2) - 3.0
+        if why is not None:
+            reasons["theta_skewness"] = reasons["theta_excess_kurtosis"] = why
+        return Diagnostics(corr, skew, kurt, reasons)
+
+
+def _fold(chunks) -> _Moments:
+    """Chunk sums merged left to right, in the order given."""
+    return functools.reduce(_Moments.merge, chunks)
 
 
 def diagnostics(transcripts: Sequence[Transcript]) -> Diagnostics:
@@ -462,13 +576,20 @@ def diagnostics(transcripts: Sequence[Transcript]) -> Diagnostics:
 
     Correlations are over the feedback observations of rounds 1..n; skewness
     and excess kurtosis are of the decoder statistic centered at the sent
-    midpoint (scale-invariant, so raw vs reduced units do not matter).
+    midpoint (scale-invariant, so raw vs reduced units do not matter). The
+    transcripts are reduced chunk by chunk, as ``run_experiment`` reduces trials.
     """
     if len(transcripts) < 2:
         raise ValueError("diagnostics need at least 2 transcripts")
-    y_rounds = np.stack([t.y[1:] for t in transcripts])
-    theta_dev = np.array([t.theta_n - t.theta_m for t in transcripts])
-    return _diagnostics_from_arrays(y_rounds, theta_dev)
+    return _fold(
+        _Moments.of(
+            sum(t.m != t.m_hat for t in part),
+            np.array([t.theta_n - t.theta_m for t in part]),
+            np.stack([t.x * t.x for t in part]),
+            np.stack([t.y[1:] for t in part]),
+        )
+        for part in (transcripts[s : s + CHUNK_TRIALS] for s in range(0, len(transcripts), CHUNK_TRIALS))
+    ).diagnostics()
 
 
 # ---------------------------------------------------------------------------
@@ -532,6 +653,7 @@ class ExperimentReport:
                 "max_abs_offdiag_corr": self.diag.max_abs_offdiag_corr,
                 "theta_skewness": self.diag.theta_skewness,
                 "theta_excess_kurtosis": self.diag.theta_excess_kurtosis,
+                "null_reasons": dict(self.diag.null_reasons),
             },
         }
 
@@ -549,37 +671,17 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     n, trials = cfg.n, cfg.trials
     codebook = cfg.codebook()
 
-    m = np.empty(trials, dtype=np.int64)
-    m_hat = np.empty(trials, dtype=np.int64)
-    theta_m = np.empty(trials)
-    theta_n = np.empty(trials)
-    x2 = np.empty((trials, n + 1))
-    y_rounds = np.empty((trials, n))
-
-    def store(start: int, out: dict) -> None:
-        sl = slice(start, start + len(out["m"]))
-        m[sl] = out["m"]
-        m_hat[sl] = out["m_hat"]
-        theta_m[sl] = out["theta_m"]
-        theta_n[sl] = out["theta_n"]
-        x2[sl] = out["x2"]
-        y_rounds[sl] = out["y_rounds"]
-
-    # each chunk is stored as it arrives, so no more than a few are held at once
+    # pool.map yields in submission order, so the fold runs in chunk order
     spans = [(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
     if threads > 1 and len(spans) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            for start, out in pool.map(_chunk_worker, [(cfg, s, e) for s, e in spans]):
-                store(start, out)
+            stats = _fold(pool.map(_chunk_moments, repeat(cfg), *zip(*spans)))
     else:
-        for start, end in spans:
-            store(start, _simulate_chunk(cfg, start, end))
+        stats = _fold(_chunk_moments(cfg, start, stop) for start, stop in spans)
 
     gain = cfg.channel.gain
     var_noise = cfg.channel.noise.variance
-    theta_dev_raw = gain * (theta_n - theta_m)
-
-    error_count = int(np.count_nonzero(m != m_hat))
+    error_count = stats.errors
     error_rate = error_count / trials
     capacity = awgn_capacity(cfg.n_s, var_noise)
     predicted_var = gain * gain * var_noise * 2.0 ** (-2.0 * n * capacity)
@@ -603,12 +705,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
             cfg.thermal.eta, cfg.thermal.n_th, cfg.n_s, cfg.thermal.sigma2, cfg.tap.variance, n
         )
 
-    power_mean = x2.mean(axis=0)
     if trials > 1:
-        power_se = x2.std(axis=0, ddof=1) / math.sqrt(trials)
+        power_se = np.sqrt(stats.power_m2 / (trials - 1)) / math.sqrt(trials)
     else:
         power_se = np.zeros(n + 1)
-    emp_var = float(np.var(theta_dev_raw, ddof=1)) if trials > 1 else 0.0
+    emp_var = stats.theta_m2 / (trials - 1) if trials > 1 else 0.0
 
     return ExperimentReport(
         config=cfg,
@@ -622,17 +723,17 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
         realized_rate=codebook.realized_rate,
         effective_rate=n / (n + 1) * codebook.realized_rate,
         leakage=leak,
-        power_mean=power_mean,
+        power_mean=stats.power_mean,
         power_se=power_se,
-        diag=_diagnostics_from_arrays(y_rounds, theta_dev_raw),
+        diag=stats.diagnostics(),
     )
 
 
 def collect_transcripts(cfg: ExperimentConfig, limit: int = 10_000) -> List[Transcript]:
     """Full transcripts of the first min(trials, limit) trials.
 
-    Retention is off during normal runs to keep memory flat; this re-executes
-    the leading trials through the batch computation, chunk by chunk, with
+    ``run_experiment`` keeps only each chunk's sums; this re-executes the
+    leading trials through the batch computation, chunk by chunk, with
     recording on, so the transcripts match the report's trials bit for bit.
     """
     count = min(cfg.trials, limit)
@@ -658,8 +759,10 @@ def write_transcripts_csv(transcripts: Sequence[Transcript], fh: IO[str]) -> Non
 
 @dataclass(frozen=True)
 class VerdictRow:
+    """One check; ``empirical`` is None when the statistic is undefined, and the row then fails."""
+
     quantity: str
-    empirical: float
+    empirical: Optional[float]
     predicted: float
     tolerance: float
     passed: bool
@@ -678,7 +781,8 @@ class VerdictTable:
         lines = [header, "-" * len(header)]
         for r in self.rows:
             lines.append(
-                f"{r.quantity:<28} {r.empirical:>14.6g} {r.predicted:>14.6g} "
+                f"{r.quantity:<28} {'null' if r.empirical is None else format(r.empirical, '.6g'):>14} "
+                f"{r.predicted:>14.6g} "
                 f"{r.tolerance:>12.4g} {'ok' if r.passed else 'FAIL':>5}"
             )
         lines.append(f"overall: {'pass' if self.passed else 'FAIL'}")
@@ -747,7 +851,7 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
     if cfg.n >= 2:
         corr_tol = 5.0 / math.sqrt(trials)
         corr = diag.max_abs_offdiag_corr
-        rows.append(VerdictRow("max_feedback_corr", corr, 0.0, corr_tol, bool(corr <= corr_tol)))
+        rows.append(VerdictRow("max_feedback_corr", corr, 0.0, corr_tol, corr is not None and corr <= corr_tol))
 
     if cfg.channel.noise.family == "gaussian":
         for quantity, value, variance in (
@@ -755,7 +859,7 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
             ("theta_excess_kurtosis", diag.theta_excess_kurtosis, 24.0),
         ):
             tol = 5.0 * math.sqrt(variance / trials)
-            rows.append(VerdictRow(quantity, value, 0.0, tol, bool(abs(value) <= tol)))
+            rows.append(VerdictRow(quantity, value, 0.0, tol, value is not None and abs(value) <= tol))
 
     if report.leakage is not None:
         lhs = report.leakage.per_mode_bits * (cfg.n + 1)

@@ -5,7 +5,11 @@ import csv
 import io
 import json
 import math
+import os
+import subprocess
+import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -396,6 +400,20 @@ class TestSimulate:
     def test_missing_config_file(self, tmp_path):
         assert run_cli("simulate", "--config", tmp_path / "absent.json") == 2
 
+    def test_single_trial_writes_null_with_reason(self, tmp_path, capsys):
+        path = tmp_path / "one.json"
+        path.write_text(json.dumps(dict(THERMAL_CFG, trials=1)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert run_cli("simulate", "--config", path, "--out", tmp_path, "--format", "json") == 3
+        result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject_constant)
+        assert result["report"] == report
+        assert report["diagnostics"]["theta_skewness"] is None
+        assert report["diagnostics"]["null_reasons"]["theta_skewness"] == "fewer than 2 trials"
+        failed = {row["quantity"] for row in result["verdict"]["rows"] if not row["pass"]}
+        assert {"max_feedback_corr", "theta_skewness", "theta_excess_kurtosis"} <= failed
+
 
 class TestSweep:
     def _write(self, tmp_path, sweep):
@@ -472,6 +490,13 @@ class TestVerifyPlumbing:
 
 
 class TestPlumbing:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        # scipy.stats costs about half a second of start-up and no command uses it
+        code = "import sys, skwiretap.cli; print('scipy.stats' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+        assert done.stdout.strip() == "False"
+
     def test_usage_error_is_config_exit(self, capsys):
         assert run_cli("rates", "--format", "yaml") == 1
 

@@ -24,7 +24,7 @@ GOLDEN = {
             root_seed=161803,
             message_selection=MessageSelection.uniform_random(),
         ),
-        "7bcabc186285e9a2ff1c390abd895d764185fb6dd0f3b95f0443fe69dab436c0",
+        "5d0710772814bfb3fb12a88a31a93a266bb0823f12801240e5919253df89cac1",
     ),
     # non-Gaussian affine channel, two chunk boundaries crossed
     "affine_uniform_chunks": (
@@ -38,7 +38,7 @@ GOLDEN = {
             root_seed=271828,
             message_selection=MessageSelection.uniform_random(),
         ),
-        "1bec16baf588247d1150f618133aa9bf916914d9468cb469992b01ca25545cc8",
+        "03afd1cbdd14b8a4fcfc7df65643053aabf1168d6541842f8dfa0a17786a34e7",
     ),
     # root seed in the upper half of the 64-bit range
     "affine_two_point_high_seed": (
@@ -52,7 +52,20 @@ GOLDEN = {
             root_seed=2**63 + 12345,
             message_selection=MessageSelection.uniform_random(),
         ),
-        "fdf144058e303f1a0e9f349f51764efceeb564ebebedfe4303ca4a6a1670a577",
+        "7cbe26d6e872a4745693695c5c35fae054549bc1cc5b4a1026225a1d63cb980b",
+    ),
+    # 40 feedback rounds over four chunks: pins the merge of the co-moment matrix
+    "thermal_wide_round_robin": (
+        lambda: ExperimentConfig.from_thermal(
+            ThermalWiretapParams(eta=0.5, n_th=1.0, n_s=3.0),
+            EveTap(1.0),
+            n=40,
+            rate=0.5,
+            trials=3 * CHUNK_TRIALS + 11,
+            root_seed=314159,
+            message_selection=MessageSelection.round_robin(),
+        ),
+        "42066357091a6a43c1514f6af90c41dcdfb3b26be7ce6c6a4b523aa9bd958026",
     ),
 }
 
