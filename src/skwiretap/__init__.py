@@ -24,11 +24,8 @@ from .harness import (
     ExperimentConfig,
     ExperimentReport,
     MessageSelection,
-    TrialResult,
     compare_bounds,
-    diagnostics,
     run_experiment,
-    run_trial,
     wilson_interval,
 )
 from .infotheory import (

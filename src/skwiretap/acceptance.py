@@ -121,6 +121,11 @@ def criterion_oracle_equivalence() -> CriterionResult:
     )
 
 
+def _number(value: Optional[float], digits: int = 5) -> str:
+    """A verdict row's empirical value for the details line; an undefined one prints as null."""
+    return "null" if value is None else f"{value:.{digits}f}"
+
+
 def _rows(report: ExperimentReport, *quantities: str) -> List[VerdictRow]:
     """The ``compare_bounds`` rows of ``report`` named by ``quantities``.
 
@@ -135,7 +140,7 @@ def criterion_variance_of_theta(reports: Dict[str, ExperimentReport]) -> Criteri
     (row,) = _rows(reports["main"], "var_theta_ratio")
     return CriterionResult(
         3, "decoder-statistic variance", row.passed,
-        f"empirical/predicted = {row.empirical:.4f} at n=10, {TRIALS} trials "
+        f"empirical/predicted = {_number(row.empirical, 4)} at n=10, {TRIALS} trials "
         f"(|ratio - 1| <= {row.tolerance:.4g})",
     )
 
@@ -170,17 +175,13 @@ def criterion_non_gaussian(reports: Dict[str, ExperimentReport]) -> CriterionRes
     for key in ("two-point_a1", "two-point_a2", "uniform_a1", "uniform_a2"):
         (row,) = _rows(reports[key], "var_theta_ratio")
         ok &= row.passed
-        details.append(f"{key}: ratio={row.empirical:.4f}")
+        details.append(f"{key}: ratio={_number(row.empirical, 4)}")
     for key in ("two-point_cheb", "uniform_cheb"):
         (row,) = _rows(reports[key], "error_rate_vs_bound")
         # against the Chebyshev bound itself, not the row's sampling slack
         ok &= row.empirical <= row.predicted
         details.append(f"{key}: rate={row.empirical:.5f} <= {row.predicted:.5f}")
     return CriterionResult(6, "non-Gaussian affine channels", ok, "; ".join(details))
-
-
-def _number(value: Optional[float]) -> str:
-    return "null" if value is None else f"{value:.5f}"
 
 
 def criterion_independence(reports: Dict[str, ExperimentReport]) -> CriterionResult:

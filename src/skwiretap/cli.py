@@ -12,6 +12,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 from typing import Mapping, Optional, Sequence, Tuple
 
@@ -31,7 +32,6 @@ from .harness import (
     write_transcripts_csv,
 )
 from .infotheory import (
-    BoundNotActiveError,
     BoundQuery,
     awgn_capacity,
     chebyshev_error_bound,
@@ -66,16 +66,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(args) -> int:
-    """Worker count for simulate/sweep: --threads, then $SKWIRETAP_THREADS, then 1."""
-    if args.threads is None:
+    """Worker count for simulate/sweep: --threads, then $SKWIRETAP_THREADS, then 1; each must be >= 1."""
+    if args.threads is not None:
+        threads, source = args.threads, f"--threads {args.threads}"
+    else:
         raw = os.environ.get(THREADS_ENV_VAR, "1")
+        source = f"{THREADS_ENV_VAR}={raw!r}"
         try:
-            return max(1, int(raw))
+            threads = int(raw)
         except ValueError as exc:
-            raise CliError(EXIT_CONFIG, f"{THREADS_ENV_VAR}={raw!r} is not an integer") from exc
-    if args.threads < 1:
-        raise CliError(EXIT_CONFIG, f"--threads {args.threads} must be >= 1")
-    return args.threads
+            raise CliError(EXIT_CONFIG, f"{source} is not an integer") from exc
+    if threads < 1:
+        raise CliError(EXIT_CONFIG, f"{source} must be >= 1")
+    return threads
 
 
 def _reject_constant(name: str):
@@ -218,19 +221,13 @@ def cmd_bounds(args) -> int:
             }
         else:
             tet = {"order": order, "note": "not active: tower order below 1 at this n"}
-    except (BoundNotActiveError, ValueError):
+    except ValueError:  # BoundNotActiveError is a ValueError too
         tet = {"note": "not applicable: rate >= P_H"}
     leak = None
     if p["tap_variance"] is not None:
-        budget = leakage_budget(
-            query.eta, query.n_th, query.n_s, query.sigma2, p["tap_variance"], query.n
+        leak = asdict(
+            leakage_budget(query.eta, query.n_th, query.n_s, query.sigma2, p["tap_variance"], query.n)
         )
-        leak = {
-            "tap_capacity": budget.tap_capacity,
-            "eve_entropy_bound": budget.eve_entropy_bound,
-            "total_bits": budget.total_bits,
-            "per_mode_bits": budget.per_mode_bits,
-        }
     def _finite(value: float):
         return value if math.isfinite(value) else None
 
@@ -266,12 +263,9 @@ def cmd_simulate(args) -> int:
         raise CliError(EXIT_IO, f"cannot write outputs under {out_dir}: {exc}") from exc
 
     if args.format == "json":
-        result = {"report": report.to_dict(), "verdict": verdict.to_dict()}
-        print(json.dumps(result, indent=2, allow_nan=False))
+        _emit({"report": report.to_dict(), "verdict": verdict.to_dict()}, "json", None)
     elif args.format == "csv":
-        flat = _flatten(verdict.to_dict())
-        print(",".join(flat.keys()))
-        print(",".join(_format_cell(v) for v in flat.values()))
+        _emit(verdict.to_dict(), "csv", None)
     else:
         print(verdict.format_table())
     return EXIT_OK if verdict.passed else EXIT_VERDICT

@@ -14,7 +14,7 @@ import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import repeat
 from typing import IO, Dict, List, Mapping, Optional, Sequence, Tuple
 
@@ -47,17 +47,14 @@ __all__ = [
     "ConfigError",
     "MessageSelection",
     "ExperimentConfig",
-    "TrialResult",
     "Diagnostics",
     "ExperimentReport",
     "VerdictRow",
     "VerdictTable",
-    "run_trial",
     "run_experiment",
     "collect_transcripts",
     "write_transcripts_csv",
     "wilson_interval",
-    "diagnostics",
     "compare_bounds",
     "report_flat_row",
     "REPORT_SCHEMA_VERSION",
@@ -305,18 +302,6 @@ def _selection_from_config(obj) -> MessageSelection:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TrialResult:
-    """Outcome of a single trial; a pure function of (config, trial_index)."""
-
-    trial: int
-    m: int
-    m_hat: int
-    theta_n: float
-    per_round_power: np.ndarray
-    transcript: Optional[Transcript] = None
-
-
 def _messages(cfg: ExperimentConfig, start: int, stop: int, message_count: int) -> np.ndarray:
     sel = cfg.message_selection
     if sel.policy == "uniform-random":
@@ -378,21 +363,6 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int, record: bool =
     return out
 
 
-def run_trial(cfg: ExperimentConfig, trial_index: int, keep_transcript: bool = False) -> TrialResult:
-    """Run one protocol trial: a one-trial slice of the batch computation."""
-    if not 0 <= trial_index < cfg.trials:
-        raise ConfigError(f"trial_index={trial_index} outside [0, {cfg.trials})")
-    out = _simulate_chunk(cfg, trial_index, trial_index + 1, record=keep_transcript)
-    return TrialResult(
-        trial=trial_index,
-        m=int(out["m"][0]),
-        m_hat=int(out["m_hat"][0]),
-        theta_n=float(out["theta_n"][0]),
-        per_round_power=out["x2"][0],
-        transcript=_transcripts(out)[0] if keep_transcript else None,
-    )
-
-
 def _transcripts(out: dict) -> List[Transcript]:
     return [
         Transcript(
@@ -425,13 +395,18 @@ def _chunk_moments(cfg: ExperimentConfig, start: int, stop: int) -> "_Moments":
 # ---------------------------------------------------------------------------
 
 
-def wilson_interval(successes: int, trials: int, z: float = 1.96) -> Tuple[float, float]:
-    """95% (by default) Wilson score interval for a binomial proportion."""
+# two-sided 95% standard normal quantile
+_WILSON_Z = 1.96
+
+
+def wilson_interval(successes: int, trials: int) -> Tuple[float, float]:
+    """95% Wilson score interval for a binomial proportion."""
     if trials <= 0:
         raise ValueError(f"trials={trials} must be >= 1")
     if not 0 <= successes <= trials:
         raise ValueError(f"successes={successes} outside [0, {trials}]")
     p_hat = successes / trials
+    z = _WILSON_Z
     z2_t = z * z / trials
     center = (p_hat + z2_t / 2.0) / (1.0 + z2_t)
     half = z * math.sqrt(p_hat * (1.0 - p_hat) / trials + z2_t / (4.0 * trials)) / (1.0 + z2_t)
@@ -571,27 +546,6 @@ def _fold(chunks) -> _Moments:
     return functools.reduce(_Moments.merge, chunks)
 
 
-def diagnostics(transcripts: Sequence[Transcript]) -> Diagnostics:
-    """Independence/Gaussianity diagnostics over a set of transcripts.
-
-    Correlations are over the feedback observations of rounds 1..n; skewness
-    and excess kurtosis are of the decoder statistic centered at the sent
-    midpoint (scale-invariant, so raw vs reduced units do not matter). The
-    transcripts are reduced chunk by chunk, as ``run_experiment`` reduces trials.
-    """
-    if len(transcripts) < 2:
-        raise ValueError("diagnostics need at least 2 transcripts")
-    return _fold(
-        _Moments.of(
-            sum(t.m != t.m_hat for t in part),
-            np.array([t.theta_n - t.theta_m for t in part]),
-            np.stack([t.x * t.x for t in part]),
-            np.stack([t.y[1:] for t in part]),
-        )
-        for part in (transcripts[s : s + CHUNK_TRIALS] for s in range(0, len(transcripts), CHUNK_TRIALS))
-    ).diagnostics()
-
-
 # ---------------------------------------------------------------------------
 # Reports
 # ---------------------------------------------------------------------------
@@ -632,16 +586,7 @@ class ExperimentReport:
                 "realized_rate": self.realized_rate,
                 "effective_rate": self.effective_rate,
             },
-            "leakage": (
-                None
-                if self.leakage is None
-                else {
-                    "tap_capacity": self.leakage.tap_capacity,
-                    "eve_entropy_bound": self.leakage.eve_entropy_bound,
-                    "total_bits": self.leakage.total_bits,
-                    "per_mode_bits": self.leakage.per_mode_bits,
-                }
-            ),
+            "leakage": None if self.leakage is None else asdict(self.leakage),
             "power_audit": {
                 "n_s": self.config.n_s,
                 "rounds": [
@@ -671,10 +616,11 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     n, trials = cfg.n, cfg.trials
     codebook = cfg.codebook()
 
-    # pool.map yields in submission order, so the fold runs in chunk order
+    # pool.map yields in submission order, so the fold runs in chunk order;
+    # a worker beyond the chunk count would be forked and never fed
     spans = [(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
     if threads > 1 and len(spans) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        with ProcessPoolExecutor(max_workers=min(threads, len(spans))) as pool:
             stats = _fold(pool.map(_chunk_moments, repeat(cfg), *zip(*spans)))
     else:
         stats = _fold(_chunk_moments(cfg, start, stop) for start, stop in spans)
@@ -823,11 +769,13 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
     rate = report.error_rate
     rows.append(VerdictRow("error_rate_vs_bound", rate, bound, err_tol, bool(rate <= err_tol)))
 
-    # gain^2 var 2^(-2nC) underflows to 0 for large n C: the ratio is then inf and the row fails
+    # gain^2 var 2^(-2nC) underflows to 0 for large n C: the ratio is then undefined and the row fails
     predicted_var = report.predicted_var_theta
-    ratio = report.empirical_var_theta / predicted_var if predicted_var > 0 else math.inf
+    ratio = report.empirical_var_theta / predicted_var if predicted_var > 0 else None
     ratio_tol = max(0.05, 5.0 * math.sqrt(2.0 / trials))
-    rows.append(VerdictRow("var_theta_ratio", ratio, 1.0, ratio_tol, bool(abs(ratio - 1.0) <= ratio_tol)))
+    rows.append(
+        VerdictRow("var_theta_ratio", ratio, 1.0, ratio_tol, ratio is not None and abs(ratio - 1.0) <= ratio_tol)
+    )
 
     # round 0 satisfies the power limit by construction (midpoints are interior)
     power0 = float(report.power_mean[0])

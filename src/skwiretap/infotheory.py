@@ -58,7 +58,7 @@ class RateQuery:
         Mean photon number per mode, > 0.
     sigma2 : float
         Noise variance of the induced additive channel (quadrature units), > 0.
-        Use :meth:`from_channel` to derive it from (eta, n_th).
+        Use :func:`induced_sigma2` to derive it from (eta, n_th).
     eta : float
         Transmissivity in (0, 1].
     n_th : float
@@ -75,11 +75,6 @@ class RateQuery:
         _require(self.sigma2 > 0, "sigma2", self.sigma2, "> 0")
         _require(0 < self.eta <= 1, "eta", self.eta, "(0, 1]")
         _require(self.n_th >= 0, "n_th", self.n_th, ">= 0")
-
-    @classmethod
-    def from_channel(cls, eta: float, n_th: float, n_s: float) -> "RateQuery":
-        """Build a query whose sigma2 is the induced-channel value for (eta, n_th)."""
-        return cls(n_s=n_s, sigma2=induced_sigma2(eta, n_th), eta=eta, n_th=n_th)
 
 
 @dataclass(frozen=True)
@@ -192,6 +187,11 @@ def _pow2(x: float) -> float:
         return math.inf
 
 
+def _sk_exponent(b: BoundQuery) -> float:
+    """2^(2 n (P_H - R) - 1) * n_s / sigma2, the (natural-log) exponent of the SK bound."""
+    return _pow2(2.0 * b.n * (rate_coherent_homodyne(b) - b.rate) - 1.0) * b.n_s / b.sigma2
+
+
 def sk_error_bound(b: BoundQuery) -> float:
     """Doubly-exponential decoding-error bound for the feedback protocol.
 
@@ -200,9 +200,7 @@ def sk_error_bound(b: BoundQuery) -> float:
     underflows to exactly 0.0 well inside double range; use
     :func:`sk_error_bound_log10` for reporting in that regime.
     """
-    p_h = rate_coherent_homodyne(b)
-    exponent = _pow2(2.0 * b.n * (p_h - b.rate) - 1.0) * b.n_s / b.sigma2
-    return min(_SQRT_2_OVER_PI * math.exp(-exponent), _SQRT_2_OVER_PI)
+    return min(_SQRT_2_OVER_PI * math.exp(-_sk_exponent(b)), _SQRT_2_OVER_PI)
 
 
 def sk_error_bound_log10(b: BoundQuery) -> float:
@@ -210,9 +208,7 @@ def sk_error_bound_log10(b: BoundQuery) -> float:
 
     -inf once the exponent itself exceeds double range.
     """
-    p_h = rate_coherent_homodyne(b)
-    exponent = _pow2(2.0 * b.n * (p_h - b.rate) - 1.0) * b.n_s / b.sigma2
-    return math.log10(_SQRT_2_OVER_PI) - exponent / math.log(10.0)
+    return math.log10(_SQRT_2_OVER_PI) - _sk_exponent(b) / math.log(10.0)
 
 
 def chebyshev_error_bound(gain: float, var_noise: float, b: BoundQuery) -> float:

@@ -390,12 +390,24 @@ class TestSimulate:
         assert "FAIL" in capsys.readouterr().out
 
     def test_variance_underflow_is_a_verdict_failure(self, tmp_path, capsys):
+        # the predicted variance underflows to 0: the ratio is null and its row fails, in every format
         obj = dict(THERMAL_CFG, n=600, rate=0.05, trials=200)
         path = tmp_path / "long.json"
         path.write_text(json.dumps(obj))
         assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 3
         row = next(line for line in capsys.readouterr().out.splitlines() if line.startswith("var_theta_ratio"))
-        assert "inf" in row and "FAIL" in row
+        assert "null" in row and "FAIL" in row
+
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out", "--format", "json") == 3
+        result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        (row,) = [r for r in result["verdict"]["rows"] if r["quantity"] == "var_theta_ratio"]
+        assert row["empirical"] is None and row["pass"] is False
+
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out", "--format", "csv") == 3
+        header, values = capsys.readouterr().out.splitlines()
+        cells = dict(zip(header.split(","), values.split(",")))
+        index = next(k.split(".")[1] for k, v in cells.items() if v == "var_theta_ratio")
+        assert cells[f"rows.{index}.empirical"] == "" and cells[f"rows.{index}.pass"] == "False"
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("simulate", "--config", tmp_path / "absent.json") == 2
@@ -503,12 +515,14 @@ class TestPlumbing:
     def test_unknown_command(self):
         assert run_cli("frobnicate") == 1
 
-    def test_threads_env_var_default(self, cfg_path, tmp_path, monkeypatch):
+    def test_threads_env_var_default(self, cfg_path, tmp_path, monkeypatch, capsys):
         monkeypatch.setenv(cli.THREADS_ENV_VAR, "2")
         out = tmp_path / "env"
         assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "not-a-number")
-        assert run_cli("simulate", "--config", cfg_path, "--out", out) == 1
+        for raw in ("not-a-number", "0", "-2"):  # the same rule as --threads
+            monkeypatch.setenv(cli.THREADS_ENV_VAR, raw)
+            assert run_cli("simulate", "--config", cfg_path, "--out", out) == 1
+            assert f"{cli.THREADS_ENV_VAR}={raw!r}" in _one_line_error(capsys)
 
     def test_threads_env_var_ignored_where_unused(self, monkeypatch, capsys):
         monkeypatch.setenv(cli.THREADS_ENV_VAR, "x")

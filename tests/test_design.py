@@ -1,0 +1,76 @@
+"""Design guards: one production path, and the names the benchmark tracer patches.
+
+The scalar protocol machinery stays an independent oracle for the batch
+kernel; the production modules must not call it. The benchmark's tracer
+(``perfbench/layers.py``) swaps package attributes for timing wrappers, so a
+refactor that drops one of those names breaks the traced run.
+"""
+
+import ast
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import skwiretap
+from skwiretap import acceptance, cli
+from skwiretap.harness import ExperimentConfig, ExperimentReport
+
+REPO = Path(__file__).resolve().parents[1]
+
+PRODUCTION_MODULES = ("harness", "cli", "acceptance")
+
+ORACLE_NAMES = frozenset(
+    {
+        "run_protocol",
+        "TrialLanes",
+        "RngLane",
+        "AliceState",
+        "alice_round",
+        "alice_finish",
+        "forward_transmit",
+        "sample_noise",
+        "eve_tap_transmit",
+    }
+)
+
+
+def _referenced_names(source: str) -> set:
+    """Every name, attribute and imported name the source refers to."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name.rsplit(".", 1)[-1])
+    return names
+
+
+def test_reference_scan_sees_imports_attributes_and_names():
+    source = "from .protocol import run_protocol as rp\nimport skwiretap.channels\nchannels.RngLane\nalice_round()\n"
+    assert ORACLE_NAMES & _referenced_names(source) == {"run_protocol", "RngLane", "alice_round"}
+
+
+@pytest.mark.parametrize("module", PRODUCTION_MODULES)
+def test_production_modules_reference_no_oracle(module):
+    source = (Path(skwiretap.__file__).parent / f"{module}.py").read_text()
+    assert not ORACLE_NAMES & _referenced_names(source)
+
+
+def test_benchmark_tracer_patch_targets_exist(monkeypatch):
+    monkeypatch.syspath_prepend(str(REPO / "perfbench"))
+    fresh = {"layers", "workloads"} - set(sys.modules)
+    try:
+        layers = importlib.import_module("layers")
+        owners = (cli, acceptance, ExperimentConfig, ExperimentReport)
+        before = [dict(vars(owner)) for owner in owners]
+        # entering looks up every patch target; a missing one raises KeyError here
+        with layers.Tracer().patched():
+            assert cli.run_experiment is not before[0]["run_experiment"]
+        assert [dict(vars(owner)) for owner in owners] == before
+    finally:
+        for name in fresh:
+            sys.modules.pop(name, None)

@@ -1,4 +1,4 @@
-"""Experiment configs, the trial runner, aggregation, verdicts, and reports."""
+"""Experiment configs, the batch trial kernel, aggregation, verdicts, and reports."""
 
 import dataclasses
 import io
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skwiretap import harness
 from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes
 from skwiretap.harness import (
     CHUNK_TRIALS,
@@ -19,12 +20,11 @@ from skwiretap.harness import (
     ExperimentConfig,
     MessageSelection,
     _simulate_chunk,
+    _transcripts,
     collect_transcripts,
     compare_bounds,
-    diagnostics,
     report_flat_row,
     run_experiment,
-    run_trial,
     wilson_interval,
     write_transcripts_csv,
 )
@@ -162,37 +162,24 @@ class TestConfig:
         assert ExperimentConfig.from_dict(obj).n == 4
 
 
-class TestRunTrial:
-    def test_deterministic(self):
-        cfg = _thermal_cfg()
-        a = run_trial(cfg, 11)
-        b = run_trial(cfg, 11)
-        assert (a.m, a.m_hat, a.theta_n) == (b.m, b.m_hat, b.theta_n)
-        assert np.array_equal(a.per_round_power, b.per_round_power)
+def _one_trial(cfg: ExperimentConfig, trial: int, record: bool = False) -> dict:
+    """The batch kernel on the one-trial slice [trial, trial + 1)."""
+    return _simulate_chunk(cfg, trial, trial + 1, record=record)
 
-    def test_trial_index_domain(self):
-        with pytest.raises(ConfigError, match="trial_index"):
-            run_trial(_thermal_cfg(), 2000)
 
+class TestOneTrialSlice:
     def test_noiseless_stub_decodes(self):
         cfg = _affine_cfg(family="gaussian")
         cfg = dataclasses.replace(cfg, channel=AffineChannel(1.0, NoiseModel("gaussian", 1e-30)))
         for t in range(8):
-            result = run_trial(cfg, t)
-            assert result.m_hat == result.m
+            out = _one_trial(cfg, t)
+            assert out["m_hat"][0] == out["m"][0]
 
     def test_fixed_message_out_of_range(self):
         cfg = _thermal_cfg()
         cfg = dataclasses.replace(cfg, message_selection=MessageSelection.fixed(1000))
         with pytest.raises(ConfigError, match="fixed_m"):
-            run_trial(cfg, 0)
-
-    def test_deviation_scale_matches_prediction(self):
-        # n=4: the decoder statistic concentrates at variance 2^-8 around theta(m)
-        cfg = _thermal_cfg(n=4, rate=0.95, trials=20_000)
-        report = run_experiment(cfg)
-        assert report.predicted_var_theta == pytest.approx(2.0**-8, rel=1e-12)
-        assert report.empirical_var_theta / report.predicted_var_theta == pytest.approx(1.0, abs=0.1)
+            _one_trial(cfg, 0)
 
 
 class TestBatchEqualsScalar:
@@ -221,13 +208,11 @@ class TestBatchEqualsScalar:
             assert np.array_equal(out["x2"][trial], oracle.x * oracle.x)
             assert np.array_equal(out["y_rounds"][trial], oracle.y[1:])
 
-            res = run_trial(cfg, trial, keep_transcript=True)
-            assert (res.m, res.m_hat, res.theta_n) == (oracle.m, oracle.m_hat, oracle.theta_n)
-            assert np.array_equal(res.per_round_power, oracle.x * oracle.x)
-            t = res.transcript
-            assert (t.theta_m, t.w0) == (oracle.theta_m, oracle.w0)
-            for field in ("x", "noise", "y"):
-                assert np.array_equal(getattr(t, field), getattr(oracle, field))
+            one = _one_trial(cfg, trial, record=True)
+            assert np.array_equal(one["x2"][0], oracle.x * oracle.x)
+            (t,) = _transcripts(one)
+            for field in dataclasses.fields(t):
+                assert np.array_equal(getattr(t, field.name), getattr(oracle, field.name)), field.name
 
     def test_largest_codebook(self):
         # 2^40 messages: the batch path must not build the full midpoint table
@@ -238,8 +223,8 @@ class TestBatchEqualsScalar:
         lanes = TrialLanes(cfg.root_seed, 5)
         m = min(1 + int(lanes.message.uniform(0) * codebook.message_count), codebook.message_count)
         oracle = run_protocol(m, codebook, cfg.schedule(), cfg.channel, cfg.tap, lanes)
-        res = run_trial(cfg, 5)
-        assert (res.m, res.m_hat, res.theta_n) == (oracle.m, oracle.m_hat, oracle.theta_n)
+        one = _one_trial(cfg, 5)
+        assert (one["m"][0], one["m_hat"][0], one["theta_n"][0]) == (oracle.m, oracle.m_hat, oracle.theta_n)
 
     def test_transcripts_match_chunk(self):
         # collect_transcripts crosses a chunk boundary and keeps trial order
@@ -257,7 +242,7 @@ class TestBatchEqualsScalar:
         cfg = dataclasses.replace(_thermal_cfg(trials=64), message_selection=selection)
         out = _simulate_chunk(cfg, 0, 64)
         for trial in (0, 5, 63):
-            assert run_trial(cfg, trial).m == out["m"][trial]
+            assert _one_trial(cfg, trial)["m"][0] == out["m"][trial]
 
 
 class TestRunExperiment:
@@ -267,6 +252,29 @@ class TestRunExperiment:
         r2 = run_experiment(cfg, threads=1)
         r3 = run_experiment(cfg, threads=3)
         assert r1.to_json() == r2.to_json() == r3.to_json()
+
+    def test_pool_never_outnumbers_chunks(self, monkeypatch):
+        # a fork pool starts all max_workers processes at the first submit; this fake starts none
+        sizes = []
+
+        class RecordingPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = _thermal_cfg(trials=CHUNK_TRIALS + 1, n=2)
+        serial = run_experiment(cfg).to_json()
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+        assert run_experiment(cfg, threads=5000).to_json() == serial
+        assert sizes == [2]
 
     def test_reference_report_values(self):
         report = run_experiment(_thermal_cfg(trials=30_000, n=6))
@@ -278,6 +286,13 @@ class TestRunExperiment:
         assert report.leakage.per_mode_bits == expected.per_mode_bits
         ratio = report.empirical_var_theta / report.predicted_var_theta
         assert ratio == pytest.approx(1.0, abs=0.05)
+
+    def test_deviation_scale_matches_prediction(self):
+        # n=4: the decoder statistic concentrates at variance 2^-8 around theta(m)
+        cfg = _thermal_cfg(n=4, rate=0.95, trials=20_000)
+        report = run_experiment(cfg)
+        assert report.predicted_var_theta == pytest.approx(2.0**-8, rel=1e-12)
+        assert report.empirical_var_theta / report.predicted_var_theta == pytest.approx(1.0, abs=0.1)
 
     def test_leakage_scales_with_blocklength(self):
         r4 = run_experiment(_thermal_cfg(trials=10, n=4))
@@ -337,21 +352,6 @@ class TestWilson:
         assert 0.0 <= lo <= hi <= 1.0
 
 
-class TestDiagnosticsOp:
-    def test_requires_two_transcripts(self):
-        cfg = _thermal_cfg(trials=10)
-        with pytest.raises(ValueError, match="2 transcripts"):
-            diagnostics(collect_transcripts(cfg, limit=1))
-
-    def test_matches_report_statistics(self):
-        cfg = _thermal_cfg(trials=500)
-        report = run_experiment(cfg)
-        diag = diagnostics(collect_transcripts(cfg, limit=500))
-        assert diag.max_abs_offdiag_corr == pytest.approx(report.diag.max_abs_offdiag_corr, rel=1e-9)
-        assert diag.theta_skewness == pytest.approx(report.diag.theta_skewness, rel=1e-9)
-        assert diag.theta_excess_kurtosis == pytest.approx(report.diag.theta_excess_kurtosis, rel=1e-9)
-
-
 class TestCompareBounds:
     def test_analytic_bound_choice(self):
         # the acceptance suite reads these through compare_bounds instead of rebuilding them
@@ -382,7 +382,7 @@ class TestCompareBounds:
         report = run_experiment(_thermal_cfg(n=600, rate=0.05, trials=200))
         assert report.predicted_var_theta == 0.0
         row = next(r for r in compare_bounds(report).rows if r.quantity == "var_theta_ratio")
-        assert row.empirical == math.inf and not row.passed
+        assert row.empirical is None and not row.passed
 
     def test_gaussianity_rows_omitted_for_non_gaussian(self):
         verdict = compare_bounds(run_experiment(_affine_cfg(trials=5000, n=3)))

@@ -35,6 +35,11 @@ from skwiretap.infotheory import (
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 
 
+def _channel_query(eta: float, n_th: float, n_s: float) -> RateQuery:
+    """A query whose sigma2 is the induced-channel value for (eta, n_th)."""
+    return RateQuery(n_s=n_s, sigma2=induced_sigma2(eta, n_th), eta=eta, n_th=n_th)
+
+
 class TestGEntropy:
     def test_zero(self):
         assert g_entropy(0.0) == 0.0
@@ -93,7 +98,7 @@ class TestCoherentRate:
         assert rate_coherent_homodyne(RateQuery(n_s=1e-12, sigma2=0.25)) < 1e-11
 
     def test_lossless_vacuum(self):
-        q = RateQuery.from_channel(eta=1.0, n_th=0.0, n_s=10.0)
+        q = _channel_query(eta=1.0, n_th=0.0, n_s=10.0)
         assert q.sigma2 == 0.25
         assert rate_coherent_homodyne(q) == pytest.approx(2.678776002309042, abs=1e-13)
 
@@ -101,7 +106,7 @@ class TestCoherentRate:
         for eta in (0.1, 0.4, 0.7, 1.0):
             for n_th in (0.0, 0.5, 3.0):
                 for n_s in (0.1, 2.0, 20.0):
-                    q = RateQuery.from_channel(eta, n_th, n_s)
+                    q = _channel_query(eta, n_th, n_s)
                     assert rate_coherent_homodyne(q) == awgn_capacity(n_s, induced_sigma2(eta, n_th))
 
 
@@ -127,7 +132,7 @@ class TestSqueezedRate:
     def test_beats_coherent_rate_on_pure_loss(self):
         for eta in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             for n_s in (0.2, 1.0, 5.0, 20.0):
-                coherent = rate_coherent_homodyne(RateQuery.from_channel(eta, 0.0, n_s))
+                coherent = rate_coherent_homodyne(_channel_query(eta, 0.0, n_s))
                 assert rate_squeezed_homodyne(eta, n_s) >= coherent
 
 
