@@ -32,7 +32,6 @@ from .infotheory import (
     BoundNotActiveError,
     BoundQuery,
     LeakageBudget,
-    RateQuery,
     TetrationBound,
     awgn_capacity,
     chebyshev_error_bound,
@@ -41,8 +40,6 @@ from .infotheory import (
     leakage_budget,
     phi,
     phi_inverse,
-    q_function,
-    rate_coherent_homodyne,
     rate_squeezed_homodyne,
     sk_error_bound,
     tetration_error_bound,

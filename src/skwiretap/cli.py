@@ -170,14 +170,12 @@ def _physics_params(args) -> Tuple[dict, BoundQuery]:
         params[field] = _config_int(value, field) if field == "n" else _config_float(value, field)
     params.setdefault("n_th", 0.0)
     params.setdefault("tap_variance", None)
-    if "sigma2" not in params:
-        params["sigma2"] = induced_sigma2(params["eta"], params["n_th"])
-        if not math.isfinite(params["sigma2"]):
-            raise CliError(EXIT_CONFIG, f"eta={params['eta']!r} makes the induced sigma2 overflow")
-    query = BoundQuery(
-        n_s=params["n_s"], sigma2=params["sigma2"], eta=params["eta"], n_th=params["n_th"],
-        n=params["n"], rate=params["rate"],
-    )
+    # range-checks eta and n_th even where a given sigma2 replaces the result
+    induced = induced_sigma2(params["eta"], params["n_th"])
+    if "sigma2" not in params and not math.isfinite(induced):
+        raise CliError(EXIT_CONFIG, f"eta={params['eta']!r} makes the induced sigma2 overflow")
+    params.setdefault("sigma2", induced)
+    query = BoundQuery(n_s=params["n_s"], sigma2=params["sigma2"], n=params["n"], rate=params["rate"])
     if not math.isfinite(query.n_s / query.sigma2):
         raise CliError(EXIT_CONFIG, f"n_s/sigma2 = {query.n_s!r}/{query.sigma2!r} overflows")
     return params, query
@@ -187,8 +185,8 @@ def cmd_rates(args) -> int:
     p, query = _physics_params(args)
     p_h = awgn_capacity(query.n_s, query.sigma2)
     realized = make_codebook(query.n, query.rate, query.n_s).realized_rate
-    if query.eta < 1.0:
-        p_sq, p_sq_note = rate_squeezed_homodyne(query.eta, query.n_s), None
+    if p["eta"] < 1.0:
+        p_sq, p_sq_note = rate_squeezed_homodyne(p["eta"], query.n_s), None
     else:
         p_sq, p_sq_note = None, "domain: eta < 1 required for the squeezed-state rate"
     result = {
@@ -226,7 +224,7 @@ def cmd_bounds(args) -> int:
     leak = None
     if p["tap_variance"] is not None:
         leak = asdict(
-            leakage_budget(query.eta, query.n_th, query.n_s, query.sigma2, p["tap_variance"], query.n)
+            leakage_budget(p["eta"], p["n_th"], query.n_s, query.sigma2, p["tap_variance"], query.n)
         )
     def _finite(value: float):
         return value if math.isfinite(value) else None
@@ -236,7 +234,7 @@ def cmd_bounds(args) -> int:
         "p_h": p_h,
         "sk_bound": sk,
         "sk_bound_log10": _finite(sk_error_bound_log10(query)),
-        "chebyshev_bound": _finite(chebyshev_error_bound(1.0, query.sigma2, query)),
+        "chebyshev_bound": _finite(chebyshev_error_bound(1.0, query)),
         "tetration": tet,
         "leakage": leak,
     }

@@ -107,7 +107,8 @@ class ExperimentConfig:
 
     ``channel`` is always the affine channel the simulation runs on; when the
     config was stated as a thermal wiretap channel, ``thermal`` retains the
-    physical parameters (and enables the leakage budget).
+    physical parameters (and enables the leakage budget), and ``channel`` must
+    then be ``as_affine(thermal)``.
     """
 
     channel: AffineChannel
@@ -133,6 +134,8 @@ class ExperimentConfig:
             raise ConfigError(f"root_seed={self.root_seed} must be a 64-bit unsigned integer")
         if self.thermal is not None and self.thermal.n_s != self.n_s:
             raise ConfigError("thermal.n_s and config n_s disagree")
+        if self.thermal is not None and self.channel != as_affine(self.thermal):
+            raise ConfigError("channel is not the affine channel that the thermal parameters induce")
 
     @classmethod
     def from_thermal(
@@ -632,24 +635,15 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     capacity = awgn_capacity(cfg.n_s, var_noise)
     predicted_var = gain * gain * var_noise * 2.0 ** (-2.0 * n * capacity)
 
-    bq = BoundQuery(
-        n_s=cfg.n_s,
-        sigma2=var_noise,
-        eta=cfg.thermal.eta if cfg.thermal else 1.0,
-        n_th=cfg.thermal.n_th if cfg.thermal else 0.0,
-        n=n,
-        rate=cfg.rate,
-    )
+    bq = BoundQuery(n_s=cfg.n_s, sigma2=var_noise, n=n, rate=cfg.rate)
     if cfg.channel.noise.family == "gaussian":
         bound, kind = sk_error_bound(bq), "sk"
     else:
-        bound, kind = chebyshev_error_bound(gain, var_noise, bq), "chebyshev"
+        bound, kind = chebyshev_error_bound(gain, bq), "chebyshev"
 
     leak = None
     if cfg.thermal is not None:
-        leak = leakage_budget(
-            cfg.thermal.eta, cfg.thermal.n_th, cfg.n_s, cfg.thermal.sigma2, cfg.tap.variance, n
-        )
+        leak = leakage_budget(cfg.thermal.eta, cfg.thermal.n_th, cfg.n_s, var_noise, cfg.tap.variance, n)
 
     if trials > 1:
         power_se = np.sqrt(stats.power_m2 / (trials - 1)) / math.sqrt(trials)
@@ -821,7 +815,7 @@ def compare_bounds(report: ExperimentReport) -> VerdictTable:
 def report_flat_row(report: ExperimentReport) -> dict:
     """Scalar report fields flattened for one CSV sweep row."""
     cfg = report.config
-    sigma2 = cfg.thermal.sigma2 if cfg.thermal else cfg.channel.noise.variance
+    sigma2 = cfg.channel.noise.variance
     row = {
         "n": cfg.n,
         "rate": cfg.rate,

@@ -11,10 +11,8 @@ import math
 from dataclasses import dataclass
 
 from scipy.optimize import bisect
-from scipy.special import erfc
 
 __all__ = [
-    "RateQuery",
     "BoundQuery",
     "LeakageBudget",
     "TetrationBound",
@@ -22,7 +20,6 @@ __all__ = [
     "g_entropy",
     "awgn_capacity",
     "induced_sigma2",
-    "rate_coherent_homodyne",
     "rate_squeezed_homodyne",
     "sk_error_bound",
     "sk_error_bound_log10",
@@ -31,7 +28,6 @@ __all__ = [
     "phi_inverse",
     "tetration_order",
     "tetration_error_bound",
-    "q_function",
     "leakage_budget",
 ]
 
@@ -49,8 +45,8 @@ def _require(cond: bool, name: str, value, valid: str) -> None:
 
 
 @dataclass(frozen=True)
-class RateQuery:
-    """Physical operating point for the rate formulas.
+class BoundQuery:
+    """Operating point of the analytic bounds.
 
     Attributes
     ----------
@@ -59,38 +55,22 @@ class RateQuery:
     sigma2 : float
         Noise variance of the induced additive channel (quadrature units), > 0.
         Use :func:`induced_sigma2` to derive it from (eta, n_th).
-    eta : float
-        Transmissivity in (0, 1].
-    n_th : float
-        Thermal occupation of the environment mode, >= 0.
+    n : int
+        Estimation rounds after the message-bearing round 0, >= 1.
+    rate : float
+        Nominal rate in bits/round, > 0. It may exceed the capacity
+        ``awgn_capacity(n_s, sigma2)``; the bounds then stop being meaningful
+        but are still evaluated.
     """
 
     n_s: float
     sigma2: float
-    eta: float = 1.0
-    n_th: float = 0.0
+    n: int
+    rate: float
 
     def __post_init__(self) -> None:
         _require(self.n_s > 0, "n_s", self.n_s, "> 0")
         _require(self.sigma2 > 0, "sigma2", self.sigma2, "> 0")
-        _require(0 < self.eta <= 1, "eta", self.eta, "(0, 1]")
-        _require(self.n_th >= 0, "n_th", self.n_th, ">= 0")
-
-
-@dataclass(frozen=True)
-class BoundQuery(RateQuery):
-    """A :class:`RateQuery` plus blocklength and nominal rate.
-
-    ``n`` counts the estimation rounds after the message-bearing round 0.
-    ``rate`` may exceed the coherent-homodyne rate; the bounds then stop
-    being meaningful but are still evaluated.
-    """
-
-    n: int = 1
-    rate: float = 0.5
-
-    def __post_init__(self) -> None:
-        super().__post_init__()
         _require(isinstance(self.n, int) and self.n >= 1, "n", self.n, "integer >= 1")
         _require(self.rate > 0, "rate", self.rate, "> 0")
 
@@ -151,15 +131,6 @@ def induced_sigma2(eta: float, n_th: float) -> float:
     return 1.0 / (4.0 * eta) + (1.0 - eta) * n_th / (2.0 * eta)
 
 
-def rate_coherent_homodyne(query: RateQuery) -> float:
-    """Achievable bits/mode with coherent encoding and homodyne detection.
-
-    Equals ``awgn_capacity(n_s, sigma2)``: the capacity of the induced
-    additive Gaussian channel.
-    """
-    return awgn_capacity(query.n_s, query.sigma2)
-
-
 def rate_squeezed_homodyne(eta: float, n_s: float) -> float:
     """Bits/mode with optimal squeezed-state encoding over the pure-loss channel.
 
@@ -189,7 +160,7 @@ def _pow2(x: float) -> float:
 
 def _sk_exponent(b: BoundQuery) -> float:
     """2^(2 n (P_H - R) - 1) * n_s / sigma2, the (natural-log) exponent of the SK bound."""
-    return _pow2(2.0 * b.n * (rate_coherent_homodyne(b) - b.rate) - 1.0) * b.n_s / b.sigma2
+    return _pow2(2.0 * b.n * (awgn_capacity(b.n_s, b.sigma2) - b.rate) - 1.0) * b.n_s / b.sigma2
 
 
 def sk_error_bound(b: BoundQuery) -> float:
@@ -211,17 +182,17 @@ def sk_error_bound_log10(b: BoundQuery) -> float:
     return math.log10(_SQRT_2_OVER_PI) - _sk_exponent(b) / math.log(10.0)
 
 
-def chebyshev_error_bound(gain: float, var_noise: float, b: BoundQuery) -> float:
+def chebyshev_error_bound(gain: float, b: BoundQuery) -> float:
     """Second-moment decoding-error bound for general affine channels.
 
-    gain^2 * 2^(-2 n (C - R)) * var_noise / n_s with C the AWGN capacity at
-    the same second moments. Valid for any additive noise, Gaussian or not;
-    +inf where the rate is so far above C that 2^(2 n (R - C)) overflows.
+    gain^2 * 2^(-2 n (C - R)) * sigma2 / n_s, with sigma2 the noise variance
+    and C the AWGN capacity at the same second moments. Valid for any
+    additive noise, Gaussian or not; +inf where the rate is so far above C
+    that 2^(2 n (R - C)) overflows.
     """
     _require(gain != 0, "gain", gain, "!= 0")
-    _require(var_noise > 0, "var_noise", var_noise, "> 0")
-    c = awgn_capacity(b.n_s, var_noise)
-    return gain * gain * _pow2(-2.0 * b.n * (c - b.rate)) * var_noise / b.n_s
+    c = awgn_capacity(b.n_s, b.sigma2)
+    return gain * gain * _pow2(-2.0 * b.n * (c - b.rate)) * b.sigma2 / b.n_s
 
 
 def phi(nu: float, n_s: float, sigma2: float) -> float:
@@ -258,7 +229,7 @@ def tetration_order(b: BoundQuery) -> int:
     floor(n (1 - nu*) - 5 (1 - nu*) / (P_H - R)) with nu* = phi_inverse(R).
     Nonpositive values mean the tower bound is not yet active at this n.
     """
-    p_h = rate_coherent_homodyne(b)
+    p_h = awgn_capacity(b.n_s, b.sigma2)
     _require(b.rate < p_h, "rate", b.rate, f"< P_H={p_h!r} for tower bounds")
     nu_star = phi_inverse(b.rate, b.n_s, b.sigma2)
     slack = 1.0 - nu_star
@@ -289,11 +260,6 @@ def tetration_error_bound(b: BoundQuery) -> TetrationBound:
         # 1/(e^^4) = exp(-e^e^e): underflows, but its log10 is still finite.
         return TetrationBound(value=0.0, order=order, underflow=True, log10_value=-_TOWER[2] * math.log10(math.e))
     return TetrationBound(value=0.0, order=order, underflow=True, log10_value=-math.inf)
-
-
-def q_function(x: float) -> float:
-    """Standard Gaussian upper-tail probability Q(x), via erfc."""
-    return 0.5 * float(erfc(x / math.sqrt(2.0)))
 
 
 def leakage_budget(

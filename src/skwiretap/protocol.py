@@ -47,8 +47,6 @@ class Codebook:
 
     message_count: int
     amplitude_bound: float
-    blocklength: int
-    nominal_rate: float
     realized_rate: float
 
     @property
@@ -101,14 +99,7 @@ def make_codebook(n: int, rate: float, n_s: float) -> Codebook:
         raise ValueError(
             f"codebook would need 2^{bits} messages (n*rate too large; limit 2^{_MAX_CODEBOOK_BITS})"
         )
-    m_count = 1 << bits
-    return Codebook(
-        message_count=m_count,
-        amplitude_bound=math.sqrt(n_s),
-        blocklength=n,
-        nominal_rate=rate,
-        realized_rate=bits / n,
-    )
+    return Codebook(message_count=1 << bits, amplitude_bound=math.sqrt(n_s), realized_rate=bits / n)
 
 
 @dataclass(frozen=True)
@@ -123,7 +114,6 @@ class SkSchedule:
     """
 
     blocklength: int
-    n_s: float
     sigma2: float
     gain: float
     gamma: np.ndarray
@@ -168,7 +158,7 @@ def make_schedule(n: int, n_s: float, sigma2: float, gain: float = 1.0) -> SkSch
     for arr in (gamma, k_gain, v, log2_v):
         arr.setflags(write=False)
     return SkSchedule(
-        blocklength=n, n_s=n_s, sigma2=sigma2, gain=gain,
+        blocklength=n, sigma2=sigma2, gain=gain,
         gamma=gamma, k_gain=k_gain, v=v, log2_v=log2_v,
     )
 

@@ -210,6 +210,19 @@ class TestInputBoundary:
         assert run_cli("rates", *[x for kv in argv.items() for x in kv], "--format", "json") == 1
         _one_line_error(capsys)
 
+    @pytest.mark.parametrize(
+        "command,flags,field",
+        [
+            ("rates", ("--eta", 5), "eta=5.0"),
+            ("bounds", ("--eta", 0.5, "--n-th", -1), "n_th=-1.0"),
+        ],
+    )
+    def test_eta_and_n_th_checked_beside_sigma2(self, command, flags, field, capsys):
+        # a given sigma2 replaces the induced one, but eta and n_th still have to be in range
+        argv = (*flags, "--sigma2", 1, "--n-s", 3, "--n", 10, "--rate", 0.5)
+        assert run_cli(command, *argv) == 1
+        assert field in _one_line_error(capsys)
+
     def test_codebook_size_beyond_double_range(self, tmp_path, capsys):
         # n * rate leaves double range inside make_codebook: a one-line domain error
         path = self._physics_config(tmp_path, '{"eta": 0.5, "n_s": 3, "n": 1e300, "rate": 1e10}')

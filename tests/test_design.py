@@ -1,9 +1,11 @@
-"""Design guards: one production path, and the names the benchmark tracer patches.
+"""Design guards: one production path, the names the benchmark tracer patches,
+and no stale export.
 
 The scalar protocol machinery stays an independent oracle for the batch
 kernel; the production modules must not call it. The benchmark's tracer
 (``perfbench/layers.py``) swaps package attributes for timing wrappers, so a
-refactor that drops one of those names breaks the traced run.
+refactor that drops one of those names breaks the traced run. A deletion that
+leaves its name in a module's ``__all__`` breaks ``from module import *``.
 """
 
 import ast
@@ -74,3 +76,9 @@ def test_benchmark_tracer_patch_targets_exist(monkeypatch):
     finally:
         for name in fresh:
             sys.modules.pop(name, None)
+
+
+@pytest.mark.parametrize("module", ("channels", "protocol", "infotheory", "harness", "acceptance"))
+def test_every_exported_name_exists(module):
+    mod = importlib.import_module(f"skwiretap.{module}")
+    assert [name for name in mod.__all__ if not hasattr(mod, name)] == []

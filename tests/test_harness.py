@@ -150,6 +150,17 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _thermal_cfg(rate=0.0)
 
+    def test_thermal_must_induce_the_channel(self):
+        # otherwise the report echoes and budgets the thermal channel while the
+        # trials run on another, and the config does not round-trip
+        with pytest.raises(ConfigError, match="thermal parameters induce"):
+            ExperimentConfig(
+                channel=AffineChannel(2.0, NoiseModel("uniform", 1.0)), n_s=3.0, tap=EveTap(1.0),
+                n=4, rate=0.5, trials=500, thermal=ThermalWiretapParams(0.5, 1.0, 3.0),
+            )
+        with pytest.raises(ConfigError, match="thermal parameters induce"):
+            dataclasses.replace(_thermal_cfg(), channel=AffineChannel(1.0, NoiseModel("gaussian", 2.0)))
+
     def test_non_integer_counts_rejected(self):
         for field, value in (("n", 4.7), ("trials", "2000"), ("root_seed", True)):
             obj = json.loads(json.dumps(THERMAL_CFG_DICT))
@@ -356,12 +367,12 @@ class TestCompareBounds:
     def test_analytic_bound_choice(self):
         # the acceptance suite reads these through compare_bounds instead of rebuilding them
         thermal = run_experiment(_thermal_cfg(trials=200))
-        query = BoundQuery(n_s=3.0, sigma2=1.0, eta=0.5, n_th=1.0, n=4, rate=0.5)
+        query = BoundQuery(n_s=3.0, sigma2=1.0, n=4, rate=0.5)
         assert thermal.analytic_error_bound == sk_error_bound(query) > 0.0
         assert thermal.analytic_error_bound_kind == "sk"
         affine = run_experiment(_affine_cfg(gain=2.0, trials=200))
         query = BoundQuery(n_s=3.0, sigma2=1.0, n=4, rate=0.5)
-        assert affine.analytic_error_bound == chebyshev_error_bound(2.0, 1.0, query)
+        assert affine.analytic_error_bound == chebyshev_error_bound(2.0, query)
         assert affine.analytic_error_bound_kind == "chebyshev"
 
     def test_reference_config_passes(self):

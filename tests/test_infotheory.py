@@ -4,18 +4,17 @@ Golden constants were computed with an independent 40-digit evaluation of
 each displayed formula and are frozen here.
 """
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.integrate import quad
 
 from skwiretap.infotheory import (
     BoundNotActiveError,
     BoundQuery,
-    RateQuery,
     awgn_capacity,
     chebyshev_error_bound,
     g_entropy,
@@ -23,8 +22,6 @@ from skwiretap.infotheory import (
     leakage_budget,
     phi,
     phi_inverse,
-    q_function,
-    rate_coherent_homodyne,
     rate_squeezed_homodyne,
     sk_error_bound,
     sk_error_bound_log10,
@@ -33,11 +30,6 @@ from skwiretap.infotheory import (
 )
 
 SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
-
-
-def _channel_query(eta: float, n_th: float, n_s: float) -> RateQuery:
-    """A query whose sigma2 is the induced-channel value for (eta, n_th)."""
-    return RateQuery(n_s=n_s, sigma2=induced_sigma2(eta, n_th), eta=eta, n_th=n_th)
 
 
 class TestGEntropy:
@@ -91,23 +83,25 @@ class TestInducedSigma2:
 
 
 class TestCoherentRate:
+    """The coherent-homodyne rate is the AWGN capacity of the induced channel."""
+
     def test_basic(self):
-        assert rate_coherent_homodyne(RateQuery(n_s=3.0, sigma2=1.0)) == pytest.approx(1.0, abs=1e-15)
+        assert awgn_capacity(3.0, induced_sigma2(0.5, 1.0)) == pytest.approx(1.0, abs=1e-15)
 
     def test_vanishes_with_power(self):
-        assert rate_coherent_homodyne(RateQuery(n_s=1e-12, sigma2=0.25)) < 1e-11
+        assert awgn_capacity(1e-12, induced_sigma2(1.0, 0.0)) < 1e-11
 
     def test_lossless_vacuum(self):
-        q = _channel_query(eta=1.0, n_th=0.0, n_s=10.0)
-        assert q.sigma2 == 0.25
-        assert rate_coherent_homodyne(q) == pytest.approx(2.678776002309042, abs=1e-13)
+        assert induced_sigma2(1.0, 0.0) == 0.25
+        assert awgn_capacity(10.0, induced_sigma2(1.0, 0.0)) == pytest.approx(2.678776002309042, abs=1e-13)
 
     def test_equals_capacity_of_induced_channel(self):
+        # (1/2) log2(1 + 4 eta n_s / (1 + 2 (1 - eta) n_th)); n_th = 0 gives the paper's (1/2) log2(1 + 4 eta n_s)
         for eta in (0.1, 0.4, 0.7, 1.0):
             for n_th in (0.0, 0.5, 3.0):
                 for n_s in (0.1, 2.0, 20.0):
-                    q = _channel_query(eta, n_th, n_s)
-                    assert rate_coherent_homodyne(q) == awgn_capacity(n_s, induced_sigma2(eta, n_th))
+                    closed = 0.5 * math.log2(1.0 + 4.0 * eta * n_s / (1.0 + 2.0 * (1.0 - eta) * n_th))
+                    assert awgn_capacity(n_s, induced_sigma2(eta, n_th)) == pytest.approx(closed, rel=1e-14)
 
 
 class TestSqueezedRate:
@@ -132,7 +126,7 @@ class TestSqueezedRate:
     def test_beats_coherent_rate_on_pure_loss(self):
         for eta in (0.1, 0.3, 0.5, 0.7, 0.9, 0.99):
             for n_s in (0.2, 1.0, 5.0, 20.0):
-                coherent = rate_coherent_homodyne(_channel_query(eta, 0.0, n_s))
+                coherent = awgn_capacity(n_s, induced_sigma2(eta, 0.0))
                 assert rate_squeezed_homodyne(eta, n_s) >= coherent
 
 
@@ -163,7 +157,7 @@ class TestSkErrorBound:
     def test_exponent_beyond_double_range(self):
         # the exponent 2^(2 n (P_H - R) - 1) n_s / sigma2 leaves double range from n = 137 on
         # here; at n = 1000 the power of two alone does
-        values = [BoundQuery(n_s=100.0, sigma2=0.5, eta=0.5, n=n, rate=0.1) for n in (136, 137, 1000)]
+        values = [BoundQuery(n_s=100.0, sigma2=0.5, n=n, rate=0.1) for n in (136, 137, 1000)]
         assert [sk_error_bound(b) for b in values] == [0.0, 0.0, 0.0]
         logs = [sk_error_bound_log10(b) for b in values]
         assert -math.inf < logs[0] < -1e300 and logs[1:] == [-math.inf, -math.inf]
@@ -172,26 +166,26 @@ class TestSkErrorBound:
 class TestChebyshevBound:
     def test_reference_point(self):
         b = BoundQuery(n_s=3.0, sigma2=1.0, n=5, rate=0.5)
-        assert chebyshev_error_bound(1.0, 1.0, b) == pytest.approx(2.0**-5 / 3.0, rel=1e-14)
+        assert chebyshev_error_bound(1.0, b) == pytest.approx(2.0**-5 / 3.0, rel=1e-14)
 
     def test_gain_scaling(self):
         b = BoundQuery(n_s=3.0, sigma2=1.0, n=5, rate=0.5)
-        assert chebyshev_error_bound(2.0, 1.0, b) == pytest.approx(4.0 * chebyshev_error_bound(1.0, 1.0, b), rel=1e-14)
+        assert chebyshev_error_bound(2.0, b) == pytest.approx(4.0 * chebyshev_error_bound(1.0, b), rel=1e-14)
 
     def test_deeper_blocklength(self):
         b = BoundQuery(n_s=3.0, sigma2=1.0, n=10, rate=0.5)
-        assert chebyshev_error_bound(1.0, 1.0, b) == pytest.approx(2.0**-10 / 3.0, rel=1e-14)
+        assert chebyshev_error_bound(1.0, b) == pytest.approx(2.0**-10 / 3.0, rel=1e-14)
 
     def test_nonincreasing_below_capacity(self):
         values = [
-            chebyshev_error_bound(1.0, 1.0, BoundQuery(n_s=3.0, sigma2=1.0, n=n, rate=0.7))
+            chebyshev_error_bound(1.0, BoundQuery(n_s=3.0, sigma2=1.0, n=n, rate=0.7))
             for n in range(1, 25)
         ]
         assert all(b <= a for a, b in zip(values, values[1:]))
 
     def test_overflow_far_above_capacity(self):
-        b = BoundQuery(n_s=3.0, sigma2=0.5, eta=0.5, n=1000, rate=10.0)
-        assert chebyshev_error_bound(1.0, 0.5, b) == math.inf
+        b = BoundQuery(n_s=3.0, sigma2=0.5, n=1000, rate=10.0)
+        assert chebyshev_error_bound(1.0, b) == math.inf
         assert sk_error_bound(b) == SQRT_2_OVER_PI
 
 
@@ -288,26 +282,6 @@ class TestTetration:
             tetration_error_bound(BoundQuery(n_s=3.0, sigma2=1.0, n=2, rate=0.5))
 
 
-class TestQFunction:
-    def test_half_at_zero(self):
-        assert q_function(0.0) == 0.5
-
-    def test_unit_value_against_quadrature(self):
-        oracle, err = quad(lambda t: math.exp(-t * t / 2.0) / math.sqrt(2 * math.pi), 1.0, math.inf)
-        assert err < 1e-8
-        assert q_function(1.0) == pytest.approx(oracle, abs=1e-9)
-        assert q_function(1.0) == pytest.approx(0.15865525393145705, abs=1e-15)
-
-    def test_gaussian_tail_bound(self):
-        for x in np.linspace(1.0, 10.0, 50):
-            assert q_function(x) <= math.exp(-x * x / 2.0) / math.sqrt(2 * math.pi)
-        assert q_function(1.0) <= 0.24197072451914337
-
-    @given(st.floats(min_value=-8, max_value=8))
-    def test_symmetry(self, x):
-        assert q_function(x) + q_function(-x) == pytest.approx(1.0, abs=1e-12)
-
-
 class TestLeakageBudget:
     def test_reference_point(self):
         budget = leakage_budget(0.5, 0.0, 2.0, 0.5, 1.0, 99)
@@ -334,17 +308,16 @@ class TestLeakageBudget:
 
 
 class TestQueryValidation:
-    def test_rate_query_domains(self):
-        with pytest.raises(ValueError, match="n_s="):
-            RateQuery(n_s=0.0, sigma2=1.0)
-        with pytest.raises(ValueError, match="sigma2="):
-            RateQuery(n_s=1.0, sigma2=0.0)
-        with pytest.raises(ValueError, match="eta="):
-            RateQuery(n_s=1.0, sigma2=1.0, eta=1.2)
-        with pytest.raises(ValueError, match="n_th="):
-            RateQuery(n_s=1.0, sigma2=1.0, n_th=-0.1)
+    def test_bound_query_is_the_four_field_operating_point(self):
+        fields = dataclasses.fields(BoundQuery)
+        assert [f.name for f in fields] == ["n_s", "sigma2", "n", "rate"]
+        assert all(f.default is dataclasses.MISSING for f in fields)
 
     def test_bound_query_domains(self):
+        with pytest.raises(ValueError, match="n_s="):
+            BoundQuery(n_s=0.0, sigma2=1.0, n=1, rate=0.5)
+        with pytest.raises(ValueError, match="sigma2="):
+            BoundQuery(n_s=1.0, sigma2=0.0, n=1, rate=0.5)
         with pytest.raises(ValueError, match="n="):
             BoundQuery(n_s=1.0, sigma2=1.0, n=0, rate=0.5)
         with pytest.raises(ValueError, match="rate="):
