@@ -13,7 +13,6 @@ from .channels import (
     RngLane,
     ThermalWiretapParams,
     TrialLanes,
-    as_affine,
     eve_tap_transmit,
     forward_transmit,
     sample_noise,

@@ -35,7 +35,7 @@ ROOT_SEED = 20260809
 TRIALS = 100_000
 
 # thermal channel with sigma2 exactly 1: eta=0.5, n_th=1 gives 0.5 + 0.5
-_THERMAL = ThermalWiretapParams(eta=0.5, n_th=1.0, n_s=3.0)
+_THERMAL = ThermalWiretapParams(eta=0.5, n_th=1.0)
 _TAP = EveTap(variance=1.0)
 
 
@@ -48,8 +48,8 @@ class CriterionResult:
 
 
 def _cfg_gaussian(n: int, rate: float) -> ExperimentConfig:
-    return ExperimentConfig.from_thermal(
-        _THERMAL, _TAP, n=n, rate=rate, trials=TRIALS, root_seed=ROOT_SEED
+    return ExperimentConfig(
+        channel=_THERMAL, n_s=3.0, tap=_TAP, n=n, rate=rate, trials=TRIALS, root_seed=ROOT_SEED
     )
 
 
@@ -87,8 +87,7 @@ def criterion_variance_identity() -> CriterionResult:
     for eta in (0.1, 0.3, 0.5, 0.8, 1.0):
         for n_th in (0.0, 0.5, 2.0):
             for n_s in (0.5, 3.0, 10.0):
-                thermal = ThermalWiretapParams(eta=eta, n_th=n_th, n_s=n_s)
-                sigma2 = thermal.sigma2
+                sigma2 = ThermalWiretapParams(eta=eta, n_th=n_th).sigma2
                 p_h = awgn_capacity(n_s, sigma2)
                 for n in (1, 10, 50):
                     sched = make_schedule(n, n_s, sigma2)

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 from numpy.random import Philox
@@ -37,7 +38,6 @@ __all__ = [
     "TrialLanes",
     "philox_raw",
     "lane_uniforms",
-    "as_affine",
     "sample_noise",
     "noise_from_uniforms",
     "forward_transmit",
@@ -82,23 +82,29 @@ class AffineChannel:
 
 @dataclass(frozen=True)
 class ThermalWiretapParams:
-    """Thermal lossy beamsplitter channel: transmissivity, thermal number, input photons."""
+    """Thermal lossy beamsplitter channel with transmissivity eta and thermal number n_th.
+
+    Coherent encoding and homodyne detection rescaled by 1/sqrt(eta) make it
+    the affine channel of unit ``gain`` and zero-mean Gaussian ``noise`` of
+    variance ``sigma2``; it exposes those two attributes like ``AffineChannel``.
+    """
 
     eta: float
     n_th: float
-    n_s: float
+
+    gain = 1.0
 
     def __post_init__(self) -> None:
         if not 0 < self.eta <= 1:
             raise ValueError(f"eta={self.eta!r} must be in (0, 1]")
         if self.n_th < 0:
             raise ValueError(f"n_th={self.n_th!r} must be >= 0")
-        if self.n_s <= 0:
-            raise ValueError(f"n_s={self.n_s!r} must be > 0")
+        # built once; it also rejects an eta whose sigma2 overflows
+        object.__setattr__(self, "noise", NoiseModel("gaussian", induced_sigma2(self.eta, self.n_th), 0.0))
 
     @property
     def sigma2(self) -> float:
-        return induced_sigma2(self.eta, self.n_th)
+        return self.noise.variance
 
 
 @dataclass(frozen=True)
@@ -113,15 +119,6 @@ class EveTap:
                 f"tap variance={self.variance!r} must be finite and > 0 "
                 "(a noiseless tap has infinite capacity)"
             )
-
-
-def as_affine(params: ThermalWiretapParams) -> AffineChannel:
-    """Induced classical channel: unit gain, zero-mean Gaussian noise of variance sigma2.
-
-    This is the receiver's homodyne outcome after dividing by sqrt(eta), the
-    units in which all protocol formulas are stated.
-    """
-    return AffineChannel(gain=1.0, noise=NoiseModel("gaussian", params.sigma2, 0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -316,8 +313,10 @@ def sample_noise(nm: NoiseModel, lane: RngLane, position: int = 0) -> float:
     return float(noise_from_uniforms(nm, lane.uniforms(position + 1)[position : position + 1])[0])
 
 
-def forward_transmit(ch: AffineChannel, x: float, lane: RngLane, position: int) -> float:
-    """Send x through the affine channel; returns gain * (x + noise).
+def forward_transmit(
+    ch: Union[AffineChannel, ThermalWiretapParams], x: float, lane: RngLane, position: int
+) -> float:
+    """Send x through the channel; returns gain * (x + noise).
 
     The realized noise is recoverable by the caller as y/gain - x.
     """

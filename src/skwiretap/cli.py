@@ -43,7 +43,7 @@ from .infotheory import (
     tetration_error_bound,
     tetration_order,
 )
-from .protocol import make_codebook
+from .protocol import codebook_bits
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
@@ -184,7 +184,7 @@ def _physics_params(args) -> Tuple[dict, BoundQuery]:
 def cmd_rates(args) -> int:
     p, query = _physics_params(args)
     p_h = awgn_capacity(query.n_s, query.sigma2)
-    realized = make_codebook(query.n, query.rate, query.n_s).realized_rate
+    realized = codebook_bits(query.n, query.rate) / query.n
     if p["eta"] < 1.0:
         p_sq, p_sq_note = rate_squeezed_homodyne(p["eta"], query.n_s), None
     else:

@@ -16,7 +16,7 @@ import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from typing import IO, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import IO, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -29,7 +29,6 @@ from .channels import (
     EveTap,
     NoiseModel,
     ThermalWiretapParams,
-    as_affine,
     lane_uniforms,
     noise_from_uniforms,
 )
@@ -105,13 +104,11 @@ class MessageSelection:
 class ExperimentConfig:
     """Complete, self-contained description of one experiment.
 
-    ``channel`` is always the affine channel the simulation runs on; when the
-    config was stated as a thermal wiretap channel, ``thermal`` retains the
-    physical parameters (and enables the leakage budget), and ``channel`` must
-    then be ``as_affine(thermal)``.
+    ``channel`` is the channel the simulation runs on. A thermal channel also
+    enables the leakage budget.
     """
 
-    channel: AffineChannel
+    channel: Union[AffineChannel, ThermalWiretapParams]
     n_s: float
     tap: EveTap
     n: int
@@ -119,7 +116,6 @@ class ExperimentConfig:
     trials: int
     root_seed: int = 0
     message_selection: MessageSelection = MessageSelection.uniform_random()
-    thermal: Optional[ThermalWiretapParams] = None
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -132,33 +128,13 @@ class ExperimentConfig:
             raise ConfigError(f"n_s={self.n_s!r} must be > 0")
         if not 0 <= self.root_seed < 1 << 64:
             raise ConfigError(f"root_seed={self.root_seed} must be a 64-bit unsigned integer")
-        if self.thermal is not None and self.thermal.n_s != self.n_s:
-            raise ConfigError("thermal.n_s and config n_s disagree")
-        if self.thermal is not None and self.channel != as_affine(self.thermal):
-            raise ConfigError("channel is not the affine channel that the thermal parameters induce")
-
-    @classmethod
-    def from_thermal(
-        cls,
-        thermal: ThermalWiretapParams,
-        tap: EveTap,
-        n: int,
-        rate: float,
-        trials: int,
-        root_seed: int = 0,
-        message_selection: MessageSelection = MessageSelection.uniform_random(),
-    ) -> "ExperimentConfig":
-        return cls(
-            channel=as_affine(thermal),
-            n_s=thermal.n_s,
-            tap=tap,
-            n=n,
-            rate=rate,
-            trials=trials,
-            root_seed=root_seed,
-            message_selection=message_selection,
-            thermal=thermal,
-        )
+        try:
+            message_count = self.codebook().message_count
+        except (ValueError, OverflowError) as exc:  # too many bits, or n*rate beyond double range
+            raise ConfigError(str(exc)) from exc
+        fixed_m = self.message_selection.fixed_m
+        if fixed_m is not None and fixed_m > message_count:
+            raise ConfigError(f"fixed_m={fixed_m} exceeds message count {message_count}")
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "ExperimentConfig":
@@ -172,18 +148,16 @@ class ExperimentConfig:
                 _fields(chan, "thermal channel", ("type", "eta", "n_s"), ("n_th",))
                 if "n_s" in obj:
                     raise ConfigError("n_s belongs inside the thermal channel object")
-                thermal = ThermalWiretapParams(
+                channel = ThermalWiretapParams(
                     eta=_config_float(chan["eta"], "eta"),
                     n_th=_config_float(chan.get("n_th", 0.0), "n_th"),
-                    n_s=_config_float(chan["n_s"], "n_s"),
                 )
-                channel, n_s = as_affine(thermal), thermal.n_s
+                n_s = _config_float(chan["n_s"], "n_s")
             elif ctype == "affine":
                 _fields(chan, "affine channel", ("type", "noise"), ("gain",))
                 if "n_s" not in obj:
                     raise ConfigError("affine channel configs require a top-level n_s")
                 noise = _fields(chan["noise"], "noise", ("family", "variance"), ("mean",))
-                thermal = None
                 channel = AffineChannel(
                     gain=_config_float(chan.get("gain", 1.0), "gain"),
                     noise=NoiseModel(
@@ -210,17 +184,16 @@ class ExperimentConfig:
             trials=_config_int(obj["trials"], "trials"),
             root_seed=_config_int(obj.get("root_seed", 0), "root_seed"),
             message_selection=_selection_from_config(obj.get("message_selection", "uniform-random")),
-            thermal=thermal,
         )
 
     def to_dict(self) -> dict:
         """Round-trippable config echo, embedded in every report."""
-        if self.thermal is not None:
+        if isinstance(self.channel, ThermalWiretapParams):
             chan = {
                 "type": "thermal",
-                "eta": self.thermal.eta,
-                "n_th": self.thermal.n_th,
-                "n_s": self.thermal.n_s,
+                "eta": self.channel.eta,
+                "n_th": self.channel.n_th,
+                "n_s": self.n_s,
             }
             out = {"channel": chan}
         else:
@@ -312,18 +285,17 @@ def _messages(cfg: ExperimentConfig, start: int, stop: int, message_count: int) 
         return np.minimum(1 + (u * message_count).astype(np.int64), message_count)
     if sel.policy == "round-robin":
         return 1 + np.arange(start, stop, dtype=np.int64) % message_count
-    if sel.fixed_m > message_count:
-        raise ConfigError(f"fixed_m={sel.fixed_m} exceeds message count {message_count}")
     return np.full(stop - start, sel.fixed_m, dtype=np.int64)
 
 
-def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int, record: bool = False) -> dict:
+def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
     """Vectorized execution of trials [start, stop); every simulation path runs through here.
 
     Every arithmetic expression mirrors the scalar protocol path
     (``protocol.run_protocol`` on ``TrialLanes``) exactly, so the two produce
-    bit-identical results (asserted in the test suite). With ``record`` the
-    full per-round x, noise and y and the tap output w0 are returned too.
+    bit-identical results (asserted in the test suite). Returns the messages,
+    decisions and decoder statistics, and the per-round x and raw y (rounds
+    0..n) of every trial.
     """
     count = stop - start
     n = cfg.n
@@ -352,44 +324,41 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int, record: bool =
         x[:, i] = x_i
         y[:, i] = y_i
     theta_n = y0_reduced - nhat
-    out = {"m": m, "m_hat": codebook.decode_value(theta_n), "theta_m": theta_m, "theta_n": theta_n}
-    if record:
-        tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, trials, 1)[:, 0]
-        out.update(
-            x=x.copy(),
-            noise=y / gain - x,
-            y=y,
-            w0=y[:, 0] + math.sqrt(cfg.tap.variance) * ndtri(tap_u),
-        )
-    out["x2"] = np.multiply(x, x, out=x)
-    out["y_rounds"] = y[:, 1:]
-    return out
+    m_hat = codebook.decode_value(theta_n)
+    return {"m": m, "m_hat": m_hat, "theta_m": theta_m, "theta_n": theta_n, "x": x, "y": y}
 
 
-def _transcripts(out: dict) -> List[Transcript]:
+def _transcripts(cfg: ExperimentConfig, start: int, stop: int) -> List[Transcript]:
+    """Full transcripts of trials [start, stop), with the tap output w0."""
+    out = _simulate_chunk(cfg, start, stop)
+    x, y = out["x"], out["y"]
+    noise = y / cfg.channel.gain - x
+    tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, np.arange(start, stop), 1)[:, 0]
+    w0 = y[:, 0] + math.sqrt(cfg.tap.variance) * ndtri(tap_u)
     return [
         Transcript(
             m=int(out["m"][j]),
             m_hat=int(out["m_hat"][j]),
             theta_m=float(out["theta_m"][j]),
             theta_n=float(out["theta_n"][j]),
-            w0=float(out["w0"][j]),
-            x=out["x"][j],
-            noise=out["noise"][j],
-            y=out["y"][j],
+            w0=float(w0[j]),
+            x=x[j],
+            noise=noise[j],
+            y=y[j],
         )
-        for j in range(len(out["m"]))
+        for j in range(stop - start)
     ]
 
 
 def _chunk_moments(cfg: ExperimentConfig, start: int, stop: int) -> "_Moments":
     """Trials [start, stop) reduced to their sums; the chunk's arrays are dropped here."""
     out = _simulate_chunk(cfg, start, stop)
+    x = out["x"]
     return _Moments.of(
         int(np.count_nonzero(out["m"] != out["m_hat"])),
         cfg.channel.gain * (out["theta_n"] - out["theta_m"]),
-        out["x2"],
-        out["y_rounds"],
+        np.multiply(x, x, out=x),
+        out["y"][:, 1:],
     )
 
 
@@ -642,8 +611,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
         bound, kind = chebyshev_error_bound(gain, bq), "chebyshev"
 
     leak = None
-    if cfg.thermal is not None:
-        leak = leakage_budget(cfg.thermal.eta, cfg.thermal.n_th, cfg.n_s, var_noise, cfg.tap.variance, n)
+    if isinstance(cfg.channel, ThermalWiretapParams):
+        leak = leakage_budget(cfg.channel.eta, cfg.channel.n_th, cfg.n_s, var_noise, cfg.tap.variance, n)
 
     if trials > 1:
         power_se = np.sqrt(stats.power_m2 / (trials - 1)) / math.sqrt(trials)
@@ -673,13 +642,13 @@ def collect_transcripts(cfg: ExperimentConfig, limit: int = 10_000) -> List[Tran
     """Full transcripts of the first min(trials, limit) trials.
 
     ``run_experiment`` keeps only each chunk's sums; this re-executes the
-    leading trials through the batch computation, chunk by chunk, with
-    recording on, so the transcripts match the report's trials bit for bit.
+    leading trials through the batch computation, chunk by chunk, keeping
+    every round, so the transcripts match the report's trials bit for bit.
     """
     count = min(cfg.trials, limit)
     transcripts: List[Transcript] = []
     for start in range(0, count, CHUNK_TRIALS):
-        transcripts += _transcripts(_simulate_chunk(cfg, start, min(start + CHUNK_TRIALS, count), record=True))
+        transcripts += _transcripts(cfg, start, min(start + CHUNK_TRIALS, count))
     return transcripts
 
 
@@ -816,12 +785,13 @@ def report_flat_row(report: ExperimentReport) -> dict:
     """Scalar report fields flattened for one CSV sweep row."""
     cfg = report.config
     sigma2 = cfg.channel.noise.variance
+    thermal = cfg.channel if isinstance(cfg.channel, ThermalWiretapParams) else None
     row = {
         "n": cfg.n,
         "rate": cfg.rate,
         "n_s": cfg.n_s,
-        "eta": cfg.thermal.eta if cfg.thermal else math.nan,
-        "n_th": cfg.thermal.n_th if cfg.thermal else math.nan,
+        "eta": thermal.eta if thermal else math.nan,
+        "n_th": thermal.n_th if thermal else math.nan,
         "trials": cfg.trials,
         "sigma2": sigma2,
         "p_h": awgn_capacity(cfg.n_s, sigma2),

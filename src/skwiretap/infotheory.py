@@ -140,11 +140,9 @@ def rate_squeezed_homodyne(eta: float, n_s: float) -> float:
     """
     _require(0 < eta < 1, "eta", eta, "(0, 1); eta=1 has no squeezing gain expression")
     _require(n_s > 0, "n_s", n_s, "> 0")
-    f = (
-        eta
-        * (math.sqrt(1.0 + (2.0 * (1.0 - eta) / eta) * ((1.0 + eta) / (2.0 * eta) + 2.0 * n_s)) - 1.0)
-        / (1.0 - eta)
-    )
+    # eta (sqrt(1 + (2(1-eta)/eta)((1+eta)/(2 eta) + 2 n_s)) - 1)/(1 - eta), simplified so
+    # that no intermediate overflows for tiny eta
+    f = (math.sqrt(1.0 + 4.0 * n_s * eta * (1.0 - eta)) - eta) / (1.0 - eta)
     num = 4.0 * n_s + 2.0 - f + 1.0 / f
     den = (1.0 - eta) / eta + 1.0 / f
     return 0.5 * math.log1p(num / den) / _LN2

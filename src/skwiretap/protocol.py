@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .channels import AffineChannel, EveTap, TrialLanes, eve_tap_transmit, forward_transmit
+from .channels import AffineChannel, EveTap, ThermalWiretapParams, TrialLanes, eve_tap_transmit, forward_transmit
 
 __all__ = [
     "ProtocolOrderError",
@@ -24,6 +24,7 @@ __all__ = [
     "AliceState",
     "BobState",
     "Transcript",
+    "codebook_bits",
     "make_codebook",
     "make_schedule",
     "alice_round",
@@ -78,6 +79,15 @@ class Codebook:
         return clipped.astype(np.int64)
 
 
+def codebook_bits(n: int, rate: float) -> int:
+    """Bits of the message index, ceil(n rate) but at least 1; the realized rate is bits / n."""
+    exact = n * rate
+    nearest = round(exact)
+    # snap binary dust (e.g. 0.07 * 300 = 21.000000000000004) before the ceiling
+    bits = nearest if abs(exact - nearest) <= 1e-9 * max(1.0, abs(exact)) else math.ceil(exact)
+    return max(bits, 1)
+
+
 def make_codebook(n: int, rate: float, n_s: float) -> Codebook:
     """Build the codebook for blocklength n and nominal rate (bits/round).
 
@@ -90,11 +100,7 @@ def make_codebook(n: int, rate: float, n_s: float) -> Codebook:
         raise ValueError(f"rate={rate!r} must be > 0")
     if n_s <= 0:
         raise ValueError(f"n_s={n_s!r} must be > 0")
-    exact = n * rate
-    nearest = round(exact)
-    # snap binary dust (e.g. 0.07 * 300 = 21.000000000000004) before the ceiling
-    bits = nearest if abs(exact - nearest) <= 1e-9 * max(1.0, abs(exact)) else math.ceil(exact)
-    bits = max(bits, 1)
+    bits = codebook_bits(n, rate)
     if bits > _MAX_CODEBOOK_BITS:
         raise ValueError(
             f"codebook would need 2^{bits} messages (n*rate too large; limit 2^{_MAX_CODEBOOK_BITS})"
@@ -303,7 +309,7 @@ def run_protocol(
     m: int,
     codebook: Codebook,
     schedule: SkSchedule,
-    channel: AffineChannel,
+    channel: Union[AffineChannel, ThermalWiretapParams],
     tap: Optional[EveTap],
     lanes: TrialLanes,
 ) -> Transcript:

@@ -17,7 +17,6 @@ from skwiretap.channels import (
     RngLane,
     ThermalWiretapParams,
     TrialLanes,
-    as_affine,
     eve_tap_transmit,
     forward_transmit,
     lane_uniforms,
@@ -25,6 +24,7 @@ from skwiretap.channels import (
     philox_raw,
     sample_noise,
 )
+from skwiretap.harness import ExperimentConfig, _simulate_chunk
 
 SEED = 314159
 
@@ -58,10 +58,14 @@ class TestTypes:
             AffineChannel(0.0, NoiseModel("gaussian", 1.0))
 
     def test_thermal_params(self):
-        p = ThermalWiretapParams(eta=0.5, n_th=1.0, n_s=3.0)
+        p = ThermalWiretapParams(eta=0.5, n_th=1.0)
         assert p.sigma2 == 1.0
         with pytest.raises(ValueError, match="eta"):
-            ThermalWiretapParams(eta=0.0, n_th=0.0, n_s=1.0)
+            ThermalWiretapParams(eta=0.0, n_th=0.0)
+        with pytest.raises(ValueError, match="n_th"):
+            ThermalWiretapParams(eta=0.5, n_th=-1.0)
+        with pytest.raises(ValueError, match="variance=inf must be finite and > 0"):
+            ThermalWiretapParams(eta=1e-320, n_th=0.0)  # sigma2 = 1/(4 eta) overflows
 
     def test_tap_rejects_noiseless(self):
         with pytest.raises(ValueError, match="variance"):
@@ -70,10 +74,22 @@ class TestTypes:
     @pytest.mark.parametrize(
         "eta,n_th,var", [(1.0, 0.0, 0.25), (0.5, 1.0, 1.0), (0.25, 0.0, 1.0)]
     )
-    def test_as_affine(self, eta, n_th, var):
-        channel = as_affine(ThermalWiretapParams(eta=eta, n_th=n_th, n_s=2.0))
-        assert channel.gain == 1.0
-        assert channel.noise == NoiseModel("gaussian", var, 0.0)
+    def test_thermal_runs_as_its_induced_affine_channel(self, eta, n_th, var):
+        thermal = ThermalWiretapParams(eta=eta, n_th=n_th)
+        assert thermal.gain == 1.0
+        assert thermal.noise == NoiseModel("gaussian", var, 0.0)
+        affine = AffineChannel(1.0, NoiseModel("gaussian", thermal.sigma2))
+        thermal_run, affine_run = (
+            _simulate_chunk(
+                ExperimentConfig(channel=ch, n_s=2.0, tap=EveTap(1.0), n=5, rate=0.5, trials=300, root_seed=SEED),
+                0,
+                300,
+            )
+            for ch in (thermal, affine)
+        )
+        assert thermal_run.keys() == affine_run.keys()
+        for key, value in thermal_run.items():
+            assert np.array_equal(value, affine_run[key]), key
 
 
 class TestRngLanes:
@@ -252,11 +268,10 @@ class TestForwardTransmit:
 
     def test_induced_channel_moments(self):
         # fixed input through the induced channel: mean x, variance sigma2
-        thermal = ThermalWiretapParams(eta=0.5, n_th=1.0, n_s=3.0)
-        channel = as_affine(thermal)
+        channel = ThermalWiretapParams(eta=0.5, n_th=1.0)
         x = 1.25
         draws = x + noise_from_uniforms(channel.noise, _lane_u(10**5, trial=3))
-        sigma2 = thermal.sigma2
+        sigma2 = channel.sigma2
         assert abs(draws.mean() - x) <= 5 * math.sqrt(sigma2 / 10**5)
         assert abs(draws.var(ddof=1) - sigma2) <= 5 * sigma2 * math.sqrt(2.0 / 10**5)
 

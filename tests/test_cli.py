@@ -100,6 +100,17 @@ class TestRates:
         result = json.loads(capsys.readouterr().out)
         assert result["p_sq"] == pytest.approx(2.963925668952594, abs=1e-12)
 
+    def test_rate_beyond_the_codebook_limit(self, capsys):
+        # 2^100 messages are too many to build, but realized_rate needs only the bit count
+        assert run_cli("rates", "--eta", 0.5, "--n-s", 100, "--n", 1000, "--rate", 0.1, "--format", "json") == 0
+        assert json.loads(capsys.readouterr().out)["realized_rate"] == 0.1
+
+    @pytest.mark.parametrize("flags", [("--eta", 1e-300), ("--eta", 1e-320, "--sigma2", 1)])
+    def test_squeezed_rate_at_tiny_eta(self, flags, capsys):
+        assert run_cli("rates", *flags, "--n-s", 3, "--n", 10, "--rate", 0.5, "--format", "json") == 0
+        result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert math.isfinite(result["p_sq"])
+
     def test_domain_error_exit_code(self, capsys):
         assert run_cli("rates", "--eta", 0.5, "--n-s", 0, "--n", 4, "--rate", 0.5) == 1
         assert "n_s" in capsys.readouterr().err

@@ -15,9 +15,10 @@ from skwiretap.harness import CHUNK_TRIALS, ExperimentConfig, MessageSelection, 
 GOLDEN = {
     # thermal channel, message drawn from the message lane
     "thermal_uniform_random": (
-        lambda: ExperimentConfig.from_thermal(
-            ThermalWiretapParams(eta=0.5, n_th=1.0, n_s=3.0),
-            EveTap(1.0),
+        lambda: ExperimentConfig(
+            channel=ThermalWiretapParams(eta=0.5, n_th=1.0),
+            n_s=3.0,
+            tap=EveTap(1.0),
             n=6,
             rate=0.5,
             trials=3000,
@@ -56,9 +57,10 @@ GOLDEN = {
     ),
     # 40 feedback rounds over four chunks: pins the merge of the co-moment matrix
     "thermal_wide_round_robin": (
-        lambda: ExperimentConfig.from_thermal(
-            ThermalWiretapParams(eta=0.5, n_th=1.0, n_s=3.0),
-            EveTap(1.0),
+        lambda: ExperimentConfig(
+            channel=ThermalWiretapParams(eta=0.5, n_th=1.0),
+            n_s=3.0,
+            tap=EveTap(1.0),
             n=40,
             rate=0.5,
             trials=3 * CHUNK_TRIALS + 11,

@@ -47,9 +47,7 @@ THERMAL_CFG_DICT = {
 def _thermal_cfg(**overrides) -> ExperimentConfig:
     kwargs = dict(n=4, rate=0.5, trials=2000, root_seed=SEED)
     kwargs.update(overrides)
-    return ExperimentConfig.from_thermal(
-        ThermalWiretapParams(eta=0.5, n_th=1.0, n_s=3.0), EveTap(1.0), **kwargs
-    )
+    return ExperimentConfig(channel=ThermalWiretapParams(eta=0.5, n_th=1.0), n_s=3.0, tap=EveTap(1.0), **kwargs)
 
 
 def _affine_cfg(family="two-point", gain=1.0, **overrides) -> ExperimentConfig:
@@ -68,7 +66,7 @@ def _high_seed_cfg() -> ExperimentConfig:
 class TestConfig:
     def test_from_dict_thermal(self):
         cfg = ExperimentConfig.from_dict(THERMAL_CFG_DICT)
-        assert cfg.thermal is not None and cfg.thermal.sigma2 == 1.0
+        assert cfg.channel == ThermalWiretapParams(0.5, 1.0) and cfg.channel.sigma2 == 1.0
         assert cfg.channel.noise.family == "gaussian"
         assert cfg.n_s == 3.0
 
@@ -82,7 +80,7 @@ class TestConfig:
             "trials": 10,
         }
         cfg = ExperimentConfig.from_dict(obj)
-        assert cfg.thermal is None and cfg.channel.gain == 2.0
+        assert isinstance(cfg.channel, AffineChannel) and cfg.channel.gain == 2.0
         assert cfg.channel.noise.mean == 0.0  # the default when "mean" is absent
         assert cfg.root_seed == 0 and cfg.message_selection.policy == "uniform-random"
 
@@ -103,6 +101,10 @@ class TestConfig:
             lambda d: d.update(message_selection={"type": "fixed"}),
             lambda d: d["channel"].update(type="bosonic"),
             lambda d: d.pop("rate"),
+            # the codebook is validated when the config is built, not inside a chunk
+            lambda d: d.update(message_selection={"type": "fixed", "m": 1000}),
+            lambda d: d.update(n=100),  # 2^50 messages
+            lambda d: d.update(n=10**400),  # n * rate beyond double range
         ],
     )
     def test_strict_rejection(self, mutate):
@@ -150,16 +152,10 @@ class TestConfig:
         with pytest.raises(ConfigError):
             _thermal_cfg(rate=0.0)
 
-    def test_thermal_must_induce_the_channel(self):
-        # otherwise the report echoes and budgets the thermal channel while the
-        # trials run on another, and the config does not round-trip
-        with pytest.raises(ConfigError, match="thermal parameters induce"):
-            ExperimentConfig(
-                channel=AffineChannel(2.0, NoiseModel("uniform", 1.0)), n_s=3.0, tap=EveTap(1.0),
-                n=4, rate=0.5, trials=500, thermal=ThermalWiretapParams(0.5, 1.0, 3.0),
-            )
-        with pytest.raises(ConfigError, match="thermal parameters induce"):
-            dataclasses.replace(_thermal_cfg(), channel=AffineChannel(1.0, NoiseModel("gaussian", 2.0)))
+    def test_config_holds_the_channel_once(self):
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert fields == ["channel", "n_s", "tap", "n", "rate", "trials", "root_seed", "message_selection"]
+        assert [f.name for f in dataclasses.fields(ThermalWiretapParams)] == ["eta", "n_th"]
 
     def test_non_integer_counts_rejected(self):
         for field, value in (("n", 4.7), ("trials", "2000"), ("root_seed", True)):
@@ -173,9 +169,9 @@ class TestConfig:
         assert ExperimentConfig.from_dict(obj).n == 4
 
 
-def _one_trial(cfg: ExperimentConfig, trial: int, record: bool = False) -> dict:
+def _one_trial(cfg: ExperimentConfig, trial: int) -> dict:
     """The batch kernel on the one-trial slice [trial, trial + 1)."""
-    return _simulate_chunk(cfg, trial, trial + 1, record=record)
+    return _simulate_chunk(cfg, trial, trial + 1)
 
 
 class TestOneTrialSlice:
@@ -187,10 +183,8 @@ class TestOneTrialSlice:
             assert out["m_hat"][0] == out["m"][0]
 
     def test_fixed_message_out_of_range(self):
-        cfg = _thermal_cfg()
-        cfg = dataclasses.replace(cfg, message_selection=MessageSelection.fixed(1000))
         with pytest.raises(ConfigError, match="fixed_m"):
-            _one_trial(cfg, 0)
+            dataclasses.replace(_thermal_cfg(), message_selection=MessageSelection.fixed(1000))
 
 
 class TestBatchEqualsScalar:
@@ -200,7 +194,8 @@ class TestBatchEqualsScalar:
         tail = _simulate_chunk(cfg, 150, 300)
         for key in ("m", "m_hat", "theta_m", "theta_n"):
             assert np.array_equal(full[key][150:], tail[key])
-        assert np.array_equal(full["x2"][150:], tail["x2"])
+        for key in ("x", "y"):
+            assert np.array_equal(full[key][150:], tail[key])
 
     @pytest.mark.parametrize("factory", [_thermal_cfg, lambda: _affine_cfg("uniform", 2.0), _high_seed_cfg])
     def test_scalar_path_bitwise(self, factory):
@@ -216,12 +211,11 @@ class TestBatchEqualsScalar:
             assert out["m_hat"][trial] == oracle.m_hat
             assert out["theta_m"][trial] == oracle.theta_m
             assert out["theta_n"][trial] == oracle.theta_n
-            assert np.array_equal(out["x2"][trial], oracle.x * oracle.x)
-            assert np.array_equal(out["y_rounds"][trial], oracle.y[1:])
+            assert np.array_equal(out["x"][trial], oracle.x)
+            assert np.array_equal(out["y"][trial], oracle.y)
 
-            one = _one_trial(cfg, trial, record=True)
-            assert np.array_equal(one["x2"][0], oracle.x * oracle.x)
-            (t,) = _transcripts(one)
+            assert np.array_equal(_one_trial(cfg, trial)["x"][0], oracle.x)
+            (t,) = _transcripts(cfg, trial, trial + 1)
             for field in dataclasses.fields(t):
                 assert np.array_equal(getattr(t, field.name), getattr(oracle, field.name)), field.name
 
@@ -245,8 +239,8 @@ class TestBatchEqualsScalar:
         assert len(transcripts) == CHUNK_TRIALS + 2
         for j, t in enumerate(transcripts[CHUNK_TRIALS - 1 :]):
             assert (t.m, t.m_hat, t.theta_n) == (out["m"][j], out["m_hat"][j], out["theta_n"][j])
-            assert np.array_equal(t.x * t.x, out["x2"][j])
-            assert np.array_equal(t.y[1:], out["y_rounds"][j])
+            assert np.array_equal(t.x, out["x"][j])
+            assert np.array_equal(t.y, out["y"][j])
 
     @pytest.mark.parametrize("selection", [MessageSelection.round_robin(), MessageSelection.fixed(2)])
     def test_selection_policies_agree(self, selection):

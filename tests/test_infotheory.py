@@ -117,6 +117,10 @@ class TestSqueezedRate:
             0.5 * math.log2(1 + 1.6), abs=1e-11
         )
 
+    def test_tiny_eta_limit(self):
+        # the internal gain tends to 1 as eta -> 0, leaving (4 n_s + 2) eta / (2 ln 2)
+        assert rate_squeezed_homodyne(1e-300, 3.0) == pytest.approx(14e-300 / (2 * math.log(2)), rel=1e-12)
+
     def test_eta_domain(self):
         with pytest.raises(ValueError, match="eta="):
             rate_squeezed_homodyne(1.0, 1.0)

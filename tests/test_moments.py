@@ -72,7 +72,7 @@ def _array_report(cfg: ExperimentConfig, report):
     scipy.stats over them.
     """
     out = _simulate_chunk(cfg, 0, cfg.trials)
-    x2, y_rounds, trials = out["x2"], out["y_rounds"], cfg.trials
+    x2, y_rounds, trials = np.square(out["x"]), out["y"][:, 1:], cfg.trials
     theta_dev = cfg.channel.gain * (out["theta_n"] - out["theta_m"])
     errors = int(np.count_nonzero(out["m"] != out["m_hat"]))
     corr = np.corrcoef(y_rounds.T)
@@ -128,7 +128,7 @@ def test_fold_matches_array_statistics(name):
 def test_offset_stress_defeats_the_naive_comoment():
     # the stress config is a real one: the textbook one-pass co-moment misses the 1e-9 bound
     cfg = ORACLE_CONFIGS["gaussian_mean_1e4"]()
-    y = _simulate_chunk(cfg, 0, cfg.trials)["y_rounds"]
+    y = _simulate_chunk(cfg, 0, cfg.trials)["y"][:, 1:]
     mean = y.mean(axis=0)
     naive = np.einsum("ij,ik->jk", y, y) - len(y) * np.outer(mean, mean)
     std = np.sqrt(np.diagonal(naive))
@@ -168,8 +168,8 @@ def test_merge_equals_one_pass(sizes, offset, seed):
 
 
 def _thermal(trials: int, n: int = 3, **kwargs) -> ExperimentConfig:
-    return ExperimentConfig.from_thermal(
-        ThermalWiretapParams(eta=0.5, n_th=1.0, n_s=3.0), EveTap(1.0), n=n, rate=0.5, trials=trials,
+    return ExperimentConfig(
+        channel=ThermalWiretapParams(eta=0.5, n_th=1.0), n_s=3.0, tap=EveTap(1.0), n=n, rate=0.5, trials=trials,
         root_seed=424242, **kwargs,
     )
 

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes, as_affine
+from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes
 from skwiretap.infotheory import awgn_capacity, induced_sigma2
 from skwiretap.protocol import (
     AliceState,
@@ -251,8 +251,7 @@ class TestMmseOracle:
 
 
 def _gaussian_setup(n=6, rate=0.5, n_s=3.0, trial=0):
-    thermal = ThermalWiretapParams(eta=0.5, n_th=1.0, n_s=n_s)
-    channel = as_affine(thermal)
+    channel = ThermalWiretapParams(eta=0.5, n_th=1.0)
     cb = make_codebook(n, rate, n_s)
     sched = make_schedule(n, n_s, channel.noise.variance, channel.gain)
     return cb, sched, channel, EveTap(1.0), TrialLanes(SEED, trial)
