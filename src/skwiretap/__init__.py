@@ -6,17 +6,7 @@ error, and privacy-leakage bounds that go with it, and a reproducible Monte
 Carlo harness that checks the simulation against every analytic prediction.
 """
 
-from .channels import (
-    AffineChannel,
-    EveTap,
-    NoiseModel,
-    RngLane,
-    ThermalWiretapParams,
-    TrialLanes,
-    eve_tap_transmit,
-    forward_transmit,
-    sample_noise,
-)
+from .channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams
 from .harness import (
     ConfigError,
     Diagnostics,
@@ -45,20 +35,14 @@ from .infotheory import (
     tetration_order,
 )
 from .protocol import (
-    AliceState,
     BobState,
     Codebook,
-    ProtocolOrderError,
     SkSchedule,
     Transcript,
-    alice_finish,
-    alice_round,
     bob_round,
-    decode,
     make_codebook,
     make_schedule,
     mmse_oracle,
-    run_protocol,
 )
 
 __version__ = "1.0.0"

@@ -87,7 +87,7 @@ def criterion_variance_identity() -> CriterionResult:
     for eta in (0.1, 0.3, 0.5, 0.8, 1.0):
         for n_th in (0.0, 0.5, 2.0):
             for n_s in (0.5, 3.0, 10.0):
-                sigma2 = ThermalWiretapParams(eta=eta, n_th=n_th).sigma2
+                sigma2 = ThermalWiretapParams(eta=eta, n_th=n_th).noise.variance
                 p_h = awgn_capacity(n_s, sigma2)
                 for n in (1, 10, 50):
                     sched = make_schedule(n, n_s, sigma2)

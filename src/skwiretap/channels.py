@@ -86,7 +86,9 @@ class ThermalWiretapParams:
 
     Coherent encoding and homodyne detection rescaled by 1/sqrt(eta) make it
     the affine channel of unit ``gain`` and zero-mean Gaussian ``noise`` of
-    variance ``sigma2``; it exposes those two attributes like ``AffineChannel``.
+    variance ``induced_sigma2(eta, n_th)``; it exposes those two attributes
+    like ``AffineChannel``. Its dataclass fields are exactly ``eta`` and
+    ``n_th``, so ``asdict`` gives the config echo of the channel.
     """
 
     eta: float
@@ -101,10 +103,6 @@ class ThermalWiretapParams:
             raise ValueError(f"n_th={self.n_th!r} must be >= 0")
         # built once; it also rejects an eta whose sigma2 overflows
         object.__setattr__(self, "noise", NoiseModel("gaussian", induced_sigma2(self.eta, self.n_th), 0.0))
-
-    @property
-    def sigma2(self) -> float:
-        return self.noise.variance
 
 
 @dataclass(frozen=True)

@@ -65,6 +65,9 @@ REPORT_SCHEMA_VERSION = 2
 # or float reductions would.
 CHUNK_TRIALS = 8192
 
+# trials that collect_transcripts (and so --dump-transcripts) records
+TRANSCRIPT_LIMIT = 10_000
+
 _SELECTION_POLICIES = ("uniform-random", "round-robin", "fixed")
 
 
@@ -87,18 +90,6 @@ class MessageSelection:
         if self.fixed_m is not None and self.fixed_m < 1:
             raise ConfigError(f"fixed_m={self.fixed_m} must be >= 1")
 
-    @classmethod
-    def uniform_random(cls) -> "MessageSelection":
-        return cls("uniform-random")
-
-    @classmethod
-    def round_robin(cls) -> "MessageSelection":
-        return cls("round-robin")
-
-    @classmethod
-    def fixed(cls, m: int) -> "MessageSelection":
-        return cls("fixed", fixed_m=m)
-
 
 @dataclass(frozen=True)
 class ExperimentConfig:
@@ -115,22 +106,17 @@ class ExperimentConfig:
     rate: float
     trials: int
     root_seed: int = 0
-    message_selection: MessageSelection = MessageSelection.uniform_random()
+    message_selection: MessageSelection = MessageSelection("uniform-random")
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise ConfigError(f"n={self.n} must be >= 1")
-        if self.rate <= 0:
-            raise ConfigError(f"rate={self.rate!r} must be > 0")
         if self.trials < 1:
             raise ConfigError(f"trials={self.trials} must be >= 1")
-        if self.n_s <= 0:
-            raise ConfigError(f"n_s={self.n_s!r} must be > 0")
         if not 0 <= self.root_seed < 1 << 64:
             raise ConfigError(f"root_seed={self.root_seed} must be a 64-bit unsigned integer")
         try:
+            # make_codebook range-checks n, rate and n_s, and rejects too many bits
             message_count = self.codebook().message_count
-        except (ValueError, OverflowError) as exc:  # too many bits, or n*rate beyond double range
+        except (ValueError, OverflowError) as exc:  # OverflowError: n*rate beyond double range
             raise ConfigError(str(exc)) from exc
         fixed_m = self.message_selection.fixed_m
         if fixed_m is not None and fixed_m > message_count:
@@ -189,28 +175,13 @@ class ExperimentConfig:
     def to_dict(self) -> dict:
         """Round-trippable config echo, embedded in every report."""
         if isinstance(self.channel, ThermalWiretapParams):
-            chan = {
-                "type": "thermal",
-                "eta": self.channel.eta,
-                "n_th": self.channel.n_th,
-                "n_s": self.n_s,
-            }
-            out = {"channel": chan}
+            out = {"channel": {"type": "thermal", **asdict(self.channel), "n_s": self.n_s}}
         else:
-            chan = {
-                "type": "affine",
-                "gain": self.channel.gain,
-                "noise": {
-                    "family": self.channel.noise.family,
-                    "variance": self.channel.noise.variance,
-                    "mean": self.channel.noise.mean,
-                },
-            }
-            out = {"channel": chan, "n_s": self.n_s}
+            out = {"channel": {"type": "affine", **asdict(self.channel)}, "n_s": self.n_s}
         sel = self.message_selection
         out.update(
             {
-                "tap": {"variance": self.tap.variance},
+                "tap": asdict(self.tap),
                 "n": self.n,
                 "rate": self.rate,
                 "trials": self.trials,
@@ -270,7 +241,7 @@ def _selection_from_config(obj) -> MessageSelection:
     _fields(obj, "message_selection", ("type", "m"))
     if obj["type"] != "fixed":
         raise ConfigError("message_selection object form is only for {'type': 'fixed', 'm': <int>}")
-    return MessageSelection.fixed(_config_int(obj["m"], "m"))
+    return MessageSelection("fixed", _config_int(obj["m"], "m"))
 
 
 # ---------------------------------------------------------------------------
@@ -566,12 +537,7 @@ class ExperimentReport:
                     for i in range(len(self.power_mean))
                 ],
             },
-            "diagnostics": {
-                "max_abs_offdiag_corr": self.diag.max_abs_offdiag_corr,
-                "theta_skewness": self.diag.theta_skewness,
-                "theta_excess_kurtosis": self.diag.theta_excess_kurtosis,
-                "null_reasons": dict(self.diag.null_reasons),
-            },
+            "diagnostics": asdict(self.diag),
         }
 
     def to_json(self) -> str:
@@ -638,14 +604,14 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     )
 
 
-def collect_transcripts(cfg: ExperimentConfig, limit: int = 10_000) -> List[Transcript]:
-    """Full transcripts of the first min(trials, limit) trials.
+def collect_transcripts(cfg: ExperimentConfig) -> List[Transcript]:
+    """Full transcripts of the first min(trials, TRANSCRIPT_LIMIT) trials.
 
     ``run_experiment`` keeps only each chunk's sums; this re-executes the
     leading trials through the batch computation, chunk by chunk, keeping
     every round, so the transcripts match the report's trials bit for bit.
     """
-    count = min(cfg.trials, limit)
+    count = min(cfg.trials, TRANSCRIPT_LIMIT)
     transcripts: List[Transcript] = []
     for start in range(0, count, CHUNK_TRIALS):
         transcripts += _transcripts(cfg, start, min(start + CHUNK_TRIALS, count))

@@ -144,8 +144,8 @@ def rate_squeezed_homodyne(eta: float, n_s: float) -> float:
     # that no intermediate overflows for tiny eta
     f = (math.sqrt(1.0 + 4.0 * n_s * eta * (1.0 - eta)) - eta) / (1.0 - eta)
     num = 4.0 * n_s + 2.0 - f + 1.0 / f
-    den = (1.0 - eta) / eta + 1.0 / f
-    return 0.5 * math.log1p(num / den) / _LN2
+    # num / ((1 - eta)/eta + 1/f), multiplied through by eta so that no term overflows
+    return 0.5 * math.log1p(num * eta / ((1.0 - eta) + eta / f)) / _LN2
 
 
 def _pow2(x: float) -> float:

@@ -66,17 +66,14 @@ class Codebook:
             m = np.arange(1, self.message_count + 1)
         return self.amplitude_bound * (2 * m - 1 - self.message_count) / self.message_count
 
-    def decode_value(self, theta) -> "int | np.ndarray":
-        """Nearest midpoint index for a scalar or array of decoder statistics.
+    def decode_value(self, theta) -> np.ndarray:
+        """Nearest midpoint indices (int64) of a scalar or array of decoder statistics.
 
         Exact ties fall to the smaller index; values beyond the amplitude
         bound clamp to the boundary midpoints.
         """
         cells = np.ceil((theta + self.amplitude_bound) * self.message_count / (2.0 * self.amplitude_bound))
-        clipped = np.clip(cells, 1, self.message_count)
-        if np.ndim(theta) == 0:
-            return int(clipped)
-        return clipped.astype(np.int64)
+        return np.clip(cells, 1, self.message_count).astype(np.int64)
 
 
 def codebook_bits(n: int, rate: float) -> int:
@@ -320,8 +317,6 @@ def run_protocol(
     analytically). The protocol spends n + 1 channel uses in total.
     """
     n = schedule.blocklength
-    if not 1 <= m <= codebook.message_count:
-        raise ValueError(f"message m={m} outside [1, {codebook.message_count}]")
     gain = channel.gain
     mean = channel.noise.mean
     forward = lanes.forward

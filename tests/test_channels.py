@@ -59,7 +59,7 @@ class TestTypes:
 
     def test_thermal_params(self):
         p = ThermalWiretapParams(eta=0.5, n_th=1.0)
-        assert p.sigma2 == 1.0
+        assert p.noise.variance == 1.0
         with pytest.raises(ValueError, match="eta"):
             ThermalWiretapParams(eta=0.0, n_th=0.0)
         with pytest.raises(ValueError, match="n_th"):
@@ -78,7 +78,7 @@ class TestTypes:
         thermal = ThermalWiretapParams(eta=eta, n_th=n_th)
         assert thermal.gain == 1.0
         assert thermal.noise == NoiseModel("gaussian", var, 0.0)
-        affine = AffineChannel(1.0, NoiseModel("gaussian", thermal.sigma2))
+        affine = AffineChannel(1.0, NoiseModel("gaussian", thermal.noise.variance))
         thermal_run, affine_run = (
             _simulate_chunk(
                 ExperimentConfig(channel=ch, n_s=2.0, tap=EveTap(1.0), n=5, rate=0.5, trials=300, root_seed=SEED),
@@ -271,7 +271,7 @@ class TestForwardTransmit:
         channel = ThermalWiretapParams(eta=0.5, n_th=1.0)
         x = 1.25
         draws = x + noise_from_uniforms(channel.noise, _lane_u(10**5, trial=3))
-        sigma2 = channel.sigma2
+        sigma2 = channel.noise.variance
         assert abs(draws.mean() - x) <= 5 * math.sqrt(sigma2 / 10**5)
         assert abs(draws.var(ddof=1) - sigma2) <= 5 * sigma2 * math.sqrt(2.0 / 10**5)
 

@@ -2,10 +2,11 @@
 and no stale export.
 
 The scalar protocol machinery stays an independent oracle for the batch
-kernel; the production modules must not call it. The benchmark's tracer
-(``perfbench/layers.py``) swaps package attributes for timing wrappers, so a
-refactor that drops one of those names breaks the traced run. A deletion that
-leaves its name in a module's ``__all__`` breaks ``from module import *``.
+kernel; the production modules must not call it, nor the package root
+re-export it. The benchmark's tracer (``perfbench/layers.py``) swaps package
+attributes for timing wrappers, so a refactor that drops one of those names
+breaks the traced run. A deletion that leaves its name in a module's
+``__all__`` breaks ``from module import *``.
 """
 
 import ast
@@ -21,7 +22,7 @@ from skwiretap.harness import ExperimentConfig, ExperimentReport
 
 REPO = Path(__file__).resolve().parents[1]
 
-PRODUCTION_MODULES = ("harness", "cli", "acceptance")
+PRODUCTION_MODULES = ("__init__", "harness", "cli", "acceptance")
 
 ORACLE_NAMES = frozenset(
     {

@@ -23,7 +23,7 @@ GOLDEN = {
             rate=0.5,
             trials=3000,
             root_seed=161803,
-            message_selection=MessageSelection.uniform_random(),
+            message_selection=MessageSelection("uniform-random"),
         ),
         "5d0710772814bfb3fb12a88a31a93a266bb0823f12801240e5919253df89cac1",
     ),
@@ -37,7 +37,7 @@ GOLDEN = {
             rate=0.6,
             trials=2 * CHUNK_TRIALS + 77,
             root_seed=271828,
-            message_selection=MessageSelection.uniform_random(),
+            message_selection=MessageSelection("uniform-random"),
         ),
         "03afd1cbdd14b8a4fcfc7df65643053aabf1168d6541842f8dfa0a17786a34e7",
     ),
@@ -51,7 +51,7 @@ GOLDEN = {
             rate=0.5,
             trials=2000,
             root_seed=2**63 + 12345,
-            message_selection=MessageSelection.uniform_random(),
+            message_selection=MessageSelection("uniform-random"),
         ),
         "7cbe26d6e872a4745693695c5c35fae054549bc1cc5b4a1026225a1d63cb980b",
     ),
@@ -65,7 +65,7 @@ GOLDEN = {
             rate=0.5,
             trials=3 * CHUNK_TRIALS + 11,
             root_seed=314159,
-            message_selection=MessageSelection.round_robin(),
+            message_selection=MessageSelection("round-robin"),
         ),
         "42066357091a6a43c1514f6af90c41dcdfb3b26be7ce6c6a4b523aa9bd958026",
     ),

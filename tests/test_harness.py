@@ -16,6 +16,7 @@ from skwiretap import harness
 from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes
 from skwiretap.harness import (
     CHUNK_TRIALS,
+    TRANSCRIPT_LIMIT,
     ConfigError,
     ExperimentConfig,
     MessageSelection,
@@ -66,7 +67,7 @@ def _high_seed_cfg() -> ExperimentConfig:
 class TestConfig:
     def test_from_dict_thermal(self):
         cfg = ExperimentConfig.from_dict(THERMAL_CFG_DICT)
-        assert cfg.channel == ThermalWiretapParams(0.5, 1.0) and cfg.channel.sigma2 == 1.0
+        assert cfg.channel == ThermalWiretapParams(0.5, 1.0) and cfg.channel.noise.variance == 1.0
         assert cfg.channel.noise.family == "gaussian"
         assert cfg.n_s == 3.0
 
@@ -88,8 +89,44 @@ class TestConfig:
         noise = NoiseModel("two-point", 2.0, -0.5)
         shifted = dataclasses.replace(_affine_cfg(), channel=AffineChannel(1.0, noise))
         assert shifted.to_dict()["channel"]["noise"] == {"family": "two-point", "variance": 2.0, "mean": -0.5}
-        for cfg in (_thermal_cfg(), _affine_cfg(gain=2.0), shifted):
+        round_robin = _thermal_cfg(message_selection=MessageSelection("round-robin"))
+        fixed = _affine_cfg(gain=2.0, message_selection=MessageSelection("fixed", 3))
+        for cfg in (_thermal_cfg(), _affine_cfg(gain=2.0), shifted, round_robin, fixed):
             assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
+
+    @pytest.mark.parametrize(
+        "cfg,echo",
+        [
+            (
+                _thermal_cfg(),
+                '{"channel": {"type": "thermal", "eta": 0.5, "n_th": 1.0, "n_s": 3.0}, "tap": {"variance": 1.0}, '
+                '"n": 4, "rate": 0.5, "trials": 2000, "root_seed": 161803, "message_selection": "uniform-random"}',
+            ),
+            (
+                ExperimentConfig(
+                    channel=AffineChannel(2.0, NoiseModel("uniform", 1.5, -0.25)),
+                    n_s=3.0,
+                    tap=EveTap(0.5),
+                    n=3,
+                    rate=0.4,
+                    trials=10,
+                    message_selection=MessageSelection("round-robin"),
+                ),
+                '{"channel": {"type": "affine", "gain": 2.0, "noise": {"family": "uniform", "variance": 1.5, '
+                '"mean": -0.25}}, "n_s": 3.0, "tap": {"variance": 0.5}, "n": 3, "rate": 0.4, "trials": 10, '
+                '"root_seed": 0, "message_selection": "round-robin"}',
+            ),
+            (
+                _affine_cfg(message_selection=MessageSelection("fixed", 3)),
+                '{"channel": {"type": "affine", "gain": 1.0, "noise": {"family": "two-point", "variance": 1.0, '
+                '"mean": 0.0}}, "n_s": 3.0, "tap": {"variance": 1.0}, "n": 4, "rate": 0.5, "trials": 2000, '
+                '"root_seed": 161803, "message_selection": {"type": "fixed", "m": 3}}',
+            ),
+        ],
+    )
+    def test_config_echo_pinned(self, cfg, echo):
+        # key order included: the echo is part of every report's bytes
+        assert json.dumps(cfg.to_dict()) == echo
 
     @pytest.mark.parametrize(
         "mutate",
@@ -138,11 +175,11 @@ class TestConfig:
             ExperimentConfig.from_dict(obj)
 
     def test_message_selection_forms(self):
-        assert MessageSelection.fixed(3).fixed_m == 3
+        assert MessageSelection("fixed", 3).fixed_m == 3
         with pytest.raises(ConfigError):
             MessageSelection("fixed")
         obj = dict(THERMAL_CFG_DICT, message_selection={"type": "fixed", "m": 2})
-        assert ExperimentConfig.from_dict(obj).message_selection == MessageSelection.fixed(2)
+        assert ExperimentConfig.from_dict(obj).message_selection == MessageSelection("fixed", 2)
 
     def test_domain_checks(self):
         with pytest.raises(ConfigError):
@@ -155,6 +192,7 @@ class TestConfig:
     def test_config_holds_the_channel_once(self):
         fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
         assert fields == ["channel", "n_s", "tap", "n", "rate", "trials", "root_seed", "message_selection"]
+        # the config echo is asdict(channel): gain and noise must stay out of the dataclass fields
         assert [f.name for f in dataclasses.fields(ThermalWiretapParams)] == ["eta", "n_th"]
 
     def test_non_integer_counts_rejected(self):
@@ -184,7 +222,7 @@ class TestOneTrialSlice:
 
     def test_fixed_message_out_of_range(self):
         with pytest.raises(ConfigError, match="fixed_m"):
-            dataclasses.replace(_thermal_cfg(), message_selection=MessageSelection.fixed(1000))
+            dataclasses.replace(_thermal_cfg(), message_selection=MessageSelection("fixed", 1000))
 
 
 class TestBatchEqualsScalar:
@@ -233,8 +271,8 @@ class TestBatchEqualsScalar:
 
     def test_transcripts_match_chunk(self):
         # collect_transcripts crosses a chunk boundary and keeps trial order
-        cfg = _affine_cfg("shifted-exponential", 0.5, trials=CHUNK_TRIALS + 3, n=2)
-        transcripts = collect_transcripts(cfg, limit=CHUNK_TRIALS + 2)
+        cfg = _affine_cfg("shifted-exponential", 0.5, trials=CHUNK_TRIALS + 2, n=2)
+        transcripts = collect_transcripts(cfg)
         out = _simulate_chunk(cfg, CHUNK_TRIALS - 1, CHUNK_TRIALS + 2)
         assert len(transcripts) == CHUNK_TRIALS + 2
         for j, t in enumerate(transcripts[CHUNK_TRIALS - 1 :]):
@@ -242,7 +280,11 @@ class TestBatchEqualsScalar:
             assert np.array_equal(t.x, out["x"][j])
             assert np.array_equal(t.y, out["y"][j])
 
-    @pytest.mark.parametrize("selection", [MessageSelection.round_robin(), MessageSelection.fixed(2)])
+    def test_transcripts_stop_at_the_limit(self):
+        cfg = _thermal_cfg(trials=TRANSCRIPT_LIMIT + 1, n=1)
+        assert TRANSCRIPT_LIMIT == 10_000 and len(collect_transcripts(cfg)) == TRANSCRIPT_LIMIT
+
+    @pytest.mark.parametrize("selection", [MessageSelection("round-robin"), MessageSelection("fixed", 2)])
     def test_selection_policies_agree(self, selection):
         cfg = dataclasses.replace(_thermal_cfg(trials=64), message_selection=selection)
         out = _simulate_chunk(cfg, 0, 64)
@@ -324,7 +366,7 @@ class TestRunExperiment:
 
     def test_round_robin_covers_codebook(self):
         cfg = dataclasses.replace(
-            _thermal_cfg(trials=64, n=2, rate=1.0), message_selection=MessageSelection.round_robin()
+            _thermal_cfg(trials=64, n=2, rate=1.0), message_selection=MessageSelection("round-robin")
         )
         out = _simulate_chunk(cfg, 0, 64)  # M = 2^(2*1) = 4 messages, cycled
         assert set(out["m"]) == {1, 2, 3, 4}
@@ -411,9 +453,9 @@ class TestReportSerialization:
         assert not math.isnan(row["leakage_per_mode_bits"])
 
     def test_transcript_csv_shape(self):
-        cfg = _thermal_cfg(trials=5, n=2)
+        cfg = _thermal_cfg(trials=3, n=2)
         buffer = io.StringIO()
-        write_transcripts_csv(collect_transcripts(cfg, limit=3), buffer)
+        write_transcripts_csv(collect_transcripts(cfg), buffer)
         lines = buffer.getvalue().strip().splitlines()
         assert lines[0] == "trial,i,x,n,y"
         assert len(lines) == 1 + 3 * 4  # header + 3 trials x (3 rounds + final)

@@ -119,7 +119,15 @@ class TestSqueezedRate:
 
     def test_tiny_eta_limit(self):
         # the internal gain tends to 1 as eta -> 0, leaving (4 n_s + 2) eta / (2 ln 2)
-        assert rate_squeezed_homodyne(1e-300, 3.0) == pytest.approx(14e-300 / (2 * math.log(2)), rel=1e-12)
+        # abs=0: approx's default absolute tolerance of 1e-12 would accept 0.0 here
+        expected = 14e-300 / (2 * math.log(2))
+        assert rate_squeezed_homodyne(1e-300, 3.0) == pytest.approx(expected, rel=1e-12, abs=0.0)
+
+    def test_subnormal_eta(self):
+        # (1 - eta)/eta overflows below eta ~ 1e-308; the rate is still a representable subnormal
+        eta = 1e-310
+        expected = 14 * eta / (2 * math.log(2))
+        assert rate_squeezed_homodyne(eta, 3.0) == pytest.approx(expected, rel=1e-9, abs=0.0)
 
     def test_eta_domain(self):
         with pytest.raises(ValueError, match="eta="):

@@ -185,7 +185,7 @@ def test_bytes_identical_across_workers_and_chunk_boundaries(trials):
 
 
 def _peak_traced_bytes(trials: int) -> int:
-    cfg = _thermal(trials, n=20, message_selection=MessageSelection.round_robin())
+    cfg = _thermal(trials, n=20, message_selection=MessageSelection("round-robin"))
     tracemalloc.start()
     try:
         run_experiment(cfg, threads=1)
