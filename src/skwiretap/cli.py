@@ -29,6 +29,7 @@ from .harness import (
     compare_bounds,
     report_flat_row,
     run_experiment,
+    shutdown_pool,
     write_transcripts_csv,
 )
 from .infotheory import (
@@ -416,6 +417,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        # join the workers here, not at exit, so the command's own
+        # RUSAGE_CHILDREN figures count them
+        shutdown_pool()
 
 
 if __name__ == "__main__":

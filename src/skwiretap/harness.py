@@ -51,6 +51,7 @@ __all__ = [
     "VerdictRow",
     "VerdictTable",
     "run_experiment",
+    "shutdown_pool",
     "collect_transcripts",
     "write_transcripts_csv",
     "wilson_interval",
@@ -544,6 +545,29 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2)
 
 
+# One pool serves every pooled run of a command: verify makes nine 2-worker
+# runs, and forking the workers costs more than some of those runs. A new
+# worker count replaces the pool, so two pools are never alive at once.
+_pool: Optional[ProcessPoolExecutor] = None
+_pool_workers = 0
+
+
+def _worker_pool(workers: int) -> ProcessPoolExecutor:
+    global _pool, _pool_workers
+    if _pool is None or _pool_workers != workers:
+        shutdown_pool()
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+    return _pool
+
+
+def shutdown_pool() -> None:
+    """Join the worker pool, if one is open; the next pooled run forks a new one."""
+    global _pool
+    pool, _pool = _pool, None
+    if pool is not None:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     """Run all trials and aggregate.
 
@@ -558,8 +582,12 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     # a worker beyond the chunk count would be forked and never fed
     spans = [(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
     if threads > 1 and len(spans) > 1:
-        with ProcessPoolExecutor(max_workers=min(threads, len(spans))) as pool:
+        pool = _worker_pool(min(threads, len(spans)))
+        try:
             stats = _fold(pool.map(_chunk_moments, repeat(cfg), *zip(*spans)))
+        except BaseException:
+            shutdown_pool()  # a pool that failed once is never reused
+            raise
     else:
         stats = _fold(_chunk_moments(cfg, start, stop) for start, stop in spans)
 

@@ -8,9 +8,9 @@ natural logs appear only inside the exponentials of tail bounds.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
-
-from scipy.optimize import bisect
+from typing import Callable
 
 __all__ = [
     "BoundQuery",
@@ -33,6 +33,7 @@ __all__ = [
 
 _LN2 = math.log(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
+_EPS = sys.float_info.epsilon
 
 
 class BoundNotActiveError(ValueError):
@@ -218,7 +219,33 @@ def phi_inverse(rate: float, n_s: float, sigma2: float) -> float:
     _require(0 < rate <= p_h, "rate", rate, f"(0, P_H] with P_H={p_h!r}")
     if rate == p_h:
         return 1.0
-    return float(bisect(lambda nu: phi(nu, n_s, sigma2) - rate, 1e-300, 1.0, xtol=1e-12))
+    return _bisect(lambda nu: phi(nu, n_s, sigma2) - rate, 1e-300, 1.0, xtol=1e-12)
+
+
+def _bisect(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
+    """A root of f in [xa, xb], step for step as ``scipy.optimize.bisect``.
+
+    The same loop as scipy's, with its default rtol (4 eps) and 100-step
+    limit, so it returns the same float; importing ``scipy.optimize`` for it
+    would cost every command about a quarter of a second.
+    """
+    fa, fb = f(xa), f(xb)
+    if fa * fb > 0:
+        raise ValueError("f(a) and f(b) must have different signs")
+    if fa == 0:
+        return xa
+    if fb == 0:
+        return xb
+    dm = xb - xa
+    for _ in range(100):
+        dm *= 0.5
+        xm = xa + dm
+        fm = f(xm)
+        if fm * fa >= 0:
+            xa = xm
+        if fm == 0 or abs(dm) < xtol + 4 * _EPS * abs(xm):
+            return xm
+    raise RuntimeError(f"bisection failed to converge after 100 iterations, value is {xa}")
 
 
 def tetration_order(b: BoundQuery) -> int:

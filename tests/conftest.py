@@ -1,4 +1,9 @@
+import multiprocessing
+
+import pytest
 from hypothesis import HealthCheck, settings
+
+from skwiretap import harness
 
 settings.register_profile(
     "suite",
@@ -8,3 +13,25 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture(autouse=True)
+def _pool_closes_with_its_test():
+    # workers fork on first use, so a pool kept past its test would run the
+    # next test's chunks under the monkeypatches of the one that forked it
+    yield
+    harness.shutdown_pool()
+
+
+@pytest.fixture()
+def forked_pools(monkeypatch):
+    """(max_workers, live child processes) for each pool ``harness`` creates."""
+    pools = []
+
+    class RecordingPool(harness.ProcessPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append((max_workers, len(multiprocessing.active_children())))
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
+    return pools

@@ -156,3 +156,9 @@ def test_chebyshev_criterion_is_stricter_than_its_row():
     reports = _perturbed("uniform_cheb", lambda r: {"error_rate": between})
     assert _row(reports["uniform_cheb"], "error_rate_vs_bound").passed
     assert not acceptance.criterion_non_gaussian(reports).passed
+
+
+def test_shared_reports_fork_one_pool(forked_pools):
+    # past the cache, so all nine 2-worker runs happen
+    reports = acceptance.shared_reports.__wrapped__(threads=2)
+    assert len(reports) == 9 and forked_pools == [(2, 0)]

@@ -5,6 +5,7 @@ import csv
 import io
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -18,7 +19,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skwiretap import cli
-from skwiretap.harness import ConfigError, ExperimentConfig, VerdictRow, VerdictTable
+from skwiretap.harness import CHUNK_TRIALS, ConfigError, ExperimentConfig, VerdictRow, VerdictTable
 
 THERMAL_CFG = {
     "channel": {"type": "thermal", "eta": 0.5, "n_th": 1.0, "n_s": 3.0},
@@ -65,6 +66,14 @@ def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
 
+def _loaded_by_cli_import(module: str) -> bool:
+    """Whether ``import skwiretap.cli`` in a fresh interpreter loads ``module``."""
+    code = f"import sys, skwiretap.cli; print({module!r} in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    return done.stdout.strip() == "True"
+
+
 def _reject_constant(name):
     raise ValueError(f"non-finite constant {name} in JSON output")
 
@@ -91,9 +100,9 @@ class TestRates:
         )
         result = json.loads(capsys.readouterr().out)
         assert result["sigma2"] == 0.25
-        assert result["p_h"] == pytest.approx(0.5 * math.log2(13), rel=1e-14)
+        assert result["p_h"] == pytest.approx(0.5 * math.log2(13), rel=1e-14, abs=0.0)
         assert result["p_sq"] is None and "eta < 1" in result["p_sq_note"]
-        assert result["effective_rate"] == pytest.approx(10 / 11 * 0.5, rel=1e-14)
+        assert result["effective_rate"] == pytest.approx(10 / 11 * 0.5, rel=1e-14, abs=0.0)
 
     def test_squeezed_rate_present_for_lossy_channel(self, capsys):
         run_cli("rates", "--eta", 0.9, "--n-th", 0, "--n-s", 5, "--n", 4, "--rate", 0.5, "--format", "json")
@@ -125,7 +134,7 @@ class TestRates:
         run_cli("rates", "--config", path, "--n-s", 8, "--format", "json")
         result = json.loads(capsys.readouterr().out)
         assert result["inputs"]["n_s"] == 8.0
-        assert result["p_h"] == pytest.approx(0.5 * math.log2(9), rel=1e-14)
+        assert result["p_h"] == pytest.approx(0.5 * math.log2(9), rel=1e-14, abs=0.0)
 
     def test_unknown_config_field(self, tmp_path):
         path = tmp_path / "phys.json"
@@ -141,8 +150,8 @@ class TestBounds:
         )
         result = json.loads(capsys.readouterr().out)
         assert result["sk_bound"] == 0.0  # underflows; exponent still reported
-        assert result["sk_bound_log10"] == pytest.approx(-667.174, rel=1e-4)
-        assert result["chebyshev_bound"] == pytest.approx(2.0**-10 / 3.0, rel=1e-12)
+        assert result["sk_bound_log10"] == pytest.approx(-667.174, rel=1e-4, abs=0.0)
+        assert result["chebyshev_bound"] == pytest.approx(2.0**-10 / 3.0, rel=1e-12, abs=0.0)
         assert result["tetration"]["order"] == 0
         assert result["leakage"]["per_mode_bits"] > 0
 
@@ -451,6 +460,19 @@ class TestSimulate:
         assert {"max_feedback_corr", "theta_skewness", "theta_excess_kurtosis"} <= failed
 
 
+    def test_workers_joined_before_main_returns(self, tmp_path, forked_pools, capsys):
+        # RUSAGE_CHILDREN only counts workers that were joined
+        path = tmp_path / "two_chunks.json"
+        path.write_text(json.dumps(dict(THERMAL_CFG, trials=CHUNK_TRIALS + 1)))
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out", "--threads", 2) == 0
+        assert multiprocessing.active_children() == []
+        blocked = tmp_path / "a_file"
+        blocked.write_text("")
+        assert run_cli("simulate", "--config", path, "--out", blocked, "--threads", 2) == cli.EXIT_IO
+        assert multiprocessing.active_children() == []
+        assert forked_pools == [(2, 0), (2, 0)]
+
+
 class TestSweep:
     def _write(self, tmp_path, sweep):
         obj = dict(THERMAL_CFG, trials=400, sweep=sweep)
@@ -528,10 +550,11 @@ class TestVerifyPlumbing:
 class TestPlumbing:
     def test_cli_import_leaves_scipy_stats_out(self):
         # scipy.stats costs about half a second of start-up and no command uses it
-        code = "import sys, skwiretap.cli; print('scipy.stats' in sys.modules)"
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
-        done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-        assert done.stdout.strip() == "False"
+        assert not _loaded_by_cli_import("scipy.stats")
+
+    def test_cli_import_leaves_scipy_optimize_out(self):
+        # a quarter second of start-up for one bisection, which infotheory does itself
+        assert not _loaded_by_cli_import("scipy.optimize")
 
     def test_usage_error_is_config_exit(self, capsys):
         assert run_cli("rates", "--format", "yaml") == 1

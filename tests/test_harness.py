@@ -4,6 +4,7 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 from pathlib import Path
 
 import jsonschema
@@ -308,26 +309,52 @@ class TestRunExperiment:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
 
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
 
+            def shutdown(self, cancel_futures=False):
+                pass
+
         cfg = _thermal_cfg(trials=CHUNK_TRIALS + 1, n=2)
         serial = run_experiment(cfg).to_json()
+        assert harness._pool is None
         monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
         assert run_experiment(cfg, threads=5000).to_json() == serial
         assert sizes == [2]
+
+    def test_one_pool_at_a_time(self, forked_pools):
+        # 3 chunks, so each run gets exactly the workers it asks for
+        cfg = _thermal_cfg(trials=2 * CHUNK_TRIALS + 1, n=2)
+        serial = run_experiment(cfg).to_json()
+        for workers in (2, 2, 3, 2):
+            assert run_experiment(cfg, threads=workers).to_json() == serial
+            assert len(multiprocessing.active_children()) == workers
+        # the same count reuses the pool; a new count joins the old workers before it forks
+        assert forked_pools == [(2, 0), (3, 0), (2, 0)]
+
+    def test_failed_pool_is_dropped(self, monkeypatch):
+        closed = []
+
+        class FailingPool:
+            def __init__(self, max_workers):
+                pass
+
+            def map(self, fn, *iterables):
+                raise RuntimeError("worker died")
+
+            def shutdown(self, cancel_futures=False):
+                closed.append(cancel_futures)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", FailingPool)
+        with pytest.raises(RuntimeError, match="worker died"):
+            run_experiment(_thermal_cfg(trials=CHUNK_TRIALS + 1, n=2), threads=2)
+        assert harness._pool is None and closed == [True]
 
     def test_reference_report_values(self):
         report = run_experiment(_thermal_cfg(trials=30_000, n=6))
         assert report.error_count == 0  # bound is astronomically small here
         assert report.realized_rate == 0.5
-        assert report.effective_rate == pytest.approx(6 / 7 * 0.5, rel=1e-15)
+        assert report.effective_rate == pytest.approx(6 / 7 * 0.5, rel=1e-15, abs=0.0)
         assert report.leakage is not None
         expected = leakage_budget(0.5, 1.0, 3.0, 1.0, 1.0, 6)
         assert report.leakage.per_mode_bits == expected.per_mode_bits
@@ -338,14 +365,14 @@ class TestRunExperiment:
         # n=4: the decoder statistic concentrates at variance 2^-8 around theta(m)
         cfg = _thermal_cfg(n=4, rate=0.95, trials=20_000)
         report = run_experiment(cfg)
-        assert report.predicted_var_theta == pytest.approx(2.0**-8, rel=1e-12)
+        assert report.predicted_var_theta == pytest.approx(2.0**-8, rel=1e-12, abs=0.0)
         assert report.empirical_var_theta / report.predicted_var_theta == pytest.approx(1.0, abs=0.1)
 
     def test_leakage_scales_with_blocklength(self):
         r4 = run_experiment(_thermal_cfg(trials=10, n=4))
         r9 = run_experiment(_thermal_cfg(trials=10, n=9))
         assert r4.leakage.total_bits == r9.leakage.total_bits
-        assert r4.leakage.per_mode_bits * 5 == pytest.approx(r9.leakage.per_mode_bits * 10, rel=1e-12)
+        assert r4.leakage.per_mode_bits * 5 == pytest.approx(r9.leakage.per_mode_bits * 10, rel=1e-12, abs=0.0)
 
     def test_affine_config_has_no_leakage(self):
         report = run_experiment(_affine_cfg(trials=50))

@@ -9,12 +9,15 @@ import math
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
+from skwiretap.acceptance import ROOT_SEED
 from skwiretap.infotheory import (
     BoundNotActiveError,
     BoundQuery,
+    _bisect,
     awgn_capacity,
     chebyshev_error_bound,
     g_entropy,
@@ -74,7 +77,7 @@ class TestInducedSigma2:
         [(1.0, 0.0, 0.25), (0.5, 1.0, 1.0), (0.1, 2.0, 11.5), (0.25, 0.0, 1.0)],
     )
     def test_values(self, eta, n_th, expected):
-        assert induced_sigma2(eta, n_th) == pytest.approx(expected, rel=1e-15)
+        assert induced_sigma2(eta, n_th) == pytest.approx(expected, rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("eta", [0.0, -0.1, 1.5])
     def test_eta_domain(self, eta):
@@ -96,12 +99,13 @@ class TestCoherentRate:
         assert awgn_capacity(10.0, induced_sigma2(1.0, 0.0)) == pytest.approx(2.678776002309042, abs=1e-13)
 
     def test_equals_capacity_of_induced_channel(self):
-        # (1/2) log2(1 + 4 eta n_s / (1 + 2 (1 - eta) n_th)); n_th = 0 gives the paper's (1/2) log2(1 + 4 eta n_s)
+        # (1/2) log2(1 + 4 eta n_s / (1 + 2 (1 - eta) n_th)); n_th = 0 gives the paper's (1/2) log2(1 + 4 eta n_s).
+        # log1p, not log2(1 + x): rounding 1 + x costs up to 1.4e-14 relative at capacity 0.0045
         for eta in (0.1, 0.4, 0.7, 1.0):
             for n_th in (0.0, 0.5, 3.0):
                 for n_s in (0.1, 2.0, 20.0):
-                    closed = 0.5 * math.log2(1.0 + 4.0 * eta * n_s / (1.0 + 2.0 * (1.0 - eta) * n_th))
-                    assert awgn_capacity(n_s, induced_sigma2(eta, n_th)) == pytest.approx(closed, rel=1e-14)
+                    closed = 0.5 * math.log1p(4.0 * eta * n_s / (1.0 + 2.0 * (1.0 - eta) * n_th)) / math.log(2.0)
+                    assert awgn_capacity(n_s, induced_sigma2(eta, n_th)) == pytest.approx(closed, rel=1e-14, abs=0.0)
 
 
 class TestSqueezedRate:
@@ -146,7 +150,7 @@ class TestSkErrorBound:
     def test_deep_regime_underflows(self):
         b = BoundQuery(n_s=3.0, sigma2=1.0, n=10, rate=0.5)
         assert sk_error_bound(b) < 1e-300
-        assert sk_error_bound_log10(b) == pytest.approx(-667.174, rel=1e-4)
+        assert sk_error_bound_log10(b) == pytest.approx(-667.174, rel=1e-4, abs=0.0)
 
     def test_rate_at_capacity(self):
         b = BoundQuery(n_s=3.0, sigma2=1.0, n=7, rate=1.0)
@@ -178,15 +182,15 @@ class TestSkErrorBound:
 class TestChebyshevBound:
     def test_reference_point(self):
         b = BoundQuery(n_s=3.0, sigma2=1.0, n=5, rate=0.5)
-        assert chebyshev_error_bound(1.0, b) == pytest.approx(2.0**-5 / 3.0, rel=1e-14)
+        assert chebyshev_error_bound(1.0, b) == pytest.approx(2.0**-5 / 3.0, rel=1e-14, abs=0.0)
 
     def test_gain_scaling(self):
         b = BoundQuery(n_s=3.0, sigma2=1.0, n=5, rate=0.5)
-        assert chebyshev_error_bound(2.0, b) == pytest.approx(4.0 * chebyshev_error_bound(1.0, b), rel=1e-14)
+        assert chebyshev_error_bound(2.0, b) == pytest.approx(4.0 * chebyshev_error_bound(1.0, b), rel=1e-14, abs=0.0)
 
     def test_deeper_blocklength(self):
         b = BoundQuery(n_s=3.0, sigma2=1.0, n=10, rate=0.5)
-        assert chebyshev_error_bound(1.0, b) == pytest.approx(2.0**-10 / 3.0, rel=1e-14)
+        assert chebyshev_error_bound(1.0, b) == pytest.approx(2.0**-10 / 3.0, rel=1e-14, abs=0.0)
 
     def test_nonincreasing_below_capacity(self):
         values = [
@@ -227,7 +231,7 @@ class TestPhi:
         values = [phi(nu, 1.0, 1e-300) for nu in (1e-300, 1e-10, 0.5, 1.0)]
         assert all(b > a for a, b in zip(values, values[1:]))
         assert values[-1] == awgn_capacity(1.0, 1e-300)
-        assert phi(phi_inverse(100.0, 1.0, 1e-300), 1.0, 1e-300) == pytest.approx(100.0, rel=1e-11)
+        assert phi(phi_inverse(100.0, 1.0, 1e-300), 1.0, 1e-300) == pytest.approx(100.0, rel=1e-11, abs=0.0)
 
 
 class TestPhiInverse:
@@ -250,6 +254,25 @@ class TestPhiInverse:
         for rate in (0.0, -0.1, p_h * 1.0001):
             with pytest.raises(ValueError, match="rate="):
                 phi_inverse(rate, 3.0, 1.0)
+
+    def test_same_float_as_scipy_bisect(self):
+        # the criterion-9 draws, the sigma2 = 1e-300 case, and a grid that ends at rate == P_H
+        rng = np.random.default_rng(ROOT_SEED + 9)
+        points = [(float(rng.uniform(0.01, 0.999) * awgn_capacity(3.0, 1.0)), 3.0, 1.0) for _ in range(100)]
+        points.append((100.0, 1.0, 1e-300))
+        for n_s in (1e-3, 0.1, 3.0, 1e3):
+            for sigma2 in (1e-300, 1e-12, 0.25, 1.0, 50.0):
+                p_h = awgn_capacity(n_s, sigma2)
+                points += [(frac * p_h, n_s, sigma2) for frac in (1e-9, 0.01, 0.3, 0.5, 0.999, 1.0 - 1e-12, 1.0)]
+        for rate, n_s, sigma2 in points:
+            oracle = scipy.optimize.bisect(lambda nu: phi(nu, n_s, sigma2) - rate, 1e-300, 1.0, xtol=1e-12)
+            assert phi_inverse(rate, n_s, sigma2) == oracle, (rate, n_s, sigma2)
+
+    def test_bisection_end_checks_match_scipy(self):
+        for f, a, b in ((lambda x: x, 0.0, 1.0), (lambda x: x - 1.0, 0.0, 1.0), (lambda x: x * x - 2.0, 0.0, 2.0)):
+            assert _bisect(f, a, b, xtol=1e-12) == scipy.optimize.bisect(f, a, b, xtol=1e-12)
+        with pytest.raises(ValueError, match="different signs"):
+            _bisect(lambda x: x + 1.0, 0.0, 1.0, xtol=1e-12)
 
 
 class TestTetration:
@@ -282,12 +305,12 @@ class TestTetration:
         b2 = tetration_error_bound(BoundQuery(n_s=3.0, sigma2=1.0, n=self._n_with_order(2), rate=0.5))
         assert b2.value == pytest.approx(0.06598803584531254, abs=1e-16)
         b3 = tetration_error_bound(BoundQuery(n_s=3.0, sigma2=1.0, n=self._n_with_order(3), rate=0.5))
-        assert b3.value == pytest.approx(2.6217273894613532e-07, rel=1e-12)
+        assert b3.value == pytest.approx(2.6217273894613532e-07, rel=1e-12, abs=0.0)
 
     def test_underflow_marker(self):
         b4 = tetration_error_bound(BoundQuery(n_s=3.0, sigma2=1.0, n=self._n_with_order(4), rate=0.5))
         assert b4.underflow and b4.value == 0.0 and b4.order == 4
-        assert b4.log10_value == pytest.approx(-1656520.3676, rel=1e-8)
+        assert b4.log10_value == pytest.approx(-1656520.3676, rel=1e-8, abs=0.0)
 
     def test_not_active_error(self):
         with pytest.raises(BoundNotActiveError):
@@ -316,7 +339,7 @@ class TestLeakageBudget:
         totals = {b.total_bits for b in budgets}
         assert len(totals) == 1
         for n, b in zip((1, 9, 99, 999), budgets):
-            assert b.per_mode_bits * (n + 1) == pytest.approx(b.total_bits, rel=1e-12)
+            assert b.per_mode_bits * (n + 1) == pytest.approx(b.total_bits, rel=1e-12, abs=0.0)
 
 
 class TestQueryValidation:

@@ -40,7 +40,7 @@ class TestCodebook:
     def test_ceiling_rule(self):
         cb = make_codebook(3, 0.5, 1.0)
         assert cb.message_count == 4
-        assert cb.realized_rate == pytest.approx(2.0 / 3.0, rel=1e-15)
+        assert cb.realized_rate == pytest.approx(2.0 / 3.0, rel=1e-15, abs=0.0)
 
     def test_binary_dust_snap(self):
         # 0.07 * 300 = 21.000000000000004 must not double the codebook
@@ -62,7 +62,7 @@ class TestCodebook:
         assert np.all(mids > -amp) and np.all(mids < amp)
         gaps = np.diff(mids)
         assert np.allclose(gaps, 2 * amp / cb.message_count, rtol=1e-12)
-        assert cb.half_gap == pytest.approx(amp / cb.message_count, rel=1e-15)
+        assert cb.half_gap == pytest.approx(amp / cb.message_count, rel=1e-15, abs=0.0)
 
     def test_decode_nearest(self):
         cb = make_codebook(2, 1.0, 1.0)
@@ -89,11 +89,11 @@ class TestCodebook:
 class TestSchedule:
     def test_first_round_gain(self):
         sched = make_schedule(3, 3.0, 1.0)
-        assert sched.gamma[1] == pytest.approx(math.sqrt(3.0), rel=1e-15)
+        assert sched.gamma[1] == pytest.approx(math.sqrt(3.0), rel=1e-15, abs=0.0)
 
     def test_terminal_variance(self):
         sched = make_schedule(3, 3.0, 1.0)
-        assert sched.v[3] == pytest.approx(2.0**-6, rel=1e-13)
+        assert sched.v[3] == pytest.approx(2.0**-6, rel=1e-13, abs=0.0)
 
     def test_first_estimator_gain(self):
         sched = make_schedule(3, 3.0, 1.0)
@@ -103,9 +103,9 @@ class TestSchedule:
         sched = make_schedule(12, 2.5, 0.7)
         shrink = 0.7 / (2.5 + 0.7)
         for i in range(1, 13):
-            assert sched.v[i] == pytest.approx(sched.v[i - 1] * shrink, rel=1e-15)
-            assert sched.gamma[i] * math.sqrt(sched.v[i - 1]) == pytest.approx(math.sqrt(2.5), rel=1e-12)
-            assert sched.k_gain[i] == pytest.approx(sched.gamma[i] * sched.v[i - 1] / 3.2, rel=1e-14)
+            assert sched.v[i] == pytest.approx(sched.v[i - 1] * shrink, rel=1e-15, abs=0.0)
+            assert sched.gamma[i] * math.sqrt(sched.v[i - 1]) == pytest.approx(math.sqrt(2.5), rel=1e-12, abs=0.0)
+            assert sched.k_gain[i] == pytest.approx(sched.gamma[i] * sched.v[i - 1] / 3.2, rel=1e-14, abs=0.0)
 
     def test_terminal_variance_identity_on_grid(self):
         for eta in (0.1, 0.5, 1.0):
@@ -115,7 +115,7 @@ class TestSchedule:
                     p_h = awgn_capacity(n_s, sigma2)
                     for n in (1, 10, 50):
                         sched = make_schedule(n, n_s, sigma2)
-                        assert sched.v[n] == pytest.approx(sigma2 * 2.0 ** (-2 * n * p_h), rel=1e-12)
+                        assert sched.v[n] == pytest.approx(sigma2 * 2.0 ** (-2 * n * p_h), rel=1e-12, abs=0.0)
 
     def test_deep_schedule_survives_underflow(self):
         sched = make_schedule(600, 3.0, 1.0)
@@ -136,7 +136,7 @@ class TestRounds:
         sched = make_schedule(3, 3.0, 1.0)
         alice = AliceState(sched, first_round_noise=0.5)
         x1 = alice_round(alice, y_prev=123.0)  # round-0 feedback carries no update
-        assert x1 == pytest.approx(math.sqrt(3.0) * 0.5, rel=1e-15)
+        assert x1 == pytest.approx(math.sqrt(3.0) * 0.5, rel=1e-15, abs=0.0)
 
     def test_perfect_knowledge_transmits_nothing(self):
         sched = make_schedule(3, 3.0, 1.0)
@@ -208,7 +208,7 @@ class TestRounds:
 class TestMmseOracle:
     def test_single_observation_equals_recursion(self):
         sched = make_schedule(5, 3.0, 1.0)
-        assert mmse_oracle([2.0], sched) == pytest.approx(sched.k_gain[1] * 2.0, rel=1e-14)
+        assert mmse_oracle([2.0], sched) == pytest.approx(sched.k_gain[1] * 2.0, rel=1e-14, abs=0.0)
 
     def test_no_observations_returns_prior_mean(self):
         sched = make_schedule(5, 3.0, 1.0)
@@ -329,4 +329,4 @@ class TestRunProtocol:
         devs = np.array(devs)
         predicted = 2.0 ** (-2 * 6 * awgn_capacity(3.0, 1.0))
         assert abs(devs.mean()) <= 5 * math.sqrt(predicted / 4000)
-        assert devs.var(ddof=1) == pytest.approx(predicted, rel=0.25)
+        assert devs.var(ddof=1) == pytest.approx(predicted, rel=0.25, abs=0.0)
