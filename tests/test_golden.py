@@ -2,15 +2,24 @@
 
 A change that alters any simulated draw, reduction order or serialization
 detail changes these digests, so "byte-identical to before" is a test rather
-than a promise. The digests must be the same at every worker count.
+than a promise. The digests must be the same at every worker count. One
+``transcripts.csv`` is pinned the same way.
 """
 
 import hashlib
+import io
 
 import pytest
 
 from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams
-from skwiretap.harness import CHUNK_TRIALS, ExperimentConfig, MessageSelection, run_experiment
+from skwiretap.harness import (
+    CHUNK_TRIALS,
+    ExperimentConfig,
+    MessageSelection,
+    collect_transcripts,
+    run_experiment,
+    write_transcripts_csv,
+)
 
 GOLDEN = {
     # thermal channel, message drawn from the message lane
@@ -69,7 +78,48 @@ GOLDEN = {
         ),
         "42066357091a6a43c1514f6af90c41dcdfb3b26be7ce6c6a4b523aa9bd958026",
     ),
+    # one feedback round: every per-round sum reduces a single feedback column
+    "thermal_one_round_chunks": (
+        lambda: ExperimentConfig(
+            channel=ThermalWiretapParams(eta=0.7, n_th=0.5),
+            n_s=2.0,
+            tap=EveTap(1.0),
+            n=1,
+            rate=1.0,
+            trials=CHUNK_TRIALS + 301,
+            root_seed=577215,
+            message_selection=MessageSelection("uniform-random"),
+        ),
+        "6f720e7eed201d073c6c8db8f84d046fead46b0b73f798a1826d8ac9eddb7e70",
+    ),
+    # two feedback rounds, skewed noise with a nonzero mean: one co-moment pair
+    "affine_exponential_two_rounds": (
+        lambda: ExperimentConfig(
+            channel=AffineChannel(1.5, NoiseModel("shifted-exponential", 0.8, -0.3)),
+            n_s=3.0,
+            tap=EveTap(2.0),
+            n=2,
+            rate=0.5,
+            trials=2 * CHUNK_TRIALS + 9,
+            root_seed=141421,
+            message_selection=MessageSelection("round-robin"),
+        ),
+        "f884b5610e2335d1d1993f8bc6b8aad3c07981f88f13947dc568413d6a9d9a48",
+    ),
 }
+
+# every transcript row of a run that crosses a chunk boundary
+TRANSCRIPTS_CONFIG = ExperimentConfig(
+    channel=AffineChannel(0.8, NoiseModel("gaussian", 1.5, 0.4)),
+    n_s=3.0,
+    tap=EveTap(0.7),
+    n=3,
+    rate=0.5,
+    trials=CHUNK_TRIALS + 40,
+    root_seed=173205,
+    message_selection=MessageSelection("uniform-random"),
+)
+TRANSCRIPTS_DIGEST = "a843f699da3ccc09de9448cbd12e370f4515e8b2e33feb7e4c7e5c1829789aa9"
 
 
 @pytest.mark.parametrize("threads", [1, 2])
@@ -78,3 +128,9 @@ def test_report_bytes_pinned(name, threads):
     factory, digest = GOLDEN[name]
     report = run_experiment(factory(), threads=threads)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_transcripts_csv_bytes_pinned():
+    fh = io.StringIO()
+    write_transcripts_csv(collect_transcripts(TRANSCRIPTS_CONFIG), fh)
+    assert hashlib.sha256(fh.getvalue().encode()).hexdigest() == TRANSCRIPTS_DIGEST

@@ -75,7 +75,7 @@ def _array_report(cfg: ExperimentConfig, report):
     x2, y_rounds, trials = np.square(out["x"]), out["y"][:, 1:], cfg.trials
     theta_dev = cfg.channel.gain * (out["theta_n"] - out["theta_m"])
     errors = int(np.count_nonzero(out["m"] != out["m_hat"]))
-    corr = np.corrcoef(y_rounds.T)
+    corr = np.atleast_2d(np.corrcoef(y_rounds.T))  # a 1x1 matrix at n = 1
     return dataclasses.replace(
         report,
         error_count=errors,
