@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Optional, Tuple, Union
 
 import numpy as np
 from numpy.random import Philox
@@ -147,9 +147,9 @@ def _lane_key(root_seed: int, trial: int, role: int) -> np.ndarray:
     return np.array([root_seed, (role << _ROLE_SHIFT) | trial], dtype=np.uint64)
 
 
-def _raw_to_uniform(raw: np.ndarray) -> np.ndarray:
+def _raw_to_uniform(raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
     # Centered 53-bit mapping: strictly inside (0, 1), never exactly 1/2.
-    u = (raw >> np.uint64(11)) + 0.5
+    u = np.add(raw >> np.uint64(11), 0.5, out=out)
     u *= _U53_SCALE
     return u
 
@@ -235,11 +235,15 @@ def _mulhilo(m: int, a: np.ndarray) -> tuple:
     return hi, a * np.uint64(m)
 
 
-def _philox_blocks(k0: int, k1: np.ndarray, blocks: int) -> np.ndarray:
-    """Output words of counter blocks 1..blocks for keys (k0, k1[j]), one row per key."""
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[None, :]
+def _philox_blocks(k0: int, k1: np.ndarray, blocks: int) -> Tuple[np.ndarray, ...]:
+    """Output words 0..3 of counter blocks 1..blocks for keys (k0, k1[j]).
+
+    Word w is a (blocks, len(k1)) array: row b holds lane position 4 b + w of
+    every key.
+    """
+    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
     c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
-    k1 = k1[:, None]
+    k1 = k1[None, :]
     for r in range(_PHILOX_ROUNDS):
         if r:
             k0 = (k0 + _PHILOX_W[0]) & _WORD_MASK
@@ -247,10 +251,32 @@ def _philox_blocks(k0: int, k1: np.ndarray, blocks: int) -> np.ndarray:
         hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
         hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
         c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    out = np.empty((len(k1), blocks, 4), dtype=np.uint64)
-    for word, c in enumerate((c0, c1, c2, c3)):
-        out[:, :, word] = c
-    return out.reshape(len(k1), 4 * blocks)
+    return c0, c1, c2, c3
+
+
+def _lane_keys(root_seed: int, role: int, trials, count: int) -> np.ndarray:
+    """Second key words of the lanes (root_seed, trial, role), after the domain checks."""
+    _check_seed_role(root_seed, role)
+    trials = np.asarray(trials, dtype=np.int64).reshape(-1)
+    if trials.size and not (0 <= trials.min() and trials.max() < _TRIAL_LIMIT):
+        raise ValueError("trial indices must be in [0, 2^56)")
+    if count < 0:
+        raise ValueError(f"count={count!r} must be >= 0")
+    return trials.astype(np.uint64) | np.uint64(role << _ROLE_SHIFT)
+
+
+def _philox_passes(root_seed: int, k1: np.ndarray, count: int) -> Iterator[Tuple[slice, int, np.ndarray]]:
+    """Positions 0..count-1 of the lanes keyed (root_seed, k1[j]), one cache-sized pass at a time.
+
+    Yields (lanes, w, words): ``words`` holds positions w, w + 4, ... of the
+    lanes ``k1[lanes]``, one row per position.
+    """
+    blocks = -(-count // 4)
+    step = max(1, _PASS_BLOCKS // max(blocks, 1))
+    for lo in range(0, len(k1), step):
+        lanes = slice(lo, lo + step)
+        for w, words in enumerate(_philox_blocks(root_seed, k1[lanes], blocks)):
+            yield lanes, w, words[: len(range(w, count, 4))]
 
 
 def philox_raw(root_seed: int, role: int, trials, count: int) -> np.ndarray:
@@ -260,27 +286,50 @@ def philox_raw(root_seed: int, role: int, trials, count: int) -> np.ndarray:
     ``RngLane(root_seed, trials[j], role)``'s underlying
     ``numpy.random.Philox(...).random_raw(count)`` bit for bit.
     """
-    _check_seed_role(root_seed, role)
-    trials = np.asarray(trials, dtype=np.int64).reshape(-1)
-    if trials.size and not (0 <= trials.min() and trials.max() < _TRIAL_LIMIT):
-        raise ValueError("trial indices must be in [0, 2^56)")
-    if count < 0:
-        raise ValueError(f"count={count!r} must be >= 0")
-    k1 = trials.astype(np.uint64) | np.uint64(role << _ROLE_SHIFT)
-    blocks = -(-count // 4)
+    k1 = _lane_keys(root_seed, role, trials, count)
     out = np.empty((len(k1), count), dtype=np.uint64)
-    step = max(1, _PASS_BLOCKS // max(blocks, 1))
-    for lo in range(0, len(k1), step):
-        out[lo : lo + step] = _philox_blocks(root_seed, k1[lo : lo + step], blocks)[:, :count]
+    for lanes, w, words in _philox_passes(root_seed, k1, count):
+        out[lanes, w::4] = words.T
     return out
 
 
 def lane_uniforms(root_seed: int, role: int, trials, count: int) -> np.ndarray:
-    """Uniform(0,1) draws at positions 0..count-1 of many lanes, one row per trial.
+    """Uniform(0,1) draws at positions 0..count-1 of many lanes, one row per position.
 
-    Row j equals ``RngLane(root_seed, trials[j], role).uniforms(count)``.
+    The result has shape (count, len(trials)); column j equals
+    ``RngLane(root_seed, trials[j], role).uniforms(count)``. Each pass writes
+    its uniforms straight into the result, so no raw-word array of the full
+    size is built.
     """
-    return _raw_to_uniform(philox_raw(root_seed, role, trials, count))
+    k1 = _lane_keys(root_seed, role, trials, count)
+    out = np.empty((count, len(k1)))
+    for lanes, w, words in _philox_passes(root_seed, k1, count):
+        _raw_to_uniform(words, out=out[w::4, lanes])
+    return out
+
+
+def _noise_in_place(nm: NoiseModel, u: np.ndarray) -> np.ndarray:
+    """``noise_from_uniforms`` written over ``u`` itself; returns ``u``."""
+    if nm.family == "gaussian":
+        ndtri(u, out=u)
+        u *= math.sqrt(nm.variance)
+    elif nm.family == "uniform":
+        u *= 2.0
+        u -= 1.0
+        u *= math.sqrt(3.0 * nm.variance)
+    elif nm.family == "two-point":
+        # -1 below 1/2, +1 from 1/2 up: u - 1/2 is +0.0 at u = 1/2
+        u -= 0.5
+        np.copysign(1.0, u, out=u)
+        u *= math.sqrt(nm.variance)
+    else:  # shifted-exponential
+        np.negative(u, out=u)
+        np.log1p(u, out=u)
+        np.negative(u, out=u)
+        u -= 1.0
+        u *= math.sqrt(nm.variance)
+    u += nm.mean
+    return u
 
 
 def noise_from_uniforms(nm: NoiseModel, u: np.ndarray) -> np.ndarray:
@@ -294,16 +343,10 @@ def noise_from_uniforms(nm: NoiseModel, u: np.ndarray) -> np.ndarray:
     - two-point: +/- sqrt(variance) around the mean, equiprobable;
     - shifted-exponential: exponential minus one scale, so mean and variance
       match while the skewness (= 2) does not.
+
+    ``u`` is left unchanged; the result is a new array.
     """
-    scale = math.sqrt(nm.variance)
-    if nm.family == "gaussian":
-        return nm.mean + scale * ndtri(u)
-    if nm.family == "uniform":
-        return nm.mean + math.sqrt(3.0 * nm.variance) * (2.0 * u - 1.0)
-    if nm.family == "two-point":
-        return nm.mean + scale * np.where(u < 0.5, -1.0, 1.0)
-    # shifted-exponential
-    return nm.mean + scale * (-np.log1p(-u) - 1.0)
+    return _noise_in_place(nm, np.array(u, dtype=np.float64))
 
 
 def sample_noise(nm: NoiseModel, lane: RngLane, position: int = 0) -> float:

@@ -29,8 +29,8 @@ from .channels import (
     EveTap,
     NoiseModel,
     ThermalWiretapParams,
+    _noise_in_place,
     lane_uniforms,
-    noise_from_uniforms,
 )
 from .infotheory import (
     BoundQuery,
@@ -253,7 +253,7 @@ def _selection_from_config(obj) -> MessageSelection:
 def _messages(cfg: ExperimentConfig, start: int, stop: int, message_count: int) -> np.ndarray:
     sel = cfg.message_selection
     if sel.policy == "uniform-random":
-        u = lane_uniforms(cfg.root_seed, ROLE_MESSAGE, np.arange(start, stop), 1)[:, 0]
+        u = lane_uniforms(cfg.root_seed, ROLE_MESSAGE, np.arange(start, stop), 1)[0]
         return np.minimum(1 + (u * message_count).astype(np.int64), message_count)
     if sel.policy == "round-robin":
         return 1 + np.arange(start, stop, dtype=np.int64) % message_count
@@ -266,8 +266,11 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
     Every arithmetic expression mirrors the scalar protocol path
     (``protocol.run_protocol`` on ``TrialLanes``) exactly, so the two produce
     bit-identical results (asserted in the test suite). Returns the messages,
-    decisions and decoder statistics, and the per-round x and raw y (rounds
-    0..n) of every trial.
+    decisions and decoder statistics, and the x and raw y of rounds 0..n as
+    round-major (n + 1, trials) arrays: row i holds round i of every trial.
+
+    The kernel works on contiguous rows and mostly in place: the draws become
+    the noise in their own buffer, and x overwrites that buffer round by round.
     """
     count = stop - start
     n = cfg.n
@@ -275,26 +278,33 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
     schedule = cfg.schedule()
     noise_model = cfg.channel.noise
     gain = cfg.channel.gain
-    mean = noise_model.mean
-    trials = np.arange(start, stop)
+    mean = float(noise_model.mean)
 
-    eps = noise_from_uniforms(noise_model, lane_uniforms(cfg.root_seed, ROLE_FORWARD, trials, n + 1))
+    # x holds every round's noise at first; row i turns into round i's x once y_i is computed
+    x = _noise_in_place(noise_model, lane_uniforms(cfg.root_seed, ROLE_FORWARD, np.arange(start, stop), n + 1))
     m = _messages(cfg, start, stop, codebook.message_count)
     theta_m = codebook.midpoints(m)
 
-    x = np.empty((count, n + 1))
-    y = np.empty((count, n + 1))
-    x[:, 0] = theta_m
-    y[:, 0] = gain * (theta_m + eps[:, 0])
-    y0_reduced = y[:, 0] / gain
+    y = np.empty((n + 1, count))
+    np.add(theta_m, x[0], out=y[0])
+    y[0] *= gain
+    x[0] = theta_m
+    y0_reduced = y[0] / gain
     n0 = y0_reduced - theta_m
-    nhat = np.full(count, float(mean))
+    nhat = np.full(count, mean)
+    x_i = np.empty(count)
+    step = np.empty(count)
     for i in range(1, n + 1):
-        x_i = schedule.gamma[i] * (n0 - nhat)
-        y_i = gain * (x_i + eps[:, i])
-        nhat = nhat + schedule.k_gain[i] * (y_i / gain - mean)
-        x[:, i] = x_i
-        y[:, i] = y_i
+        np.subtract(n0, nhat, out=x_i)
+        x_i *= schedule.gamma[i]
+        y_i = y[i]
+        np.add(x_i, x[i], out=y_i)
+        y_i *= gain
+        x[i] = x_i
+        np.divide(y_i, gain, out=step)
+        step -= mean
+        step *= schedule.k_gain[i]
+        nhat += step
     theta_n = y0_reduced - nhat
     m_hat = codebook.decode_value(theta_n)
     return {"m": m, "m_hat": m_hat, "theta_m": theta_m, "theta_n": theta_n, "x": x, "y": y}
@@ -305,8 +315,9 @@ def _transcripts(cfg: ExperimentConfig, start: int, stop: int) -> List[Transcrip
     out = _simulate_chunk(cfg, start, stop)
     x, y = out["x"], out["y"]
     noise = y / cfg.channel.gain - x
-    tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, np.arange(start, stop), 1)[:, 0]
-    w0 = y[:, 0] + math.sqrt(cfg.tap.variance) * ndtri(tap_u)
+    tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, np.arange(start, stop), 1)[0]
+    w0 = y[0] + math.sqrt(cfg.tap.variance) * ndtri(tap_u)
+    x, noise, y = x.T, noise.T, y.T  # one row per trial
     return [
         Transcript(
             m=int(out["m"][j]),
@@ -322,15 +333,36 @@ def _transcripts(cfg: ExperimentConfig, start: int, stop: int) -> List[Transcrip
     ]
 
 
+def _row_sums(rows: np.ndarray) -> np.ndarray:
+    """Sum of each row, added left to right.
+
+    This is the order in which numpy's axis-0 reduction of the transposed,
+    trial-major array adds each column, so the bits match that reduction.
+    """
+    return np.array([np.cumsum(row)[-1] for row in rows])
+
+
+def _power_sums(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """Mean and central sum of x^2 for each row of the round-major ``x``, overwritten here."""
+    np.multiply(x, x, out=x)
+    power_mean = _row_sums(x) / x.shape[1]
+    x -= power_mean[:, None]
+    np.multiply(x, x, out=x)
+    return power_mean, _row_sums(x)
+
+
 def _chunk_moments(cfg: ExperimentConfig, start: int, stop: int) -> "_Moments":
-    """Trials [start, stop) reduced to their sums; the chunk's arrays are dropped here."""
+    """Trials [start, stop) reduced to their sums; each round-major buffer is dropped once reduced."""
     out = _simulate_chunk(cfg, start, stop)
-    x = out["x"]
+    power = _power_sums(out.pop("x"))
+    # one trial-major copy of the feedback rounds: numpy reduces a single
+    # column as a 1-D pairwise sum, so a row-wise sum would move n = 1's bits
+    y_rounds = np.ascontiguousarray(out.pop("y")[1:].T)
     return _Moments.of(
         int(np.count_nonzero(out["m"] != out["m_hat"])),
         cfg.channel.gain * (out["theta_n"] - out["theta_m"]),
-        np.multiply(x, x, out=x),
-        out["y"][:, 1:],
+        power,
+        y_rounds,
     )
 
 
@@ -387,7 +419,8 @@ class _Moments:
     pairwise update of Chan, Golub & LeVeque (1979), with Pebay's terms
     (SAND2008-6212) for the third and fourth central sums. The theta sums are
     of the decoder statistic centered at the sent midpoint, the power sums of
-    each round's x^2 (rounds 0..n), the co-moment of the feedback rounds 1..n.
+    each round's x^2 (rounds 0..n, reduced by ``_power_sums``), the co-moment
+    of the feedback rounds 1..n.
     """
 
     count: int
@@ -402,14 +435,16 @@ class _Moments:
     y_comoment: np.ndarray
 
     @classmethod
-    def of(cls, errors: int, theta_dev: np.ndarray, x2: np.ndarray, y_rounds: np.ndarray) -> "_Moments":
+    def of(
+        cls, errors: int, theta_dev: np.ndarray, power: Tuple[np.ndarray, np.ndarray], y_rounds: np.ndarray
+    ) -> "_Moments":
+        """One chunk's sums; ``power`` is its ``_power_sums`` and ``y_rounds`` has one row per trial."""
         # einsum, not matmul: no multithreaded BLAS inside the pool workers,
         # and the same summation for every worker count
         theta_mean = theta_dev.mean()
         c = theta_dev - theta_mean
         c2 = c * c
-        power_mean = x2.mean(axis=0)
-        pc = x2 - power_mean
+        power_mean, power_m2 = power
         y_mean = y_rounds.mean(axis=0)
         yc = y_rounds - y_mean
         return cls(
@@ -420,7 +455,7 @@ class _Moments:
             theta_m3=float((c2 * c).sum()),
             theta_m4=float((c2 * c2).sum()),
             power_mean=power_mean,
-            power_m2=np.einsum("ij,ij->j", pc, pc),
+            power_m2=power_m2,
             y_mean=y_mean,
             y_comoment=np.einsum("ij,ik->jk", yc, yc),
         )

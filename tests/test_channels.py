@@ -127,8 +127,9 @@ class TestRngLanes:
         trials = [0, 9, 12345, 2**56 - 1]
         for role, count in [(ROLE_FORWARD, 11), (ROLE_TAP, 1), (ROLE_MESSAGE, 3)]:
             batch = lane_uniforms(SEED, role, trials, count)
-            for row, trial in zip(batch, trials):
-                assert np.array_equal(row, RngLane(SEED, trial, role).uniforms(count))
+            assert batch.shape == (count, len(trials)) and batch.flags.c_contiguous
+            for column, trial in zip(batch.T, trials):
+                assert np.array_equal(column, RngLane(SEED, trial, role).uniforms(count))
 
     def test_high_seeds_do_not_alias(self):
         # a list key with a word >= 2^63 would be rounded through float64,
@@ -157,8 +158,8 @@ class TestRngLanes:
             lane_uniforms(1 << 64, ROLE_FORWARD, [0], 2)
         with pytest.raises(ValueError, match="role"):
             lane_uniforms(SEED, 256, [0], 2)
-        assert lane_uniforms(SEED, ROLE_FORWARD, [], 5).shape == (0, 5)
-        assert lane_uniforms(SEED, ROLE_FORWARD, [1, 2], 0).shape == (2, 0)
+        assert lane_uniforms(SEED, ROLE_FORWARD, [], 5).shape == (5, 0)
+        assert lane_uniforms(SEED, ROLE_FORWARD, [1, 2], 0).shape == (0, 2)
 
     def test_trial_lanes_bundle(self):
         lanes = TrialLanes(SEED, 7)
@@ -188,7 +189,7 @@ class TestPhiloxKernel:
         trials = np.arange(40_000)
         batch = lane_uniforms(SEED, ROLE_FORWARD, trials, 3)
         for trial in (0, 16_383, 16_384, 39_999):
-            assert np.array_equal(batch[trial], RngLane(SEED, trial, ROLE_FORWARD).uniforms(3))
+            assert np.array_equal(batch[:, trial], RngLane(SEED, trial, ROLE_FORWARD).uniforms(3))
 
 
 def _lane_u(count, trial=0):
@@ -233,6 +234,26 @@ class TestNoiseFamilies:
         centered = draws - draws.mean()
         skewness = np.mean(centered**3) / np.mean(centered**2) ** 1.5
         assert skewness == pytest.approx(2.0, abs=0.02)
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform", "two-point", "shifted-exponential"])
+    def test_map_leaves_input_unchanged(self, family):
+        # the map writes over a copy, never the caller's array, and its bits are
+        # those of the textbook expressions (1/2 is never drawn, but maps to +1)
+        nm = NoiseModel(family, 1.7, -0.4)
+        u = lane_uniforms(SEED, ROLE_FORWARD, np.arange(300), 7)
+        u[0, :3] = [0.5, 2.0**-53, 1.0 - 2.0**-53]
+        before = u.copy()
+        draws = noise_from_uniforms(nm, u)
+        assert np.array_equal(u, before)
+        assert not np.shares_memory(draws, u)
+        scale = math.sqrt(nm.variance)
+        expected = {
+            "gaussian": nm.mean + scale * ndtri(u),
+            "uniform": nm.mean + math.sqrt(3.0 * nm.variance) * (2.0 * u - 1.0),
+            "two-point": nm.mean + scale * np.where(u < 0.5, -1.0, 1.0),
+            "shifted-exponential": nm.mean + scale * (-np.log1p(-u) - 1.0),
+        }[family]
+        assert np.array_equal(draws, expected)
 
     def test_sample_noise_matches_vector_path(self):
         nm = NoiseModel("shifted-exponential", 2.0, 0.5)

@@ -233,8 +233,8 @@ class TestBatchEqualsScalar:
         tail = _simulate_chunk(cfg, 150, 300)
         for key in ("m", "m_hat", "theta_m", "theta_n"):
             assert np.array_equal(full[key][150:], tail[key])
-        for key in ("x", "y"):
-            assert np.array_equal(full[key][150:], tail[key])
+        for key in ("x", "y"):  # round-major: one column per trial
+            assert np.array_equal(full[key][:, 150:], tail[key])
 
     @pytest.mark.parametrize("factory", [_thermal_cfg, lambda: _affine_cfg("uniform", 2.0), _high_seed_cfg])
     def test_scalar_path_bitwise(self, factory):
@@ -250,10 +250,10 @@ class TestBatchEqualsScalar:
             assert out["m_hat"][trial] == oracle.m_hat
             assert out["theta_m"][trial] == oracle.theta_m
             assert out["theta_n"][trial] == oracle.theta_n
-            assert np.array_equal(out["x"][trial], oracle.x)
-            assert np.array_equal(out["y"][trial], oracle.y)
+            assert np.array_equal(out["x"][:, trial], oracle.x)
+            assert np.array_equal(out["y"][:, trial], oracle.y)
 
-            assert np.array_equal(_one_trial(cfg, trial)["x"][0], oracle.x)
+            assert np.array_equal(_one_trial(cfg, trial)["x"][:, 0], oracle.x)
             (t,) = _transcripts(cfg, trial, trial + 1)
             for field in dataclasses.fields(t):
                 assert np.array_equal(getattr(t, field.name), getattr(oracle, field.name)), field.name
@@ -278,8 +278,8 @@ class TestBatchEqualsScalar:
         assert len(transcripts) == CHUNK_TRIALS + 2
         for j, t in enumerate(transcripts[CHUNK_TRIALS - 1 :]):
             assert (t.m, t.m_hat, t.theta_n) == (out["m"][j], out["m_hat"][j], out["theta_n"][j])
-            assert np.array_equal(t.x, out["x"][j])
-            assert np.array_equal(t.y, out["y"][j])
+            assert np.array_equal(t.x, out["x"][:, j])
+            assert np.array_equal(t.y, out["y"][:, j])
 
     def test_transcripts_stop_at_the_limit(self):
         cfg = _thermal_cfg(trials=TRANSCRIPT_LIMIT + 1, n=1)

@@ -29,6 +29,8 @@ from skwiretap.harness import (
     MessageSelection,
     _fold,
     _Moments,
+    _chunk_moments,
+    _power_sums,
     _simulate_chunk,
     compare_bounds,
     report_flat_row,
@@ -72,7 +74,7 @@ def _array_report(cfg: ExperimentConfig, report):
     scipy.stats over them.
     """
     out = _simulate_chunk(cfg, 0, cfg.trials)
-    x2, y_rounds, trials = np.square(out["x"]), out["y"][:, 1:], cfg.trials
+    x2, y_rounds, trials = np.square(out["x"].T), out["y"][1:].T, cfg.trials
     theta_dev = cfg.channel.gain * (out["theta_n"] - out["theta_m"])
     errors = int(np.count_nonzero(out["m"] != out["m_hat"]))
     corr = np.atleast_2d(np.corrcoef(y_rounds.T))  # a 1x1 matrix at n = 1
@@ -128,7 +130,7 @@ def test_fold_matches_array_statistics(name):
 def test_offset_stress_defeats_the_naive_comoment():
     # the stress config is a real one: the textbook one-pass co-moment misses the 1e-9 bound
     cfg = ORACLE_CONFIGS["gaussian_mean_1e4"]()
-    y = _simulate_chunk(cfg, 0, cfg.trials)["y"][:, 1:]
+    y = _simulate_chunk(cfg, 0, cfg.trials)["y"][1:].T
     mean = y.mean(axis=0)
     naive = np.einsum("ij,ik->jk", y, y) - len(y) * np.outer(mean, mean)
     std = np.sqrt(np.diagonal(naive))
@@ -141,7 +143,7 @@ def test_offset_stress_defeats_the_naive_comoment():
 
 
 def _chunk_of(data: np.ndarray) -> _Moments:
-    return _Moments.of(0, data[:, 0], data[:, 1:3], data[:, 3:])
+    return _Moments.of(0, data[:, 0], _power_sums(data[:, 1:3].T.copy()), data[:, 3:])
 
 
 @given(
@@ -204,6 +206,20 @@ def test_memory_flat_in_trials():
     assert large <= small + one_chunk, (small, large)
 
 
+def test_chunk_peak_memory():
+    # round-major and in place: the draws, the noise and x share one buffer and
+    # y has one more, so a chunk peaks near two arrays of (n + 1) rounds, not four
+    n = 40
+    cfg = _thermal(CHUNK_TRIALS, n=n)
+    tracemalloc.start()
+    try:
+        _chunk_moments(cfg, 0, CHUNK_TRIALS)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3 * CHUNK_TRIALS * (n + 1) * 8, peak
+
+
 class TestUndefinedStatistics:
     def test_single_trial_report_holds_null_with_reason(self):
         report = run_experiment(_thermal(1))
@@ -243,7 +259,7 @@ class TestUndefinedStatistics:
         count = 50
         y = np.random.default_rng(3).normal(size=(count, 3))
         y[:, 1] = 7.25
-        stats = _Moments.of(0, np.full(count, 0.1), np.ones((count, 2)), y)
+        stats = _Moments.of(0, np.full(count, 0.1), _power_sums(np.ones((2, count))), y)
         diag = stats.diagnostics()
         assert diag.max_abs_offdiag_corr is None and diag.theta_skewness is None
         assert diag.null_reasons == {
