@@ -142,6 +142,18 @@ def test_offset_stress_defeats_the_naive_comoment():
     assert run_experiment(cfg).diag.max_abs_offdiag_corr == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
 
+@pytest.mark.parametrize("count,rounds", [(1, 2), (2, 3), (9, 2), (CHUNK_TRIALS + 1, 41)])
+def test_power_sums_equal_the_trial_major_reductions(count, rounds):
+    # the row-wise sums add in trial order, as numpy's axis-0 reduction of a
+    # trial-major array does, so the bits are those of the textbook reductions
+    x = np.random.default_rng(count).normal(3.0, 2.0, size=(count, rounds))
+    x2 = x * x
+    mean = x2.mean(axis=0)
+    power_mean, power_m2 = _power_sums(x.T.copy())
+    assert np.array_equal(power_mean, mean)
+    assert np.array_equal(power_m2, np.einsum("ij,ij->j", x2 - mean, x2 - mean))
+
+
 def _chunk_of(data: np.ndarray) -> _Moments:
     return _Moments.of(0, data[:, 0], _power_sums(data[:, 1:3].T.copy()), data[:, 3:])
 
