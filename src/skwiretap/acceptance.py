@@ -3,12 +3,14 @@
 Each criterion is a deterministic check at pinned seeds and pinned trial
 counts; together they are the exit gate run by ``skwiretap verify`` and by
 the test suite. Monte Carlo experiments are shared across criteria and
-cached per process.
+cached per process. ``run_all`` computes the serial and the pooled report
+sets at the same time.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from functools import lru_cache
@@ -17,7 +19,7 @@ from typing import Callable, Dict, List, Optional
 import numpy as np
 
 from .channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams
-from .harness import ExperimentConfig, ExperimentReport, VerdictRow, compare_bounds, run_experiment
+from .harness import ExperimentConfig, ExperimentReport, VerdictRow, compare_bounds, open_pool, run_experiment
 from .infotheory import (
     BoundQuery,
     awgn_capacity,
@@ -33,6 +35,8 @@ __all__ = ["CriterionResult", "ROOT_SEED", "TRIALS", "shared_reports", "run_all"
 
 ROOT_SEED = 20260809
 TRIALS = 100_000
+# criterion 10 compares the serial reports with the reports of this many workers
+_POOL_WORKERS = 2
 
 # thermal channel with sigma2 exactly 1: eta=0.5, n_th=1 gives 0.5 + 0.5
 _THERMAL = ThermalWiretapParams(eta=0.5, n_th=1.0)
@@ -242,7 +246,7 @@ def criterion_tetration() -> CriterionResult:
 def criterion_determinism() -> CriterionResult:
     """10: byte-identical reports for the same seed under different worker counts."""
     serial = shared_reports(threads=1)
-    parallel = shared_reports(threads=2)
+    parallel = shared_reports(threads=_POOL_WORKERS)
     mismatched = [k for k in serial if serial[k].to_json() != parallel[k].to_json()]
     return CriterionResult(
         10, "determinism across worker counts", not mismatched,
@@ -265,22 +269,33 @@ CRITERIA = (
 
 
 def run_all(progress: Optional[Callable[[str], None]] = None) -> List[CriterionResult]:
-    """Evaluate all ten criteria; shared experiments run once per process."""
+    """Evaluate all ten criteria; shared experiments run once per process.
+
+    A helper thread computes the pooled report set, mostly waiting on the
+    workers, while this thread computes the serial set and criteria 1-9, so
+    both sets run at once. The workers are forked first, before the helper
+    starts, so no fork happens while a second thread runs. The helper is
+    joined, and its exception raised, before criterion 10 compares the sets.
+    """
     emit = progress or (lambda _msg: None)
     emit("running Monte Carlo experiments (pinned seeds)...")
-    reports = shared_reports(threads=1)
-    results = [
-        criterion_variance_identity(),
-        criterion_oracle_equivalence(),
-        criterion_variance_of_theta(reports),
-        criterion_error_bound(reports),
-        criterion_power_constraint(reports),
-        criterion_non_gaussian(reports),
-        criterion_independence(reports),
-        criterion_leakage_budget(),
-        criterion_tetration(),
-        criterion_determinism(),
-    ]
+    open_pool(_POOL_WORKERS)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        pooled = helper.submit(shared_reports, threads=_POOL_WORKERS)
+        reports = shared_reports(threads=1)
+        results = [
+            criterion_variance_identity(),
+            criterion_oracle_equivalence(),
+            criterion_variance_of_theta(reports),
+            criterion_error_bound(reports),
+            criterion_power_constraint(reports),
+            criterion_non_gaussian(reports),
+            criterion_independence(reports),
+            criterion_leakage_budget(),
+            criterion_tetration(),
+        ]
+        pooled.result()
+    results.append(criterion_determinism())
     for r in results:
         emit(f"{'PASS' if r.passed else 'FAIL'}  {r.index:>2}. {r.name}: {r.details}")
     return results

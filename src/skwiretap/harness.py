@@ -51,6 +51,7 @@ __all__ = [
     "VerdictRow",
     "VerdictTable",
     "run_experiment",
+    "open_pool",
     "shutdown_pool",
     "collect_transcripts",
     "write_transcripts_csv",
@@ -593,6 +594,15 @@ def _worker_pool(workers: int) -> ProcessPoolExecutor:
         shutdown_pool()
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
     return _pool
+
+
+def open_pool(workers: int) -> None:
+    """Fork the ``workers``-process pool now, on the calling thread; pooled runs then reuse it.
+
+    A fork pool starts all its workers at its first submit, so a no-op task
+    forks them here, before the caller starts any thread of its own.
+    """
+    _worker_pool(workers).submit(int)
 
 
 def shutdown_pool() -> None:

@@ -4,12 +4,16 @@ criteria 3..7 and 10 are shared across this module via a session fixture.
 """
 
 import dataclasses
+import functools
+import multiprocessing
+import os
+import threading
 from fnmatch import fnmatchcase
 
 import numpy as np
 import pytest
 
-from skwiretap import acceptance
+from skwiretap import acceptance, cli, harness
 from skwiretap.harness import compare_bounds
 
 
@@ -162,3 +166,69 @@ def test_shared_reports_fork_one_pool(forked_pools):
     # past the cache, so all nine 2-worker runs happen
     reports = acceptance.shared_reports.__wrapped__(threads=2)
     assert len(reports) == 9 and forked_pools == [(2, 0)]
+
+
+def _fresh_run_all_state():
+    harness.shutdown_pool()
+    acceptance.shared_reports.cache_clear()
+    return acceptance.shared_reports.cache_info().misses
+
+
+def test_run_all_forks_once_before_its_helper_thread(monkeypatch, forked_pools):
+    threads_at_fork = []
+    real_fork = os.fork
+
+    def recording_fork():
+        threads_at_fork.append(threading.active_count())
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", recording_fork)
+    misses_before = _fresh_run_all_state()
+    results = acceptance.run_all()
+    assert all(r.passed for r in results)
+    # one miss per report set: the helper thread filled the pooled entry, which criterion 10 then read
+    assert acceptance.shared_reports.cache_info().misses - misses_before == 2
+    assert forked_pools == [(2, 0)]
+    # both workers forked while the calling thread was the only thread
+    assert threads_at_fork == [1, 1]
+
+
+def test_criterion_10_fails_on_a_perturbed_pooled_report(monkeypatch):
+    cached = acceptance.shared_reports
+
+    def perturbed(threads=1):
+        reports = cached(threads=threads)
+        if threads == 2:
+            edge = reports["edge"]
+            reports = dict(reports, edge=dataclasses.replace(edge, error_count=edge.error_count + 1))
+        return reports
+
+    monkeypatch.setattr(acceptance, "shared_reports", perturbed)
+    results = acceptance.run_all()
+    assert [r.index for r in results if not r.passed] == [10]
+    assert results[-1].details == "mismatched: ['edge']"
+
+
+def _failing_chunk_moments(side, cfg, start, stop):
+    """``harness._chunk_moments`` that raises in the pool's workers or in the parent, by ``side``."""
+    if (os.getpid() == _TEST_PID) == (side == "parent"):
+        raise RuntimeError(f"injected {side} failure")
+    return _CHUNK_MOMENTS(cfg, start, stop)
+
+
+_TEST_PID = os.getpid()
+_CHUNK_MOMENTS = harness._chunk_moments
+
+
+@pytest.mark.parametrize("side", ["worker", "parent"])
+def test_verify_failure_reaches_the_caller_and_leaves_nothing_running(monkeypatch, capsys, forked_pools, side):
+    # the pooled set fails in the workers; the serial set fails in the calling thread
+    monkeypatch.setattr(harness, "_chunk_moments", functools.partial(_failing_chunk_moments, side))
+    threads_before = set(threading.enumerate())
+    _fresh_run_all_state()
+    with pytest.raises(RuntimeError, match=f"injected {side} failure"):
+        cli.main(["verify"])
+    # raised as it happened: a lost pooled failure would have criterion 10 fork a second pool
+    assert forked_pools == [(2, 0)]
+    assert set(threading.enumerate()) == threads_before
+    assert multiprocessing.active_children() == []
