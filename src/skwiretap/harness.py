@@ -643,7 +643,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     capacity = awgn_capacity(cfg.n_s, var_noise)
     predicted_var = gain * gain * var_noise * 2.0 ** (-2.0 * n * capacity)
 
-    bq = BoundQuery(n_s=cfg.n_s, sigma2=var_noise, n=n, rate=cfg.rate)
+    # the rate of the codebook simulated: M = 2^ceil(n rate) can exceed 2^(n rate)
+    bq = BoundQuery(n_s=cfg.n_s, sigma2=var_noise, n=n, rate=codebook.realized_rate)
     if cfg.channel.noise.family == "gaussian":
         bound, kind = sk_error_bound(bq), "sk"
     else:

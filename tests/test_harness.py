@@ -438,6 +438,27 @@ class TestCompareBounds:
         assert affine.analytic_error_bound == chebyshev_error_bound(2.0, query)
         assert affine.analytic_error_bound_kind == "chebyshev"
 
+    def test_error_bound_uses_the_realized_rate(self):
+        # rate 0.5 at n = 1 still needs M = 2 messages, so the realized rate is 1.0
+        cfg = ExperimentConfig(
+            channel=ThermalWiretapParams(eta=0.7, n_th=0.5),
+            n_s=2.0,
+            tap=EveTap(1.0),
+            n=1,
+            rate=0.5,
+            trials=CHUNK_TRIALS + 301,
+            root_seed=577215,
+        )
+        report = run_experiment(cfg)
+        assert report.realized_rate == 1.0
+        query = BoundQuery(n_s=2.0, sigma2=cfg.channel.noise.variance, n=1, rate=1.0)
+        assert report.analytic_error_bound == sk_error_bound(query)
+        # the exact error probability of two messages, Q(half_gap / sd(theta)), lies under the bound
+        exact = 0.5 * math.erfc(cfg.codebook().half_gap / math.sqrt(2.0 * report.predicted_var_theta))
+        assert exact == pytest.approx(0.00841, rel=1e-3, abs=0.0)
+        assert exact < report.analytic_error_bound
+        assert compare_bounds(report).rows[0].passed
+
     def test_reference_config_passes(self):
         verdict = compare_bounds(run_experiment(_thermal_cfg(trials=30_000, n=6)))
         assert verdict.passed
