@@ -3,8 +3,7 @@
 Each criterion is a deterministic check at pinned seeds and pinned trial
 counts; together they are the exit gate run by ``skwiretap verify`` and by
 the test suite. Monte Carlo experiments are shared across criteria and
-cached per process. ``run_all`` computes the serial and the pooled report
-sets at the same time.
+cached per process.
 """
 
 from __future__ import annotations

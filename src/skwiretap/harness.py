@@ -602,7 +602,7 @@ def open_pool(workers: int) -> None:
     A fork pool starts all its workers at its first submit, so a no-op task
     forks them here, before the caller starts any thread of its own.
     """
-    _worker_pool(workers).submit(int)
+    _worker_pool(workers).submit(int).result()
 
 
 def shutdown_pool() -> None:

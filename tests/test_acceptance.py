@@ -3,10 +3,12 @@ tolerance and prints one pass/fail line. The Monte Carlo experiments behind
 criteria 3..7 and 10 are shared across this module via a session fixture.
 """
 
+import contextlib
 import dataclasses
 import functools
 import multiprocessing
 import os
+import signal
 import threading
 from fnmatch import fnmatchcase
 
@@ -209,6 +211,10 @@ def test_criterion_10_fails_on_a_perturbed_pooled_report(monkeypatch):
     assert results[-1].details == "mismatched: ['edge']"
 
 
+_TEST_PID = os.getpid()
+_CHUNK_MOMENTS = harness._chunk_moments
+
+
 def _failing_chunk_moments(side, cfg, start, stop):
     """``harness._chunk_moments`` that raises in the pool's workers or in the parent, by ``side``."""
     if (os.getpid() == _TEST_PID) == (side == "parent"):
@@ -216,17 +222,29 @@ def _failing_chunk_moments(side, cfg, start, stop):
     return _CHUNK_MOMENTS(cfg, start, stop)
 
 
-_TEST_PID = os.getpid()
-_CHUNK_MOMENTS = harness._chunk_moments
+@contextlib.contextmanager
+def _time_limit(seconds):
+    """Fail instead of hanging: SIGALRM raises in the main thread, also inside a join."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(seconds)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.mark.parametrize("side", ["worker", "parent"])
-def test_verify_failure_reaches_the_caller_and_leaves_nothing_running(monkeypatch, capsys, forked_pools, side):
+def test_verify_failure_reaches_the_caller_and_leaves_nothing_running(monkeypatch, forked_pools, side):
     # the pooled set fails in the workers; the serial set fails in the calling thread
     monkeypatch.setattr(harness, "_chunk_moments", functools.partial(_failing_chunk_moments, side))
     threads_before = set(threading.enumerate())
     _fresh_run_all_state()
-    with pytest.raises(RuntimeError, match=f"injected {side} failure"):
+    with _time_limit(60), pytest.raises(RuntimeError, match=f"injected {side} failure"):
         cli.main(["verify"])
     # raised as it happened: a lost pooled failure would have criterion 10 fork a second pool
     assert forked_pools == [(2, 0)]
