@@ -13,7 +13,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from functools import lru_cache
-from typing import Callable, Dict, List, Optional
+from typing import Dict, List, Optional
 
 import numpy as np
 
@@ -267,7 +267,7 @@ CRITERIA = (
 )
 
 
-def run_all(progress: Optional[Callable[[str], None]] = None) -> List[CriterionResult]:
+def run_all() -> List[CriterionResult]:
     """Evaluate all ten criteria; shared experiments run once per process.
 
     A helper thread computes the pooled report set, mostly waiting on the
@@ -276,8 +276,6 @@ def run_all(progress: Optional[Callable[[str], None]] = None) -> List[CriterionR
     starts, so no fork happens while a second thread runs. The helper is
     joined, and its exception raised, before criterion 10 compares the sets.
     """
-    emit = progress or (lambda _msg: None)
-    emit("running Monte Carlo experiments (pinned seeds)...")
     open_pool(_POOL_WORKERS)
     with ThreadPoolExecutor(max_workers=1) as helper:
         pooled = helper.submit(shared_reports, threads=_POOL_WORKERS)
@@ -295,6 +293,4 @@ def run_all(progress: Optional[Callable[[str], None]] = None) -> List[CriterionR
         ]
         pooled.result()
     results.append(criterion_determinism())
-    for r in results:
-        emit(f"{'PASS' if r.passed else 'FAIL'}  {r.index:>2}. {r.name}: {r.details}")
     return results

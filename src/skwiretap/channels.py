@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 from numpy.random import Philox
@@ -36,7 +36,6 @@ __all__ = [
     "ROLE_MESSAGE",
     "RngLane",
     "TrialLanes",
-    "philox_raw",
     "lane_uniforms",
     "sample_noise",
     "noise_from_uniforms",
@@ -254,57 +253,28 @@ def _philox_blocks(k0: int, k1: np.ndarray, blocks: int) -> Tuple[np.ndarray, ..
     return c0, c1, c2, c3
 
 
-def _lane_keys(root_seed: int, role: int, trials, count: int) -> np.ndarray:
-    """Second key words of the lanes (root_seed, trial, role), after the domain checks."""
+def lane_uniforms(root_seed: int, role: int, trials, count: int) -> np.ndarray:
+    """Uniform(0,1) draws at positions 0..count-1 of many lanes, one row per position.
+
+    The result has shape (count, len(trials)); column j equals
+    ``RngLane(root_seed, trials[j], role).uniforms(count)``. The lanes run in
+    cache-sized passes, each writing its uniforms straight into the result,
+    so no raw-word array of the full size is built.
+    """
     _check_seed_role(root_seed, role)
     trials = np.asarray(trials, dtype=np.int64).reshape(-1)
     if trials.size and not (0 <= trials.min() and trials.max() < _TRIAL_LIMIT):
         raise ValueError("trial indices must be in [0, 2^56)")
     if count < 0:
         raise ValueError(f"count={count!r} must be >= 0")
-    return trials.astype(np.uint64) | np.uint64(role << _ROLE_SHIFT)
-
-
-def _philox_passes(root_seed: int, k1: np.ndarray, count: int) -> Iterator[Tuple[slice, int, np.ndarray]]:
-    """Positions 0..count-1 of the lanes keyed (root_seed, k1[j]), one cache-sized pass at a time.
-
-    Yields (lanes, w, words): ``words`` holds positions w, w + 4, ... of the
-    lanes ``k1[lanes]``, one row per position.
-    """
+    k1 = trials.astype(np.uint64) | np.uint64(role << _ROLE_SHIFT)
+    out = np.empty((count, len(k1)))
     blocks = -(-count // 4)
     step = max(1, _PASS_BLOCKS // max(blocks, 1))
     for lo in range(0, len(k1), step):
         lanes = slice(lo, lo + step)
         for w, words in enumerate(_philox_blocks(root_seed, k1[lanes], blocks)):
-            yield lanes, w, words[: len(range(w, count, 4))]
-
-
-def philox_raw(root_seed: int, role: int, trials, count: int) -> np.ndarray:
-    """Raw 64-bit draws at positions 0..count-1 of the lanes (root_seed, trial, role).
-
-    One row per entry of ``trials``. Row j equals
-    ``RngLane(root_seed, trials[j], role)``'s underlying
-    ``numpy.random.Philox(...).random_raw(count)`` bit for bit.
-    """
-    k1 = _lane_keys(root_seed, role, trials, count)
-    out = np.empty((len(k1), count), dtype=np.uint64)
-    for lanes, w, words in _philox_passes(root_seed, k1, count):
-        out[lanes, w::4] = words.T
-    return out
-
-
-def lane_uniforms(root_seed: int, role: int, trials, count: int) -> np.ndarray:
-    """Uniform(0,1) draws at positions 0..count-1 of many lanes, one row per position.
-
-    The result has shape (count, len(trials)); column j equals
-    ``RngLane(root_seed, trials[j], role).uniforms(count)``. Each pass writes
-    its uniforms straight into the result, so no raw-word array of the full
-    size is built.
-    """
-    k1 = _lane_keys(root_seed, role, trials, count)
-    out = np.empty((count, len(k1)))
-    for lanes, w, words in _philox_passes(root_seed, k1, count):
-        _raw_to_uniform(words, out=out[w::4, lanes])
+            _raw_to_uniform(words[: len(range(w, count, 4))], out=out[w::4, lanes])
     return out
 
 

@@ -588,21 +588,19 @@ _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
 
 
-def _worker_pool(workers: int) -> ProcessPoolExecutor:
+def open_pool(workers: int) -> ProcessPoolExecutor:
+    """The ``workers``-process pool; a new one is forked now, on the calling thread.
+
+    A fork pool starts all its workers at its first submit, so a no-op task
+    forks a new pool's workers here, before the caller starts any thread of
+    its own. An open pool of that size is returned as it is.
+    """
     global _pool, _pool_workers
     if _pool is None or _pool_workers != workers:
         shutdown_pool()
         _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+        _pool.submit(int).result()
     return _pool
-
-
-def open_pool(workers: int) -> None:
-    """Fork the ``workers``-process pool now, on the calling thread; pooled runs then reuse it.
-
-    A fork pool starts all its workers at its first submit, so a no-op task
-    forks them here, before the caller starts any thread of its own.
-    """
-    _worker_pool(workers).submit(int).result()
 
 
 def shutdown_pool() -> None:
@@ -627,8 +625,8 @@ def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
     # a worker beyond the chunk count would be forked and never fed
     spans = [(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
     if threads > 1 and len(spans) > 1:
-        pool = _worker_pool(min(threads, len(spans)))
         try:
+            pool = open_pool(min(threads, len(spans)))
             stats = _fold(pool.map(_chunk_moments, repeat(cfg), *zip(*spans)))
         except BaseException:
             shutdown_pool()  # a pool that failed once is never reused

@@ -219,7 +219,8 @@ def phi_inverse(rate: float, n_s: float, sigma2: float) -> float:
     _require(0 < rate <= p_h, "rate", rate, f"(0, P_H] with P_H={p_h!r}")
     if rate == p_h:
         return 1.0
-    return _bisect(lambda nu: phi(nu, n_s, sigma2) - rate, 1e-300, 1.0, xtol=1e-12)
+    # phi(0+) = 0: the bracket holds every rate, however small
+    return _bisect(lambda nu: (phi(nu, n_s, sigma2) if nu else 0.0) - rate, 0.0, 1.0, xtol=1e-12)
 
 
 def _bisect(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> float:
@@ -230,7 +231,8 @@ def _bisect(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> f
     would cost every command about a quarter of a second.
     """
     fa, fb = f(xa), f(xb)
-    if fa * fb > 0:
+    # signs are compared, not multiplied: a product of two tiny values underflows to +-0
+    if (fa > 0 and fb > 0) or (fa < 0 and fb < 0):
         raise ValueError("f(a) and f(b) must have different signs")
     if fa == 0:
         return xa
@@ -241,7 +243,7 @@ def _bisect(f: Callable[[float], float], xa: float, xb: float, xtol: float) -> f
         dm *= 0.5
         xm = xa + dm
         fm = f(xm)
-        if fm * fa >= 0:
+        if fm == 0 or (fm < 0) == (fa < 0):
             xa = xm
         if fm == 0 or abs(dm) < xtol + 4 * _EPS * abs(xm):
             return xm

@@ -21,14 +21,7 @@ from skwiretap.harness import compare_bounds
 
 @pytest.fixture(scope="session")
 def results():
-    out = {}
-
-    def record(line: str) -> None:
-        print(line)
-
-    for result in acceptance.run_all(progress=record):
-        out[result.index] = result
-    return out
+    return {result.index: result for result in acceptance.run_all()}
 
 
 def _check(results, index):

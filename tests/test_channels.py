@@ -21,7 +21,6 @@ from skwiretap.channels import (
     forward_transmit,
     lane_uniforms,
     noise_from_uniforms,
-    philox_raw,
     sample_noise,
 )
 from skwiretap.harness import ExperimentConfig, _simulate_chunk
@@ -173,16 +172,18 @@ class TestPhiloxKernel:
 
     @pytest.mark.parametrize("role", [ROLE_FORWARD, ROLE_TAP, ROLE_MESSAGE])
     def test_matches_numpy_philox(self, role):
+        # the uniforms read the top 53 bits of each raw word, the only bits any path reads
         rng = np.random.default_rng(2718 + role)
         seeds = [0, 2**63 - 1, 2**63, 2**64 - 1] + [int(s) for s in rng.integers(0, 2**64, 6, dtype=np.uint64)]
         trials = [0, 1, 2**56 - 1] + [int(t) for t in rng.integers(0, 2**56, 5)]
         for seed in seeds:
             for count in range(1, 31):  # crosses the 4-word block boundary
-                batch = philox_raw(seed, role, trials, count)
-                assert batch.shape == (len(trials), count)
-                for row, trial in zip(batch, trials):
+                batch = lane_uniforms(seed, role, trials, count)
+                assert batch.shape == (count, len(trials))
+                for column, trial in zip(batch.T, trials):
                     key = np.array([seed, (role << 56) | trial], dtype=np.uint64)
-                    assert np.array_equal(row, Philox(key=key).random_raw(count))
+                    raw = Philox(key=key).random_raw(count)
+                    assert np.array_equal(column, ((raw >> np.uint64(11)) + 0.5) * 2.0**-53)
 
     def test_many_lanes_span_several_passes(self):
         # enough lanes that the kernel splits them into passes

@@ -180,6 +180,14 @@ class TestBounds:
         assert result["tetration"]["order"] == 4
         assert result["tetration"]["underflow"] is True
 
+    @pytest.mark.parametrize("rate", [1e-300, 5e-324])
+    def test_tower_at_rates_far_below_capacity(self, rate, capsys):
+        # nu* lies below any fixed positive bracket end here, while P_H = 1
+        run_cli("bounds", "--eta", 0.5, "--n-th", 1, "--n-s", 3, "--n", 10, "--rate", rate, "--format", "json")
+        result = json.loads(capsys.readouterr().out)
+        assert result["p_h"] == 1.0
+        assert result["tetration"]["order"] == 4 and "note" not in result["tetration"]
+
 
 class TestBoundsOverflow:
     # 2^(2 n (P_H - R) - 1) or 2^(2 n (R - C)) leaves double range in both cases
@@ -540,11 +548,23 @@ class TestVerifyPlumbing:
 
         good = [CriterionResult(1, "stub", True, "ok")]
         bad = [CriterionResult(1, "stub", False, "broken")]
-        monkeypatch.setattr(cli, "run_all", lambda progress: [progress("line"), good][1] if progress else good)
+        monkeypatch.setattr(cli, "run_all", lambda: good)
         assert run_cli("verify") == 0
-        monkeypatch.setattr(cli, "run_all", lambda progress: bad)
+        monkeypatch.setattr(cli, "run_all", lambda: bad)
         assert run_cli("verify") == 3
         assert "0/1 criteria passed" in capsys.readouterr().out
+
+    def test_stdout_layout(self, capsys):
+        # no digest: criterion 2's details go through BLAS and may differ across hosts
+        from skwiretap.acceptance import CRITERIA
+
+        assert cli.main(["verify"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "running Monte Carlo experiments (pinned seeds)..."
+        assert len(lines) == len(CRITERIA) + 2
+        for k, (line, name) in enumerate(zip(lines[1:-1], CRITERIA), start=1):
+            assert line.startswith(f"PASS  {k:>2}. {name}: ")
+        assert lines[-1] == f"{len(CRITERIA)}/{len(CRITERIA)} criteria passed"
 
 
 class TestPlumbing:

@@ -1,5 +1,6 @@
 """Experiment configs, the batch trial kernel, aggregation, verdicts, and reports."""
 
+import concurrent.futures
 import dataclasses
 import io
 import json
@@ -293,6 +294,13 @@ class TestBatchEqualsScalar:
             assert _one_trial(cfg, trial)["m"][0] == out["m"][trial]
 
 
+def _done(fn, *args):
+    """A fake pool's ``submit``: the future of ``fn(*args)``, already run."""
+    future = concurrent.futures.Future()
+    future.set_result(fn(*args))
+    return future
+
+
 class TestRunExperiment:
     def test_reproducible_and_thread_invariant(self):
         cfg = _thermal_cfg(trials=CHUNK_TRIALS + 500, n=3)
@@ -308,6 +316,8 @@ class TestRunExperiment:
         class RecordingPool:
             def __init__(self, max_workers):
                 sizes.append(max_workers)
+
+            submit = staticmethod(_done)
 
             def map(self, fn, *iterables):
                 return map(fn, *iterables)
@@ -332,12 +342,18 @@ class TestRunExperiment:
         # the same count reuses the pool; a new count joins the old workers before it forks
         assert forked_pools == [(2, 0), (3, 0), (2, 0)]
 
+    def test_open_pool_returns_the_open_pool(self, forked_pools):
+        assert harness.open_pool(2) is harness.open_pool(2)
+        assert forked_pools == [(2, 0)]
+
     def test_failed_pool_is_dropped(self, monkeypatch):
         closed = []
 
         class FailingPool:
             def __init__(self, max_workers):
                 pass
+
+            submit = staticmethod(_done)
 
             def map(self, fn, *iterables):
                 raise RuntimeError("worker died")

@@ -255,6 +255,13 @@ class TestPhiInverse:
             with pytest.raises(ValueError, match="rate="):
                 phi_inverse(rate, 3.0, 1.0)
 
+    @pytest.mark.parametrize("rate", [1e-300, 5e-324])
+    def test_rates_below_phi_of_any_positive_bracket_end(self, rate):
+        # phi(1e-300) is about 5e-298; at 5e-324 a sign test by product would underflow to -0
+        nu = phi_inverse(rate, 3.0, 1.0)
+        assert 0.0 < nu <= 1e-12
+        assert tetration_order(BoundQuery(n_s=3.0, sigma2=1.0, n=10, rate=rate)) == 4
+
     def test_same_float_as_scipy_bisect(self):
         # the criterion-9 draws, the sigma2 = 1e-300 case, and a grid that ends at rate == P_H
         rng = np.random.default_rng(ROOT_SEED + 9)
