@@ -70,18 +70,23 @@ def _cfg_affine(family: str, gain: float, n: int, rate: float) -> ExperimentConf
 
 @lru_cache(maxsize=4)
 def shared_reports(threads: int = 1) -> Dict[str, ExperimentReport]:
-    """All Monte Carlo runs the criteria consume, keyed by short names."""
-    return {
-        "main": run_experiment(_cfg_gaussian(n=10, rate=0.5), threads=threads),
-        "independence": run_experiment(_cfg_gaussian(n=6, rate=0.5), threads=threads),
-        "edge": run_experiment(_cfg_gaussian(n=2, rate=0.95), threads=threads),
-        "two-point_a1": run_experiment(_cfg_affine("two-point", 1.0, n=8, rate=0.5), threads=threads),
-        "two-point_a2": run_experiment(_cfg_affine("two-point", 2.0, n=8, rate=0.5), threads=threads),
-        "uniform_a1": run_experiment(_cfg_affine("uniform", 1.0, n=8, rate=0.5), threads=threads),
-        "uniform_a2": run_experiment(_cfg_affine("uniform", 2.0, n=8, rate=0.5), threads=threads),
-        "two-point_cheb": run_experiment(_cfg_affine("two-point", 1.0, n=2, rate=0.9), threads=threads),
-        "uniform_cheb": run_experiment(_cfg_affine("uniform", 1.0, n=2, rate=0.9), threads=threads),
+    """All Monte Carlo runs the criteria consume, keyed by short names.
+
+    The nine configs share ``ROOT_SEED`` and the trial count, so one
+    ``run_experiment`` call over all of them draws each lane once per chunk.
+    """
+    configs = {
+        "main": _cfg_gaussian(n=10, rate=0.5),
+        "independence": _cfg_gaussian(n=6, rate=0.5),
+        "edge": _cfg_gaussian(n=2, rate=0.95),
+        "two-point_a1": _cfg_affine("two-point", 1.0, n=8, rate=0.5),
+        "two-point_a2": _cfg_affine("two-point", 2.0, n=8, rate=0.5),
+        "uniform_a1": _cfg_affine("uniform", 1.0, n=8, rate=0.5),
+        "uniform_a2": _cfg_affine("uniform", 2.0, n=8, rate=0.5),
+        "two-point_cheb": _cfg_affine("two-point", 1.0, n=2, rate=0.9),
+        "uniform_cheb": _cfg_affine("uniform", 1.0, n=2, rate=0.9),
     }
+    return dict(zip(configs, run_experiment(tuple(configs.values()), threads=threads)))
 
 
 def criterion_variance_identity() -> CriterionResult:

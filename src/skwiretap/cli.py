@@ -312,11 +312,9 @@ def cmd_sweep(args) -> int:
         obj["root_seed"] = args.seed
     threads = _threads(args)
 
-    rows = []
-    for value in values:
-        cfg = ExperimentConfig.from_dict(_apply_axis(obj, axis, value))
-        report = run_experiment(cfg, threads=threads)
-        rows.append(report_flat_row(report))
+    # every point is checked before any runs; then all run chunk by chunk together
+    cfgs = tuple(ExperimentConfig.from_dict(_apply_axis(obj, axis, value)) for value in values)
+    rows = [report_flat_row(report) for report in run_experiment(cfgs, threads=threads)]
 
     out_path = Path(args.out or "sweep.csv")
     try:

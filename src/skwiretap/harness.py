@@ -5,12 +5,12 @@ Trials are embarrassingly parallel and individually addressed by
 byte-identical across runs, execution orders, and worker counts. Each chunk
 of trials is reduced to a few sums (counts, means, central sums and one
 co-moment matrix), and the chunk sums are merged in chunk order, never in
-scheduling order, so memory stays flat in the trial count.
+scheduling order, so memory stays flat in the trial count. Configs run
+together share each chunk's lane draws and keep their own bytes.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -251,18 +251,43 @@ def _selection_from_config(obj) -> MessageSelection:
 # ---------------------------------------------------------------------------
 
 
-def _messages(cfg: ExperimentConfig, start: int, stop: int, message_count: int) -> np.ndarray:
+def _chunk_draws(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> dict:
+    """The lanes that ``cfgs``, all of one root seed, read for trials [start, stop).
+
+    "forward" holds positions 0..n of the forward lane for the largest n, one
+    row per position and one column per trial. "message" holds position 0 of
+    the message lane, or is None when no config draws its message. A lane
+    position is a pure function of (root_seed, trial, role), so a config with
+    fewer rounds or trials reads a prefix of these draws.
+    """
+    trials = np.arange(start, stop)
+    seed = cfgs[0].root_seed
+    draws_message = any(c.message_selection.policy == "uniform-random" for c in cfgs)
+    return {
+        "forward": lane_uniforms(seed, ROLE_FORWARD, trials, 1 + max(c.n for c in cfgs)),
+        "message": lane_uniforms(seed, ROLE_MESSAGE, trials, 1)[0] if draws_message else None,
+    }
+
+
+def _messages(
+    cfg: ExperimentConfig, start: int, stop: int, message_count: int, u: Optional[np.ndarray]
+) -> np.ndarray:
+    """The message of each trial in [start, stop); ``u`` is the message lane's draws, if any."""
     sel = cfg.message_selection
     if sel.policy == "uniform-random":
-        u = lane_uniforms(cfg.root_seed, ROLE_MESSAGE, np.arange(start, stop), 1)[0]
         return np.minimum(1 + (u * message_count).astype(np.int64), message_count)
     if sel.policy == "round-robin":
         return 1 + np.arange(start, stop, dtype=np.int64) % message_count
     return np.full(stop - start, sel.fixed_m, dtype=np.int64)
 
 
-def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
-    """Vectorized execution of trials [start, stop); every simulation path runs through here.
+def _simulate_chunk(cfg: ExperimentConfig, start: int, draws: dict) -> dict:
+    """Vectorized execution of one chunk of trials from ``start`` on; every simulation path runs through here.
+
+    ``draws`` holds this config's ``_chunk_draws``: "forward" with exactly
+    n + 1 rows and one column per trial of the chunk, and "message" with one
+    entry per trial. Both are taken out of ``draws``, and the forward draws
+    are overwritten.
 
     Every arithmetic expression mirrors the scalar protocol path
     (``protocol.run_protocol`` on ``TrialLanes``) exactly, so the two produce
@@ -273,7 +298,6 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
     The kernel works on contiguous rows and mostly in place: the draws become
     the noise in their own buffer, and x overwrites that buffer round by round.
     """
-    count = stop - start
     n = cfg.n
     codebook = cfg.codebook()
     schedule = cfg.schedule()
@@ -282,8 +306,9 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
     mean = float(noise_model.mean)
 
     # x holds every round's noise at first; row i turns into round i's x once y_i is computed
-    x = _noise_in_place(noise_model, lane_uniforms(cfg.root_seed, ROLE_FORWARD, np.arange(start, stop), n + 1))
-    m = _messages(cfg, start, stop, codebook.message_count)
+    x = _noise_in_place(noise_model, draws.pop("forward"))
+    count = x.shape[1]
+    m = _messages(cfg, start, start + count, codebook.message_count, draws.pop("message"))
     theta_m = codebook.midpoints(m)
 
     y = np.empty((n + 1, count))
@@ -313,7 +338,7 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
 
 def _transcripts(cfg: ExperimentConfig, start: int, stop: int) -> List[Transcript]:
     """Full transcripts of trials [start, stop), with the tap output w0."""
-    out = _simulate_chunk(cfg, start, stop)
+    out = _simulate_chunk(cfg, start, _chunk_draws((cfg,), start, stop))
     x, y = out["x"], out["y"]
     noise = y / cfg.channel.gain - x
     tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, np.arange(start, stop), 1)[0]
@@ -352,9 +377,9 @@ def _power_sums(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     return power_mean, _row_sums(x)
 
 
-def _chunk_moments(cfg: ExperimentConfig, start: int, stop: int) -> "_Moments":
-    """Trials [start, stop) reduced to their sums; each round-major buffer is dropped once reduced."""
-    out = _simulate_chunk(cfg, start, stop)
+def _chunk_moments(cfg: ExperimentConfig, start: int, draws: dict) -> "_Moments":
+    """One config's chunk reduced to its sums; each round-major buffer is dropped once reduced."""
+    out = _simulate_chunk(cfg, start, draws)
     power = _power_sums(out.pop("x"))
     # one trial-major copy of the feedback rounds: numpy reduces a single
     # column as a 1-D pairwise sum, so a row-wise sum would move n = 1's bits
@@ -365,6 +390,38 @@ def _chunk_moments(cfg: ExperimentConfig, start: int, stop: int) -> "_Moments":
         power,
         y_rounds,
     )
+
+
+def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "_Moments"]:
+    """The chunk sums, keyed by index in ``cfgs``, of every config with trials from ``start`` on.
+
+    Config j's chunk is trials [start, min(start + CHUNK_TRIALS, trials_j)),
+    the chunk it has when run alone. The configs of one root seed share one
+    ``_chunk_draws``. Each maps its noise from a contiguous copy of its own
+    rows and columns, as a config run alone does from its own draws, except
+    the config with the most trials (then the most rounds): it runs last, on
+    a row prefix of the draws themselves.
+    """
+    stop = start + CHUNK_TRIALS
+    active = sorted((j for j, c in enumerate(cfgs) if c.trials > start), key=lambda j: (cfgs[j].trials, cfgs[j].n))
+    groups: Dict[int, List[int]] = {}
+    for j in active:
+        groups.setdefault(cfgs[j].root_seed, []).append(j)
+    sums: Dict[int, _Moments] = {}
+    for *copied, last in groups.values():
+        draws = _chunk_draws([cfgs[j] for j in copied + [last]], start, min(stop, cfgs[last].trials))
+        for j in copied:
+            count = min(stop, cfgs[j].trials) - start
+            message = draws["message"]
+            own = {
+                "forward": draws["forward"][: cfgs[j].n + 1, :count].copy(),
+                "message": None if message is None else message[:count],
+            }
+            sums[j] = _chunk_moments(cfgs[j], start, own)
+        # the kernel takes the draws out of ``draws``, so they are freed once reduced
+        draws["forward"] = draws["forward"][: cfgs[last].n + 1]
+        sums[last] = _chunk_moments(cfgs[last], start, draws)
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -521,9 +578,17 @@ class _Moments:
         return Diagnostics(corr, skew, kurt, reasons)
 
 
-def _fold(chunks) -> _Moments:
-    """Chunk sums merged left to right, in the order given."""
-    return functools.reduce(_Moments.merge, chunks)
+def _fold(spans) -> Dict[int, _Moments]:
+    """Each config's chunk sums merged left to right, in the order of ``spans``.
+
+    ``spans`` yields one ``_span_moments`` result per span; each is merged as
+    it arrives, so no span result waits in a list.
+    """
+    sums: Dict[int, _Moments] = {}
+    for span in spans:
+        for j, chunk in span.items():
+            sums[j] = sums[j].merge(chunk) if j in sums else chunk
+    return sums
 
 
 # ---------------------------------------------------------------------------
@@ -611,29 +676,43 @@ def shutdown_pool() -> None:
         pool.shutdown(cancel_futures=True)
 
 
-def run_experiment(cfg: ExperimentConfig, threads: int = 1) -> ExperimentReport:
-    """Run all trials and aggregate.
+def run_experiment(
+    cfgs: Union[ExperimentConfig, Tuple[ExperimentConfig, ...]], threads: int = 1
+) -> Union[ExperimentReport, Tuple[ExperimentReport, ...]]:
+    """Run all trials of one config, or of a tuple of configs, and aggregate.
+
+    A single config gives its report; a tuple gives the reports of its
+    configs in order, each byte-identical to that config run alone. The
+    configs run chunk by chunk together: each span of ``CHUNK_TRIALS`` trials
+    draws the lanes of each root seed once, at the most rounds any config of
+    that seed needs, and every config reads its own rows and columns of them.
+    Configs may differ in anything, trials and root seed included.
 
     ``threads`` only selects the number of worker processes; chunk boundaries
-    and reduction order are fixed, so the report is byte-identical for any
+    and reduction order are fixed, so the reports are byte-identical for any
     value.
     """
-    n, trials = cfg.n, cfg.trials
-    codebook = cfg.codebook()
-
-    # pool.map yields in submission order, so the fold runs in chunk order;
-    # a worker beyond the chunk count would be forked and never fed
-    spans = [(s, min(s + CHUNK_TRIALS, trials)) for s in range(0, trials, CHUNK_TRIALS)]
-    if threads > 1 and len(spans) > 1:
+    batch = (cfgs,) if isinstance(cfgs, ExperimentConfig) else tuple(cfgs)
+    starts = range(0, max((c.trials for c in batch), default=0), CHUNK_TRIALS)
+    # pool.map yields in submission order, so the fold runs in span order;
+    # a worker beyond the span count would be forked and never fed
+    if threads > 1 and len(starts) > 1:
         try:
-            pool = open_pool(min(threads, len(spans)))
-            stats = _fold(pool.map(_chunk_moments, repeat(cfg), *zip(*spans)))
+            pool = open_pool(min(threads, len(starts)))
+            sums = _fold(pool.map(_span_moments, repeat(batch), starts))
         except BaseException:
             shutdown_pool()  # a pool that failed once is never reused
             raise
     else:
-        stats = _fold(_chunk_moments(cfg, start, stop) for start, stop in spans)
+        sums = _fold(_span_moments(batch, start) for start in starts)
+    reports = tuple(_report(cfg, sums[j]) for j, cfg in enumerate(batch))
+    return reports[0] if isinstance(cfgs, ExperimentConfig) else reports
 
+
+def _report(cfg: ExperimentConfig, stats: _Moments) -> ExperimentReport:
+    """The report of ``cfg`` from the sums of all its trials."""
+    n, trials = cfg.n, cfg.trials
+    codebook = cfg.codebook()
     gain = cfg.channel.gain
     var_noise = cfg.channel.noise.variance
     error_count = stats.errors

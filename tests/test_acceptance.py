@@ -205,14 +205,14 @@ def test_criterion_10_fails_on_a_perturbed_pooled_report(monkeypatch):
 
 
 _TEST_PID = os.getpid()
-_CHUNK_MOMENTS = harness._chunk_moments
+_SPAN_MOMENTS = harness._span_moments
 
 
-def _failing_chunk_moments(side, cfg, start, stop):
-    """``harness._chunk_moments`` that raises in the pool's workers or in the parent, by ``side``."""
+def _failing_span_moments(side, cfgs, start):
+    """``harness._span_moments`` that raises in the pool's workers or in the parent, by ``side``."""
     if (os.getpid() == _TEST_PID) == (side == "parent"):
         raise RuntimeError(f"injected {side} failure")
-    return _CHUNK_MOMENTS(cfg, start, stop)
+    return _SPAN_MOMENTS(cfgs, start)
 
 
 @contextlib.contextmanager
@@ -234,7 +234,7 @@ def _time_limit(seconds):
 @pytest.mark.parametrize("side", ["worker", "parent"])
 def test_verify_failure_reaches_the_caller_and_leaves_nothing_running(monkeypatch, forked_pools, side):
     # the pooled set fails in the workers; the serial set fails in the calling thread
-    monkeypatch.setattr(harness, "_chunk_moments", functools.partial(_failing_chunk_moments, side))
+    monkeypatch.setattr(harness, "_span_moments", functools.partial(_failing_span_moments, side))
     threads_before = set(threading.enumerate())
     _fresh_run_all_state()
     with _time_limit(60), pytest.raises(RuntimeError, match=f"injected {side} failure"):

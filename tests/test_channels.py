@@ -23,7 +23,7 @@ from skwiretap.channels import (
     noise_from_uniforms,
     sample_noise,
 )
-from skwiretap.harness import ExperimentConfig, _simulate_chunk
+from skwiretap.harness import ExperimentConfig, _chunk_draws, _simulate_chunk
 
 SEED = 314159
 
@@ -78,14 +78,11 @@ class TestTypes:
         assert thermal.gain == 1.0
         assert thermal.noise == NoiseModel("gaussian", var, 0.0)
         affine = AffineChannel(1.0, NoiseModel("gaussian", thermal.noise.variance))
-        thermal_run, affine_run = (
-            _simulate_chunk(
-                ExperimentConfig(channel=ch, n_s=2.0, tap=EveTap(1.0), n=5, rate=0.5, trials=300, root_seed=SEED),
-                0,
-                300,
-            )
+        cfgs = [
+            ExperimentConfig(channel=ch, n_s=2.0, tap=EveTap(1.0), n=5, rate=0.5, trials=300, root_seed=SEED)
             for ch in (thermal, affine)
-        )
+        ]
+        thermal_run, affine_run = (_simulate_chunk(cfg, 0, _chunk_draws((cfg,), 0, 300)) for cfg in cfgs)
         assert thermal_run.keys() == affine_run.keys()
         for key, value in thermal_run.items():
             assert np.array_equal(value, affine_run[key]), key

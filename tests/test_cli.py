@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -496,6 +497,41 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [int(r["n"]) for r in rows] == [2, 4, 6]
         assert all(r["error_rate"] != "" for r in rows)
+
+    @pytest.mark.parametrize(
+        "sweep,trials,digest",
+        [
+            (
+                {"axis": "n", "start": 1, "stop": 9, "steps": 3},
+                CHUNK_TRIALS + 300,
+                "30299f245e2f3125c5e761d459bd2aa99d340ef0ba29de9a5128e8ca4721cb11",
+            ),
+            (
+                {"axis": "trials", "start": 300, "stop": 2 * CHUNK_TRIALS + 77, "steps": 3},
+                1200,
+                "87658b0f9c8a101f8fab5ab20b4acbf21c7d5c471b8005f2e63b2a93d0d673d9",
+            ),
+        ],
+        ids=["n", "trials"],
+    )
+    def test_csv_bytes_pinned(self, sweep, trials, digest, tmp_path, capsys):
+        # the digests of each point run by itself; the points now run in one call
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(dict(THERMAL_CFG, trials=trials, sweep=sweep)))
+        for threads in (1, 2):
+            out = tmp_path / f"rows{threads}.csv"
+            assert run_cli("sweep", "--config", path, "--out", out, "--threads", threads) == 0
+            assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
+
+    def test_invalid_last_point_runs_nothing(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        real = cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: runs.append(args) or real(*args, **kwargs))
+        path = self._write(tmp_path, {"axis": "trials", "start": 400, "stop": 0, "steps": 3})
+        out = tmp_path / "rows.csv"
+        assert run_cli("sweep", "--config", path, "--out", out) == 1
+        assert "trials=0 must be >= 1" in _one_line_error(capsys)
+        assert runs == [] and not out.exists()
 
     def test_photon_sweep_rate_increases(self, tmp_path):
         path = self._write(tmp_path, {"axis": "n_s", "start": 1.0, "stop": 9.0, "steps": 4})

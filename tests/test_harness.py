@@ -22,6 +22,7 @@ from skwiretap.harness import (
     ConfigError,
     ExperimentConfig,
     MessageSelection,
+    _chunk_draws,
     _simulate_chunk,
     _transcripts,
     collect_transcripts,
@@ -209,9 +210,14 @@ class TestConfig:
         assert ExperimentConfig.from_dict(obj).n == 4
 
 
+def _chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
+    """The batch kernel on trials [start, stop) of ``cfg`` alone."""
+    return _simulate_chunk(cfg, start, _chunk_draws((cfg,), start, stop))
+
+
 def _one_trial(cfg: ExperimentConfig, trial: int) -> dict:
     """The batch kernel on the one-trial slice [trial, trial + 1)."""
-    return _simulate_chunk(cfg, trial, trial + 1)
+    return _chunk(cfg, trial, trial + 1)
 
 
 class TestOneTrialSlice:
@@ -230,8 +236,8 @@ class TestOneTrialSlice:
 class TestBatchEqualsScalar:
     def test_chunk_rows_are_trial_pure(self):
         cfg = _thermal_cfg(trials=300)
-        full = _simulate_chunk(cfg, 0, 300)
-        tail = _simulate_chunk(cfg, 150, 300)
+        full = _chunk(cfg, 0, 300)
+        tail = _chunk(cfg, 150, 300)
         for key in ("m", "m_hat", "theta_m", "theta_n"):
             assert np.array_equal(full[key][150:], tail[key])
         for key in ("x", "y"):  # round-major: one column per trial
@@ -242,7 +248,7 @@ class TestBatchEqualsScalar:
         # oracle: the round-by-round state machines on per-trial Philox lanes
         cfg = factory()
         codebook, schedule = cfg.codebook(), cfg.schedule()
-        out = _simulate_chunk(cfg, 0, cfg.trials)
+        out = _chunk(cfg, 0, cfg.trials)
         for trial in (0, 1, 31, 32, 77, 1999):
             lanes = TrialLanes(cfg.root_seed, trial)
             m = min(1 + int(lanes.message.uniform(0) * codebook.message_count), codebook.message_count)
@@ -275,7 +281,7 @@ class TestBatchEqualsScalar:
         # collect_transcripts crosses a chunk boundary and keeps trial order
         cfg = _affine_cfg("shifted-exponential", 0.5, trials=CHUNK_TRIALS + 2, n=2)
         transcripts = collect_transcripts(cfg)
-        out = _simulate_chunk(cfg, CHUNK_TRIALS - 1, CHUNK_TRIALS + 2)
+        out = _chunk(cfg, CHUNK_TRIALS - 1, CHUNK_TRIALS + 2)
         assert len(transcripts) == CHUNK_TRIALS + 2
         for j, t in enumerate(transcripts[CHUNK_TRIALS - 1 :]):
             assert (t.m, t.m_hat, t.theta_n) == (out["m"][j], out["m_hat"][j], out["theta_n"][j])
@@ -289,7 +295,7 @@ class TestBatchEqualsScalar:
     @pytest.mark.parametrize("selection", [MessageSelection("round-robin"), MessageSelection("fixed", 2)])
     def test_selection_policies_agree(self, selection):
         cfg = dataclasses.replace(_thermal_cfg(trials=64), message_selection=selection)
-        out = _simulate_chunk(cfg, 0, 64)
+        out = _chunk(cfg, 0, 64)
         for trial in (0, 5, 63):
             assert _one_trial(cfg, trial)["m"][0] == out["m"][trial]
 
@@ -308,6 +314,22 @@ class TestRunExperiment:
         r2 = run_experiment(cfg, threads=1)
         r3 = run_experiment(cfg, threads=3)
         assert r1.to_json() == r2.to_json() == r3.to_json()
+
+    def test_a_config_tuple_gives_each_config_its_own_bytes(self):
+        # thermal and affine channels, all three selection policies, n from 1 to 12,
+        # one- and three-chunk trial counts and two root seeds, in one call
+        long = 2 * CHUNK_TRIALS + 77
+        cfgs = (
+            _thermal_cfg(n=1, trials=300),
+            _affine_cfg("uniform", 2.0, n=12, trials=long, message_selection=MessageSelection("round-robin")),
+            _affine_cfg("two-point", 2.0, n=5, trials=long, root_seed=SEED + 1),
+            _thermal_cfg(n=7, trials=long, root_seed=SEED + 1, message_selection=MessageSelection("fixed", 3)),
+            _affine_cfg("uniform", 2.0, n=3, trials=300, root_seed=SEED + 1),
+            _thermal_cfg(n=12, trials=long),
+        )
+        alone = [run_experiment(cfg).to_json() for cfg in cfgs]
+        for threads in (1, 3):
+            assert [r.to_json() for r in run_experiment(cfgs, threads=threads)] == alone
 
     def test_pool_never_outnumbers_chunks(self, monkeypatch):
         # a fork pool starts all max_workers processes at the first submit; this fake starts none
@@ -411,7 +433,7 @@ class TestRunExperiment:
         cfg = dataclasses.replace(
             _thermal_cfg(trials=64, n=2, rate=1.0), message_selection=MessageSelection("round-robin")
         )
-        out = _simulate_chunk(cfg, 0, 64)  # M = 2^(2*1) = 4 messages, cycled
+        out = _chunk(cfg, 0, 64)  # M = 2^(2*1) = 4 messages, cycled
         assert set(out["m"]) == {1, 2, 3, 4}
         assert np.array_equal(out["m"][:8], [1, 2, 3, 4, 1, 2, 3, 4])
 

@@ -29,8 +29,9 @@ from skwiretap.harness import (
     MessageSelection,
     _fold,
     _Moments,
-    _chunk_moments,
+    _chunk_draws,
     _power_sums,
+    _span_moments,
     _simulate_chunk,
     compare_bounds,
     report_flat_row,
@@ -73,7 +74,7 @@ def _array_report(cfg: ExperimentConfig, report):
     arrays a chunked run sees; the reductions are those of numpy and
     scipy.stats over them.
     """
-    out = _simulate_chunk(cfg, 0, cfg.trials)
+    out = _simulate_chunk(cfg, 0, _chunk_draws((cfg,), 0, cfg.trials))
     x2, y_rounds, trials = np.square(out["x"].T), out["y"][1:].T, cfg.trials
     theta_dev = cfg.channel.gain * (out["theta_n"] - out["theta_m"])
     errors = int(np.count_nonzero(out["m"] != out["m_hat"]))
@@ -130,7 +131,7 @@ def test_fold_matches_array_statistics(name):
 def test_offset_stress_defeats_the_naive_comoment():
     # the stress config is a real one: the textbook one-pass co-moment misses the 1e-9 bound
     cfg = ORACLE_CONFIGS["gaussian_mean_1e4"]()
-    y = _simulate_chunk(cfg, 0, cfg.trials)["y"][1:].T
+    y = _simulate_chunk(cfg, 0, _chunk_draws((cfg,), 0, cfg.trials))["y"][1:].T
     mean = y.mean(axis=0)
     naive = np.einsum("ij,ik->jk", y, y) - len(y) * np.outer(mean, mean)
     std = np.sqrt(np.diagonal(naive))
@@ -167,7 +168,7 @@ def test_merge_equals_one_pass(sizes, offset, seed):
     # skewed columns with an offset: every merge term of Chan and Pebay is exercised
     data = offset + np.random.default_rng(seed).exponential(size=(sum(sizes), 6))
     bounds = np.cumsum([0] + sizes)
-    folded = _fold(_chunk_of(data[a:b]) for a, b in zip(bounds, bounds[1:]))
+    folded = _fold({0: _chunk_of(data[a:b])} for a, b in zip(bounds, bounds[1:]))[0]
     whole = _chunk_of(data)
     assert folded.count == whole.count
     for name in ("theta_mean", "power_mean", "y_mean"):
@@ -218,14 +219,16 @@ def test_memory_flat_in_trials():
     assert large <= small + one_chunk, (small, large)
 
 
-def test_chunk_peak_memory():
+@pytest.mark.parametrize("rounds", [(40,), (2, 40), (40, 2)])
+def test_chunk_peak_memory(rounds):
     # round-major and in place: the draws, the noise and x share one buffer and
-    # y has one more, so a chunk peaks near two arrays of (n + 1) rounds, not four
-    n = 40
-    cfg = _thermal(CHUNK_TRIALS, n=n)
+    # y has one more, so a chunk peaks near two arrays of (n + 1) rounds, not four;
+    # in a span of several configs the one with the most rounds maps the shared draws
+    n = max(rounds)
+    cfgs = tuple(_thermal(CHUNK_TRIALS, n=k) for k in rounds)
     tracemalloc.start()
     try:
-        _chunk_moments(cfg, 0, CHUNK_TRIALS)
+        _span_moments(cfgs, 0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
