@@ -412,10 +412,9 @@ def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "
         draws = _chunk_draws([cfgs[j] for j in copied + [last]], start, min(stop, cfgs[last].trials))
         for j in copied:
             count = min(stop, cfgs[j].trials) - start
-            message = draws["message"]
             own = {
                 "forward": draws["forward"][: cfgs[j].n + 1, :count].copy(),
-                "message": None if message is None else message[:count],
+                "message": None if draws["message"] is None else draws["message"][:count],
             }
             sums[j] = _chunk_moments(cfgs[j], start, own)
         # the kernel takes the draws out of ``draws``, so they are freed once reduced
@@ -692,7 +691,8 @@ def run_experiment(
     and reduction order are fixed, so the reports are byte-identical for any
     value.
     """
-    batch = (cfgs,) if isinstance(cfgs, ExperimentConfig) else tuple(cfgs)
+    single = isinstance(cfgs, ExperimentConfig)
+    batch = (cfgs,) if single else tuple(cfgs)
     starts = range(0, max((c.trials for c in batch), default=0), CHUNK_TRIALS)
     # pool.map yields in submission order, so the fold runs in span order;
     # a worker beyond the span count would be forked and never fed
@@ -706,7 +706,7 @@ def run_experiment(
     else:
         sums = _fold(_span_moments(batch, start) for start in starts)
     reports = tuple(_report(cfg, sums[j]) for j, cfg in enumerate(batch))
-    return reports[0] if isinstance(cfgs, ExperimentConfig) else reports
+    return reports[0] if single else reports
 
 
 def _report(cfg: ExperimentConfig, stats: _Moments) -> ExperimentReport:

@@ -219,19 +219,31 @@ def test_memory_flat_in_trials():
     assert large <= small + one_chunk, (small, large)
 
 
-@pytest.mark.parametrize("rounds", [(40,), (2, 40), (40, 2)])
-def test_chunk_peak_memory(rounds):
-    # round-major and in place: the draws, the noise and x share one buffer and
-    # y has one more, so a chunk peaks near two arrays of (n + 1) rounds, not four;
-    # in a span of several configs the one with the most rounds maps the shared draws
-    n = max(rounds)
-    cfgs = tuple(_thermal(CHUNK_TRIALS, n=k) for k in rounds)
+def _span_peak(rounds) -> int:
+    """tracemalloc peak of one span over thermal configs with these n."""
+    cfgs = tuple(_thermal(CHUNK_TRIALS, n=n) for n in rounds)
     tracemalloc.start()
     try:
         _span_moments(cfgs, 0)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_chunk_peak_memory():
+    # round-major and in place: the draws, the noise and x share one buffer and
+    # y has one more, so a chunk peaks near two arrays of (n + 1) rounds, not four
+    n = 40
+    peak = _span_peak((n,))
+    assert peak <= 3 * CHUNK_TRIALS * (n + 1) * 8, peak
+
+
+@pytest.mark.parametrize("rounds", [(2, 40), (40, 2)])
+def test_span_maps_the_largest_config_in_place(rounds):
+    # the n = 40 config maps the shared draws themselves, in either order; a
+    # copy of its rows beside the draws would be a third array of 41 rounds
+    n = max(rounds)
+    peak = _span_peak(rounds)
     assert peak <= 3 * CHUNK_TRIALS * (n + 1) * 8, peak
 
 
