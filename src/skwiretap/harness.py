@@ -359,36 +359,14 @@ def _transcripts(cfg: ExperimentConfig, start: int, stop: int) -> List[Transcrip
     ]
 
 
-def _row_sums(rows: np.ndarray) -> np.ndarray:
-    """Sum of each row, added left to right.
-
-    This is the order in which numpy's axis-0 reduction of the transposed,
-    trial-major array adds each column, so the bits match that reduction.
-    """
-    return np.array([np.cumsum(row)[-1] for row in rows])
-
-
-def _power_sums(x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Mean and central sum of x^2 for each row of the round-major ``x``, overwritten here."""
-    np.multiply(x, x, out=x)
-    power_mean = _row_sums(x) / x.shape[1]
-    x -= power_mean[:, None]
-    np.multiply(x, x, out=x)
-    return power_mean, _row_sums(x)
-
-
 def _chunk_moments(cfg: ExperimentConfig, start: int, draws: dict) -> "_Moments":
-    """One config's chunk reduced to its sums; each round-major buffer is dropped once reduced."""
+    """One config's chunk reduced to its sums."""
     out = _simulate_chunk(cfg, start, draws)
-    power = _power_sums(out.pop("x"))
-    # one trial-major copy of the feedback rounds: numpy reduces a single
-    # column as a 1-D pairwise sum, so a row-wise sum would move n = 1's bits
-    y_rounds = np.ascontiguousarray(out.pop("y")[1:].T)
     return _Moments.of(
         int(np.count_nonzero(out["m"] != out["m_hat"])),
         cfg.channel.gain * (out["theta_n"] - out["theta_m"]),
-        power,
-        y_rounds,
+        out["x"],
+        out["y"][1:],
     )
 
 
@@ -476,8 +454,7 @@ class _Moments:
     pairwise update of Chan, Golub & LeVeque (1979), with Pebay's terms
     (SAND2008-6212) for the third and fourth central sums. The theta sums are
     of the decoder statistic centered at the sent midpoint, the power sums of
-    each round's x^2 (rounds 0..n, reduced by ``_power_sums``), the co-moment
-    of the feedback rounds 1..n.
+    each round's x^2 (rounds 0..n), the co-moment of the feedback rounds 1..n.
     """
 
     count: int
@@ -492,18 +469,17 @@ class _Moments:
     y_comoment: np.ndarray
 
     @classmethod
-    def of(
-        cls, errors: int, theta_dev: np.ndarray, power: Tuple[np.ndarray, np.ndarray], y_rounds: np.ndarray
-    ) -> "_Moments":
-        """One chunk's sums; ``power`` is its ``_power_sums`` and ``y_rounds`` has one row per trial."""
-        # einsum, not matmul: no multithreaded BLAS inside the pool workers,
-        # and the same summation for every worker count
+    def of(cls, errors: int, theta_dev: np.ndarray, x: np.ndarray, y: np.ndarray) -> "_Moments":
+        """One chunk's sums from the round-major ``x`` (rounds 0..n) and ``y`` (rounds 1..n), both overwritten."""
         theta_mean = theta_dev.mean()
         c = theta_dev - theta_mean
         c2 = c * c
-        power_mean, power_m2 = power
-        y_mean = y_rounds.mean(axis=0)
-        yc = y_rounds - y_mean
+        np.multiply(x, x, out=x)
+        power_mean = x.mean(axis=1)
+        x -= power_mean[:, None]
+        np.multiply(x, x, out=x)
+        y_mean = y.mean(axis=1)
+        y -= y_mean[:, None]
         return cls(
             count=len(theta_dev),
             errors=errors,
@@ -512,9 +488,11 @@ class _Moments:
             theta_m3=float((c2 * c).sum()),
             theta_m4=float((c2 * c2).sum()),
             power_mean=power_mean,
-            power_m2=power_m2,
+            power_m2=x.sum(axis=1),
             y_mean=y_mean,
-            y_comoment=np.einsum("ij,ik->jk", yc, yc),
+            # einsum, not matmul: no multithreaded BLAS inside the pool workers,
+            # and the same summation for every worker count
+            y_comoment=np.einsum("ik,jk->ij", y, y),
         )
 
     def merge(self, other: "_Moments") -> "_Moments":

@@ -504,12 +504,12 @@ class TestSweep:
             (
                 {"axis": "n", "start": 1, "stop": 9, "steps": 3},
                 CHUNK_TRIALS + 300,
-                "30299f245e2f3125c5e761d459bd2aa99d340ef0ba29de9a5128e8ca4721cb11",
+                "4894119d61a9de8b9e7f7212620109e45aa57654c43cbdfe8646e23abd9233a5",
             ),
             (
                 {"axis": "trials", "start": 300, "stop": 2 * CHUNK_TRIALS + 77, "steps": 3},
                 1200,
-                "87658b0f9c8a101f8fab5ab20b4acbf21c7d5c471b8005f2e63b2a93d0d673d9",
+                "17405a2d57c43015a6ae37737367fc890cd2e1d635226388c08328dc02e7c858",
             ),
         ],
         ids=["n", "trials"],

@@ -34,7 +34,7 @@ GOLDEN = {
             root_seed=161803,
             message_selection=MessageSelection("uniform-random"),
         ),
-        "5d0710772814bfb3fb12a88a31a93a266bb0823f12801240e5919253df89cac1",
+        "df4f2ac9770692b3c51c58e3f15582306f798604b70acb35a44ca80562157cad",
     ),
     # non-Gaussian affine channel, two chunk boundaries crossed
     "affine_uniform_chunks": (
@@ -48,7 +48,7 @@ GOLDEN = {
             root_seed=271828,
             message_selection=MessageSelection("uniform-random"),
         ),
-        "03afd1cbdd14b8a4fcfc7df65643053aabf1168d6541842f8dfa0a17786a34e7",
+        "1482d439f7fb9cf9b03cbaf24b240db77abc1fa3bbb10142bad6b12d6eed379f",
     ),
     # root seed in the upper half of the 64-bit range
     "affine_two_point_high_seed": (
@@ -62,7 +62,7 @@ GOLDEN = {
             root_seed=2**63 + 12345,
             message_selection=MessageSelection("uniform-random"),
         ),
-        "7cbe26d6e872a4745693695c5c35fae054549bc1cc5b4a1026225a1d63cb980b",
+        "80815d0f17a3d512729d4ee21d05629e97951c28d827327e52e7fa9817f0c682",
     ),
     # 40 feedback rounds over four chunks: pins the merge of the co-moment matrix
     "thermal_wide_round_robin": (
@@ -76,7 +76,7 @@ GOLDEN = {
             root_seed=314159,
             message_selection=MessageSelection("round-robin"),
         ),
-        "42066357091a6a43c1514f6af90c41dcdfb3b26be7ce6c6a4b523aa9bd958026",
+        "049d8e96ce12a2d72f84069b1c70c7439fc983a15774c62e5345797f4f9a55e5",
     ),
     # one feedback round: every per-round sum reduces a single feedback column
     "thermal_one_round_chunks": (
@@ -90,7 +90,7 @@ GOLDEN = {
             root_seed=577215,
             message_selection=MessageSelection("uniform-random"),
         ),
-        "6f720e7eed201d073c6c8db8f84d046fead46b0b73f798a1826d8ac9eddb7e70",
+        "d5638dc49a5f7ed273fe88d6a51d0e8a505f8382ad0b3100770272232dd22fa4",
     ),
     # two feedback rounds, skewed noise with a nonzero mean: one co-moment pair
     "affine_exponential_two_rounds": (
@@ -104,7 +104,7 @@ GOLDEN = {
             root_seed=141421,
             message_selection=MessageSelection("round-robin"),
         ),
-        "f884b5610e2335d1d1993f8bc6b8aad3c07981f88f13947dc568413d6a9d9a48",
+        "b0ff69f86447b5c537e5c336292051ac6c969bb03b2a17ad257761a999edc62b",
     ),
 }
 

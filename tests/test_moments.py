@@ -30,7 +30,6 @@ from skwiretap.harness import (
     _fold,
     _Moments,
     _chunk_draws,
-    _power_sums,
     _span_moments,
     _simulate_chunk,
     compare_bounds,
@@ -144,19 +143,25 @@ def test_offset_stress_defeats_the_naive_comoment():
 
 
 @pytest.mark.parametrize("count,rounds", [(1, 2), (2, 3), (9, 2), (CHUNK_TRIALS + 1, 41)])
-def test_power_sums_equal_the_trial_major_reductions(count, rounds):
-    # the row-wise sums add in trial order, as numpy's axis-0 reduction of a
-    # trial-major array does, so the bits are those of the textbook reductions
-    x = np.random.default_rng(count).normal(3.0, 2.0, size=(count, rounds))
+def test_chunk_sums_equal_the_round_major_reductions(count, rounds):
+    # each sum is numpy's own reduction of the round-major rows, so the bits
+    # are those of the plain expressions below
+    rng = np.random.default_rng(count)
+    x = rng.normal(3.0, 2.0, size=(rounds, count))
+    y = rng.normal(-1.0, 2.0, size=(rounds - 1, count))
     x2 = x * x
-    mean = x2.mean(axis=0)
-    power_mean, power_m2 = _power_sums(x.T.copy())
-    assert np.array_equal(power_mean, mean)
-    assert np.array_equal(power_m2, np.einsum("ij,ij->j", x2 - mean, x2 - mean))
+    mean = x2.mean(axis=1)
+    yc = y - y.mean(axis=1)[:, None]
+    stats = _Moments.of(0, np.zeros(count), x.copy(), y.copy())
+    assert np.array_equal(stats.power_mean, mean)
+    assert np.array_equal(stats.power_m2, ((x2 - mean[:, None]) ** 2).sum(axis=1))
+    assert np.array_equal(stats.y_mean, y.mean(axis=1))
+    assert np.array_equal(stats.y_comoment, np.einsum("ik,jk->ij", yc, yc))
+    assert np.array_equal(stats.y_comoment, stats.y_comoment.T)
 
 
 def _chunk_of(data: np.ndarray) -> _Moments:
-    return _Moments.of(0, data[:, 0], _power_sums(data[:, 1:3].T.copy()), data[:, 3:])
+    return _Moments.of(0, data[:, 0], data[:, 1:3].T.copy(), data[:, 3:].T.copy())
 
 
 @given(
@@ -286,7 +291,7 @@ class TestUndefinedStatistics:
         count = 50
         y = np.random.default_rng(3).normal(size=(count, 3))
         y[:, 1] = 7.25
-        stats = _Moments.of(0, np.full(count, 0.1), _power_sums(np.ones((2, count))), y)
+        stats = _Moments.of(0, np.full(count, 0.1), np.ones((2, count)), y.T.copy())
         diag = stats.diagnostics()
         assert diag.max_abs_offdiag_corr is None and diag.theta_skewness is None
         assert diag.null_reasons == {
