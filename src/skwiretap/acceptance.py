@@ -68,14 +68,9 @@ def _cfg_affine(family: str, gain: float, n: int, rate: float) -> ExperimentConf
     )
 
 
-@lru_cache(maxsize=4)
-def shared_reports(threads: int = 1) -> Dict[str, ExperimentReport]:
-    """All Monte Carlo runs the criteria consume, keyed by short names.
-
-    The nine configs share ``ROOT_SEED`` and the trial count, so one
-    ``run_experiment`` call over all of them draws each lane once per chunk.
-    """
-    configs = {
+def _shared_configs() -> Dict[str, ExperimentConfig]:
+    """The configs of every Monte Carlo run the criteria consume, keyed by short names."""
+    return {
         "main": _cfg_gaussian(n=10, rate=0.5),
         "independence": _cfg_gaussian(n=6, rate=0.5),
         "edge": _cfg_gaussian(n=2, rate=0.95),
@@ -86,6 +81,16 @@ def shared_reports(threads: int = 1) -> Dict[str, ExperimentReport]:
         "two-point_cheb": _cfg_affine("two-point", 1.0, n=2, rate=0.9),
         "uniform_cheb": _cfg_affine("uniform", 1.0, n=2, rate=0.9),
     }
+
+
+@lru_cache(maxsize=4)
+def shared_reports(threads: int = 1) -> Dict[str, ExperimentReport]:
+    """The reports of ``_shared_configs``, under the same names.
+
+    The nine configs share ``ROOT_SEED`` and the trial count, so one
+    ``run_experiment`` call over all of them draws each lane once per chunk.
+    """
+    configs = _shared_configs()
     return dict(zip(configs, run_experiment(tuple(configs.values()), threads=threads)))
 
 

@@ -284,10 +284,11 @@ def _messages(
 def _simulate_chunk(cfg: ExperimentConfig, start: int, draws: dict) -> dict:
     """Vectorized execution of one chunk of trials from ``start`` on; every simulation path runs through here.
 
-    ``draws`` holds this config's ``_chunk_draws``: "forward" with exactly
-    n + 1 rows and one column per trial of the chunk, and "message" with one
-    entry per trial. Both are taken out of ``draws``, and the forward draws
-    are overwritten.
+    ``draws`` holds this config's ``_chunk_draws`` with the forward lane
+    already mapped to noise: "forward" holds the noise of rounds 0..n, one
+    row per round and one column per trial of the chunk, and "message" one
+    entry per trial. Both are taken out of ``draws``, and the noise is
+    overwritten.
 
     Every arithmetic expression mirrors the scalar protocol path
     (``protocol.run_protocol`` on ``TrialLanes``) exactly, so the two produce
@@ -295,18 +296,17 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, draws: dict) -> dict:
     decisions and decoder statistics, and the x and raw y of rounds 0..n as
     round-major (n + 1, trials) arrays: row i holds round i of every trial.
 
-    The kernel works on contiguous rows and mostly in place: the draws become
-    the noise in their own buffer, and x overwrites that buffer round by round.
+    The kernel works on contiguous rows and mostly in place: x overwrites
+    the noise buffer round by round.
     """
     n = cfg.n
     codebook = cfg.codebook()
     schedule = cfg.schedule()
-    noise_model = cfg.channel.noise
     gain = cfg.channel.gain
-    mean = float(noise_model.mean)
+    mean = float(cfg.channel.noise.mean)
 
     # x holds every round's noise at first; row i turns into round i's x once y_i is computed
-    x = _noise_in_place(noise_model, draws.pop("forward"))
+    x = draws.pop("forward")
     count = x.shape[1]
     m = _messages(cfg, start, start + count, codebook.message_count, draws.pop("message"))
     theta_m = codebook.midpoints(m)
@@ -338,7 +338,9 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, draws: dict) -> dict:
 
 def _transcripts(cfg: ExperimentConfig, start: int, stop: int) -> List[Transcript]:
     """Full transcripts of trials [start, stop), with the tap output w0."""
-    out = _simulate_chunk(cfg, start, _chunk_draws((cfg,), start, stop))
+    draws = _chunk_draws((cfg,), start, stop)
+    _noise_in_place(cfg.channel.noise, draws["forward"])
+    out = _simulate_chunk(cfg, start, draws)
     x, y = out["x"], out["y"]
     noise = y / cfg.channel.gain - x
     tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, np.arange(start, stop), 1)[0]
@@ -375,10 +377,15 @@ def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "
 
     Config j's chunk is trials [start, min(start + CHUNK_TRIALS, trials_j)),
     the chunk it has when run alone. The configs of one root seed share one
-    ``_chunk_draws``. Each maps its noise from a contiguous copy of its own
-    rows and columns, as a config run alone does from its own draws, except
-    the config with the most trials (then the most rounds): it runs last, on
-    a row prefix of the draws themselves.
+    ``_chunk_draws``, and the config with the most trials (then the most
+    rounds) runs last, on a row prefix of the draws themselves. Configs of
+    another noise model run first, each mapping a contiguous copy of its own
+    rows and columns of the draws. Then the draws are mapped in place, once,
+    with the last config's noise model, over as many rows as the configs of
+    that model need; each of those configs copies its own rows and columns of
+    the noise. The noise map is elementwise, so every config gets the bits it
+    gets alone, and a span holds no more arrays at once than one copy beside
+    the draws.
     """
     stop = start + CHUNK_TRIALS
     active = sorted((j for j, c in enumerate(cfgs) if c.trials > start), key=lambda j: (cfgs[j].trials, cfgs[j].n))
@@ -388,17 +395,30 @@ def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "
     sums: Dict[int, _Moments] = {}
     for *copied, last in groups.values():
         draws = _chunk_draws([cfgs[j] for j in copied + [last]], start, min(stop, cfgs[last].trials))
+        model = cfgs[last].channel.noise
         for j in copied:
-            count = min(stop, cfgs[j].trials) - start
-            own = {
-                "forward": draws["forward"][: cfgs[j].n + 1, :count].copy(),
-                "message": None if draws["message"] is None else draws["message"][:count],
-            }
-            sums[j] = _chunk_moments(cfgs[j], start, own)
-        # the kernel takes the draws out of ``draws``, so they are freed once reduced
+            if cfgs[j].channel.noise != model:
+                own = _own_draws(cfgs[j], start, draws)
+                _noise_in_place(cfgs[j].channel.noise, own["forward"])
+                sums[j] = _chunk_moments(cfgs[j], start, own)
+        shared = [j for j in copied if cfgs[j].channel.noise == model]
+        rows = 1 + max(cfgs[j].n for j in shared + [last])
+        draws["forward"] = _noise_in_place(model, draws["forward"][:rows])
+        for j in shared:
+            sums[j] = _chunk_moments(cfgs[j], start, _own_draws(cfgs[j], start, draws))
+        # the kernel takes the noise out of ``draws``, so it is freed once reduced
         draws["forward"] = draws["forward"][: cfgs[last].n + 1]
         sums[last] = _chunk_moments(cfgs[last], start, draws)
     return sums
+
+
+def _own_draws(cfg: ExperimentConfig, start: int, draws: dict) -> dict:
+    """A contiguous copy of ``cfg``'s rows and columns of a span's ``draws``."""
+    count = min(start + CHUNK_TRIALS, cfg.trials) - start
+    return {
+        "forward": draws["forward"][: cfg.n + 1, :count].copy(),
+        "message": None if draws["message"] is None else draws["message"][:count],
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -446,6 +466,22 @@ class Diagnostics:
 _RESOLUTION = float(np.finfo(np.float64).resolution)
 
 
+def _comoment(y: np.ndarray) -> np.ndarray:
+    """``y @ y.T`` for round-major centred ``y``, from its upper triangle.
+
+    einsum, not matmul: no multithreaded BLAS inside the pool workers, and
+    the same summation for every worker count. Row i's products with rows
+    i.. are the upper triangle, bit-equal to the full ``einsum("ik,jk->ij")``
+    at half its work, and mirrored into the lower one.
+    """
+    rounds = len(y)
+    out = np.empty((rounds, rounds))
+    for i in range(rounds):
+        out[i, i:] = np.einsum("k,jk->j", y[i], y[i:])
+        out[i:, i] = out[i, i:]
+    return out
+
+
 @dataclass(frozen=True)
 class _Moments:
     """Sufficient statistics of a run of trials, mergeable in a fixed order.
@@ -490,9 +526,7 @@ class _Moments:
             power_mean=power_mean,
             power_m2=x.sum(axis=1),
             y_mean=y_mean,
-            # einsum, not matmul: no multithreaded BLAS inside the pool workers,
-            # and the same summation for every worker count
-            y_comoment=np.einsum("ik,jk->ij", y, y),
+            y_comoment=_comoment(y),
         )
 
     def merge(self, other: "_Moments") -> "_Moments":

@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable
 
 __all__ = [
@@ -209,11 +210,14 @@ def phi(nu: float, n_s: float, sigma2: float) -> float:
     return 0.5 * nu * math.log1p(n_s / denominator) / _LN2
 
 
+@lru_cache(maxsize=128)
 def phi_inverse(rate: float, n_s: float, sigma2: float) -> float:
     """The unique nu in (0, 1] with phi(nu) = rate, by bisection.
 
     Absolute tolerance 1e-12 on nu; the round-trip residual
-    |phi(phi_inverse(R)) - R| stays below 1e-10.
+    |phi(phi_inverse(R)) - R| stays below 1e-10. Results are cached: the
+    tower order of every blocklength at one rate needs one bisection, not one
+    per n. A rejected rate raises on every call, as exceptions are not cached.
     """
     p_h = awgn_capacity(n_s, sigma2)
     _require(0 < rate <= p_h, "rate", rate, f"(0, P_H] with P_H={p_h!r}")

@@ -63,6 +63,10 @@ def cfg_path(tmp_path):
     return path
 
 
+# SHA-256 of the stdout of ``skwiretap verify``
+VERIFY_STDOUT_DIGEST = "66e17d6570c029884cddb5ee5b2281a7f0a7f3cdbbfc899323dfff5a74e80531"
+
+
 def run_cli(*argv):
     return cli.main([str(a) for a in argv])
 
@@ -591,7 +595,6 @@ class TestVerifyPlumbing:
         assert "0/1 criteria passed" in capsys.readouterr().out
 
     def test_stdout_layout(self, capsys):
-        # no digest: criterion 2's details go through BLAS and may differ across hosts
         from skwiretap.acceptance import CRITERIA
 
         assert cli.main(["verify"]) == 0
@@ -601,6 +604,14 @@ class TestVerifyPlumbing:
         for k, (line, name) in enumerate(zip(lines[1:-1], CRITERIA), start=1):
             assert line.startswith(f"PASS  {k:>2}. {name}: ")
         assert lines[-1] == f"{len(CRITERIA)}/{len(CRITERIA)} criteria passed"
+
+    def test_stdout_pinned(self, capsys):
+        # every report digest and criterion detail, in one hash. Criterion 2's
+        # residual goes through a LAPACK solve: a BLAS other than numpy's own
+        # OpenBLAS may move its last printed digit, and with it this digest
+        assert cli.main(["verify"]) == 0
+        digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+        assert digest == VERIFY_STDOUT_DIGEST
 
 
 class TestPlumbing:

@@ -15,7 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skwiretap import harness
-from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes
+from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes, _noise_in_place
 from skwiretap.harness import (
     CHUNK_TRIALS,
     TRANSCRIPT_LIMIT,
@@ -212,7 +212,9 @@ class TestConfig:
 
 def _chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
     """The batch kernel on trials [start, stop) of ``cfg`` alone."""
-    return _simulate_chunk(cfg, start, _chunk_draws((cfg,), start, stop))
+    draws = _chunk_draws((cfg,), start, stop)
+    _noise_in_place(cfg.channel.noise, draws["forward"])
+    return _simulate_chunk(cfg, start, draws)
 
 
 def _one_trial(cfg: ExperimentConfig, trial: int) -> dict:
@@ -326,6 +328,24 @@ class TestRunExperiment:
             _thermal_cfg(n=7, trials=long, root_seed=SEED + 1, message_selection=MessageSelection("fixed", 3)),
             _affine_cfg("uniform", 2.0, n=3, trials=300, root_seed=SEED + 1),
             _thermal_cfg(n=12, trials=long),
+        )
+        alone = [run_experiment(cfg).to_json() for cfg in cfgs]
+        for threads in (1, 3):
+            assert [r.to_json() for r in run_experiment(cfgs, threads=threads)] == alone
+
+    def test_a_tuple_of_shared_and_unshared_noise_models(self):
+        # the largest config (most trials) is thermal at n = 4, so a span maps its
+        # Gaussian noise once over the shared draws. A thermal config and a gain-2
+        # affine Gaussian one (the same noise model) have more rounds but fewer
+        # trials, so the map must cover their rows too; the uniform config has the
+        # most rounds of all and maps a copy of the raw draws
+        long = 2 * CHUNK_TRIALS + 77
+        cfgs = (
+            _affine_cfg("uniform", 2.0, n=12, trials=300),
+            _thermal_cfg(n=9, trials=CHUNK_TRIALS + 5),
+            _affine_cfg("gaussian", 2.0, n=7, trials=700),
+            _thermal_cfg(n=2, trials=500),
+            _thermal_cfg(n=4, trials=long),
         )
         alone = [run_experiment(cfg).to_json() for cfg in cfgs]
         for threads in (1, 3):

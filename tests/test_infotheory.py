@@ -13,7 +13,8 @@ import scipy.optimize
 from hypothesis import given
 from hypothesis import strategies as st
 
-from skwiretap.acceptance import ROOT_SEED
+from skwiretap import infotheory
+from skwiretap.acceptance import ROOT_SEED, criterion_tetration
 from skwiretap.infotheory import (
     BoundNotActiveError,
     BoundQuery,
@@ -280,6 +281,35 @@ class TestPhiInverse:
             assert _bisect(f, a, b, xtol=1e-12) == scipy.optimize.bisect(f, a, b, xtol=1e-12)
         with pytest.raises(ValueError, match="different signs"):
             _bisect(lambda x: x + 1.0, 0.0, 1.0, xtol=1e-12)
+
+
+class TestPhiInverseCache:
+    def test_criterion_9_bisects_once_per_rate(self, monkeypatch):
+        # 100 random rates and one rate shared by the tower orders of n = 1..200
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return _bisect(*args, **kwargs)
+
+        monkeypatch.setattr(infotheory, "_bisect", counting)
+        phi_inverse.cache_clear()
+        assert criterion_tetration().passed
+        assert 0 < len(calls) <= 101, len(calls)
+
+    def test_invalid_rate_raises_on_every_call(self):
+        before = phi_inverse.cache_info()
+        for _ in range(3):
+            with pytest.raises(ValueError, match="rate="):
+                phi_inverse(0.0, 3.0, 1.0)
+        after = phi_inverse.cache_info()
+        assert (after.misses - before.misses, after.currsize) == (3, before.currsize)
+
+    def test_hit_returns_the_identical_float(self):
+        phi_inverse.cache_clear()
+        first = phi_inverse(0.3, 3.0, 1.0)
+        assert phi_inverse(0.3, 3.0, 1.0) is first
+        assert phi_inverse.cache_info().hits == 1
 
 
 class TestTetration:

@@ -21,7 +21,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import kurtosis, skew
 
-from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams
+from skwiretap import acceptance
+from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, _noise_in_place
 from skwiretap.harness import (
     CHUNK_TRIALS,
     Diagnostics,
@@ -73,7 +74,9 @@ def _array_report(cfg: ExperimentConfig, report):
     arrays a chunked run sees; the reductions are those of numpy and
     scipy.stats over them.
     """
-    out = _simulate_chunk(cfg, 0, _chunk_draws((cfg,), 0, cfg.trials))
+    draws = _chunk_draws((cfg,), 0, cfg.trials)
+    _noise_in_place(cfg.channel.noise, draws["forward"])
+    out = _simulate_chunk(cfg, 0, draws)
     x2, y_rounds, trials = np.square(out["x"].T), out["y"][1:].T, cfg.trials
     theta_dev = cfg.channel.gain * (out["theta_n"] - out["theta_m"])
     errors = int(np.count_nonzero(out["m"] != out["m_hat"]))
@@ -130,7 +133,9 @@ def test_fold_matches_array_statistics(name):
 def test_offset_stress_defeats_the_naive_comoment():
     # the stress config is a real one: the textbook one-pass co-moment misses the 1e-9 bound
     cfg = ORACLE_CONFIGS["gaussian_mean_1e4"]()
-    y = _simulate_chunk(cfg, 0, _chunk_draws((cfg,), 0, cfg.trials))["y"][1:].T
+    draws = _chunk_draws((cfg,), 0, cfg.trials)
+    _noise_in_place(cfg.channel.noise, draws["forward"])
+    y = _simulate_chunk(cfg, 0, draws)["y"][1:].T
     mean = y.mean(axis=0)
     naive = np.einsum("ij,ik->jk", y, y) - len(y) * np.outer(mean, mean)
     std = np.sqrt(np.diagonal(naive))
@@ -224,15 +229,19 @@ def test_memory_flat_in_trials():
     assert large <= small + one_chunk, (small, large)
 
 
-def _span_peak(rounds) -> int:
-    """tracemalloc peak of one span over thermal configs with these n."""
-    cfgs = tuple(_thermal(CHUNK_TRIALS, n=n) for n in rounds)
+def _traced_span_peak(cfgs) -> int:
+    """tracemalloc peak of the span of ``cfgs`` at start 0."""
     tracemalloc.start()
     try:
         _span_moments(cfgs, 0)
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _span_peak(rounds) -> int:
+    """tracemalloc peak of one span over thermal configs with these n."""
+    return _traced_span_peak(tuple(_thermal(CHUNK_TRIALS, n=n) for n in rounds))
 
 
 def test_chunk_peak_memory():
@@ -250,6 +259,16 @@ def test_span_maps_the_largest_config_in_place(rounds):
     n = max(rounds)
     peak = _span_peak(rounds)
     assert peak <= 3 * CHUNK_TRIALS * (n + 1) * 8, peak
+
+
+def test_acceptance_span_peak_memory():
+    # only the largest config's noise model is mapped over the shared draws; the
+    # other models each map a copy of their own rows, one at a time. Mapping each
+    # model once would hold the noise of several models beside the draws.
+    cfgs = tuple(acceptance._shared_configs().values())
+    rows = 1 + max(c.n for c in cfgs)
+    peak = _traced_span_peak(cfgs)
+    assert peak <= 4 * CHUNK_TRIALS * rows * 8, peak
 
 
 class TestUndefinedStatistics:
