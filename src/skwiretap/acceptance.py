@@ -282,7 +282,9 @@ def run_all() -> List[CriterionResult]:
 
     A helper thread computes the pooled report set, mostly waiting on the
     workers, while this thread computes the serial set and criteria 1-9, so
-    both sets run at once. The workers are forked first, before the helper
+    both sets run at once. The workers run at nice 19 (see ``open_pool``),
+    so this thread, the critical path, keeps a whole core while they take
+    what is left. The workers are forked first, before the helper
     starts, so no fork happens while a second thread runs. The helper is
     joined, and its exception raised, before criterion 10 compares the sets.
     """

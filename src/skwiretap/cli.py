@@ -25,6 +25,7 @@ from .harness import (
     _config_float,
     _config_int,
     _fields,
+    check_signal_to_noise,
     collect_transcripts,
     compare_bounds,
     report_flat_row,
@@ -177,8 +178,7 @@ def _physics_params(args) -> Tuple[dict, BoundQuery]:
         raise CliError(EXIT_CONFIG, f"eta={params['eta']!r} makes the induced sigma2 overflow")
     params.setdefault("sigma2", induced)
     query = BoundQuery(n_s=params["n_s"], sigma2=params["sigma2"], n=params["n"], rate=params["rate"])
-    if not math.isfinite(query.n_s / query.sigma2):
-        raise CliError(EXIT_CONFIG, f"n_s/sigma2 = {query.n_s!r}/{query.sigma2!r} overflows")
+    check_signal_to_noise(query.n_s, query.sigma2)
     return params, query
 
 

@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import sys
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
@@ -46,6 +48,7 @@ __all__ = [
     "ConfigError",
     "MessageSelection",
     "ExperimentConfig",
+    "check_signal_to_noise",
     "Diagnostics",
     "ExperimentReport",
     "VerdictRow",
@@ -123,6 +126,10 @@ class ExperimentConfig:
         fixed_m = self.message_selection.fixed_m
         if fixed_m is not None and fixed_m > message_count:
             raise ConfigError(f"fixed_m={fixed_m} exceeds message count {message_count}")
+        check_signal_to_noise(self.n_s, self.channel.noise.variance)
+        what, log2_peak = _largest_intermediate(self)
+        if log2_peak >= _LOG2_LIMIT:
+            raise ConfigError(f"the run would overflow: {what} reaches 2^{log2_peak:.0f}, above 2^{_LOG2_LIMIT}")
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "ExperimentConfig":
@@ -233,6 +240,54 @@ def _config_float(value, name: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{name}={value!r} must be a finite number")
     return number
+
+
+def check_signal_to_noise(n_s: float, sigma2: float) -> None:
+    """The one check, for experiments and for ``rates`` and ``bounds``, that n_s/sigma2 is finite."""
+    if not math.isfinite(n_s / sigma2):
+        raise ConfigError(f"n_s/sigma2 = {n_s!r}/{sigma2!r} overflows")
+
+
+# A lane uniform lies in [2^-54, 1 - 2^-54], so no noise family draws more than
+# 54 ln 2 - 1 = 36.4 standard deviations from its mean (the shifted
+# exponential's largest draw; a Gaussian draw stays within 8.3).
+_NOISE_TAIL = 37.0
+# log2 of the largest number a run may form: a 16th of the largest double,
+# which leaves room for the few such terms that ``_Moments.merge`` adds up
+_LOG2_LIMIT = sys.float_info.max_exp - 4
+
+
+def _largest_intermediate(cfg: ExperimentConfig) -> Tuple[str, float]:
+    """The largest number a run of ``cfg`` forms, and log2 of a bound on it.
+
+    In exact arithmetic, with T = ``_NOISE_TAIL`` and sigma^2 the noise
+    variance: the protocol error after round i is a sum of at most n + 1
+    weighted noise draws with variance v_i <= sigma^2, so it lies within
+    T sqrt(n+1) sqrt(v_i); each x (theta_m, or gamma_i = sqrt(n_s / v_(i-1))
+    times the error) lies within sqrt(n_s) T sqrt(n+1), and each
+    y = gain (x + noise) within |gain| (that + |mean| + T sigma). The
+    reductions add up, over all trials, fourth powers of x and of the decoder
+    error gain (theta_n - theta_m), and products of two y. The schedule's
+    largest constant is gamma_n = sqrt(n_s / sigma^2) 2^((n-1) C). The
+    rounding floor of the kernel's absolute coordinates is not bounded here.
+    """
+    noise = cfg.channel.noise
+    sigma, gain = math.sqrt(noise.variance), abs(cfg.channel.gain)
+    spread = _NOISE_TAIL * math.sqrt(cfg.n + 1)
+    x = math.sqrt(cfg.n_s) * spread  # inf past double range, as are the sums below
+    log2_trials = math.log2(cfg.trials)
+    capacity = awgn_capacity(cfg.n_s, noise.variance)
+    return max(
+        (
+            ("trials * x^4 of the power sums", log2_trials + 4.0 * math.log2(x)),
+            ("trials * y^2 of the feedback co-moment",
+             log2_trials + 2.0 * (math.log2(gain) + math.log2(x + abs(noise.mean) + _NOISE_TAIL * sigma))),
+            ("trials * (gain (theta_n - theta_m))^4 of the decoder sums",
+             log2_trials + 4.0 * (math.log2(gain) + math.log2(spread * sigma))),
+            ("the schedule gain gamma_n", 0.5 * math.log2(cfg.n_s / noise.variance) + (cfg.n - 1) * capacity),
+        ),
+        key=lambda item: item[1],
+    )
 
 
 def _selection_from_config(obj) -> MessageSelection:
@@ -654,7 +709,7 @@ class ExperimentReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
+        return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
 # One pool serves every pooled run of a command: verify makes nine 2-worker
@@ -670,11 +725,18 @@ def open_pool(workers: int) -> ProcessPoolExecutor:
     A fork pool starts all its workers at its first submit, so a no-op task
     forks a new pool's workers here, before the caller starts any thread of
     its own. An open pool of that size is returned as it is.
+
+    Each worker lowers its own CPU priority to nice 19 as it starts, and the
+    parent keeps its own. ``simulate`` and ``sweep`` only wait on the pool,
+    but ``verify`` runs its serial report set on the parent while the
+    workers run the pooled one: that set is the command's critical path, so
+    it gets a whole core instead of a fair share among three busy processes.
+    The priority moves no byte and no work, only who waits.
     """
     global _pool, _pool_workers
     if _pool is None or _pool_workers != workers:
         shutdown_pool()
-        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers), workers
+        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers, initializer=os.nice, initargs=(19,)), workers
         _pool.submit(int).result()
     return _pool
 

@@ -29,9 +29,9 @@ def forked_pools(monkeypatch):
     pools = []
 
     class RecordingPool(harness.ProcessPoolExecutor):
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, **kwargs):
             pools.append((max_workers, len(multiprocessing.active_children())))
-            super().__init__(max_workers=max_workers)
+            super().__init__(max_workers=max_workers, **kwargs)
 
     monkeypatch.setattr(harness, "ProcessPoolExecutor", RecordingPool)
     return pools

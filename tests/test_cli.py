@@ -262,6 +262,18 @@ class TestInputBoundary:
         assert run_cli("rates", "--config", path) == 1
         assert "domain error" in _one_line_error(capsys)
 
+    def test_signal_to_noise_overflow_has_one_message(self, tmp_path, capsys):
+        # simulate and rates/bounds reject the same n_s/sigma2 through the same check
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(_with(_with(AFFINE_CFG, ("channel", "noise", "variance"), 1e-300), ("n_s",), 1e300)))
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 1
+        lines = {_one_line_error(capsys)}
+        for command in ("rates", "bounds"):
+            assert run_cli(command, "--eta", 0.5, "--n-s", 1e300, "--sigma2", 1e-300, "--n", 4, "--rate", 0.5) == 1
+            lines.add(_one_line_error(capsys))
+        assert lines == {"config error: n_s/sigma2 = 1e+300/1e-300 overflows\n"}
+        assert not (tmp_path / "out").exists()
+
     def test_tiny_sigma2_tower(self, capsys):
         argv = ("--eta", 1, "--n-s", 1, "--sigma2", 1e-300, "--n", 50, "--rate", 100, "--format", "json")
         assert run_cli("bounds", *argv) == 0
@@ -455,6 +467,24 @@ class TestSimulate:
         index = next(k.split(".")[1] for k, v in cells.items() if v == "var_theta_ratio")
         assert cells[f"rows.{index}.empirical"] == "" and cells[f"rows.{index}.pass"] == "False"
 
+    @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+    def test_overflowing_config_runs_nothing(self, fmt, tmp_path, monkeypatch, capsys):
+        # it passed every field check, then wrote NaN and Infinity into report.json
+        obj = dict(_with(_with(AFFINE_CFG, ("channel", "gain"), 1e300), ("channel", "noise"),
+                         {"family": "gaussian", "variance": 1e300}), n_s=3, trials=3000)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("a trial ran"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "--config", path, "--out", tmp_path / "out", "--format", fmt) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == (
+            "config error: the run would overflow: trials * (gain (theta_n - theta_m))^4 of the decoder sums"
+            " reaches 2^6017, above 2^1020\n"
+        )
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("simulate", "--config", tmp_path / "absent.json") == 2
 
@@ -535,6 +565,15 @@ class TestSweep:
         out = tmp_path / "rows.csv"
         assert run_cli("sweep", "--config", path, "--out", out) == 1
         assert "trials=0 must be >= 1" in _one_line_error(capsys)
+        assert runs == [] and not out.exists()
+
+    def test_overflowing_point_runs_nothing(self, tmp_path, monkeypatch, capsys):
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: runs.append(args))
+        path = self._write(tmp_path, {"axis": "n_s", "start": 3.0, "stop": 1e200, "steps": 2})
+        out = tmp_path / "rows.csv"
+        assert run_cli("sweep", "--config", path, "--out", out) == 1
+        assert "trials * x^4 of the power sums reaches 2^1363, above 2^1020" in _one_line_error(capsys)
         assert runs == [] and not out.exists()
 
     def test_photon_sweep_rate_increases(self, tmp_path):

@@ -6,6 +6,8 @@ import io
 import json
 import math
 import multiprocessing
+import os
+import warnings
 from pathlib import Path
 
 import jsonschema
@@ -54,11 +56,11 @@ def _thermal_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(channel=ThermalWiretapParams(eta=0.5, n_th=1.0), n_s=3.0, tap=EveTap(1.0), **kwargs)
 
 
-def _affine_cfg(family="two-point", gain=1.0, **overrides) -> ExperimentConfig:
+def _affine_cfg(family="two-point", gain=1.0, variance=1.0, n_s=3.0, **overrides) -> ExperimentConfig:
     kwargs = dict(n=4, rate=0.5, trials=2000, root_seed=SEED)
     kwargs.update(overrides)
     return ExperimentConfig(
-        channel=AffineChannel(gain, NoiseModel(family, 1.0)), n_s=3.0, tap=EveTap(1.0), **kwargs
+        channel=AffineChannel(gain, NoiseModel(family, variance)), n_s=n_s, tap=EveTap(1.0), **kwargs
     )
 
 
@@ -209,6 +211,30 @@ class TestConfig:
         obj["n"] = 4.0
         assert ExperimentConfig.from_dict(obj).n == 4
 
+    @pytest.mark.parametrize(
+        "overrides,what",
+        [
+            # 300 trials at n = 4: log2 300 + 4 log2(gain 37 sqrt 5) reads 1017.7 at gain 2^246
+            (dict(gain=2.0**247), "trials * (gain (theta_n - theta_m))^4 of the decoder sums"),
+            (dict(gain=1e300, variance=1e300), "trials * (gain (theta_n - theta_m))^4 of the decoder sums"),
+            (dict(n_s=1e200), "trials * x^4 of the power sums"),
+            (dict(gain=2.0**510, variance=2.0**-600, n=1), "trials * y^2 of the feedback co-moment"),
+            # C = 1 bit, so gamma_n = sqrt(3) 2^(n-1)
+            (dict(n=1021, rate=0.02), "the schedule gain gamma_n"),
+        ],
+    )
+    def test_overflowing_run_is_rejected(self, overrides, what):
+        with pytest.raises(ConfigError, match=r"^the run would overflow: .* reaches 2\^\d+, above 2\^1020$") as info:
+            _affine_cfg("gaussian", trials=300, **overrides)
+        assert what in str(info.value)
+
+    @pytest.mark.parametrize("family", ["gaussian", "uniform", "two-point", "shifted-exponential"])
+    @pytest.mark.parametrize("overrides", [dict(gain=2.0**246), dict(n=1020, rate=0.02)])
+    def test_runs_at_the_limit_stay_finite(self, family, overrides):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy overflow on the way
+            json.loads(run_experiment(_affine_cfg(family, trials=300, **overrides)).to_json())
+
 
 def _chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
     """The batch kernel on trials [start, stop) of ``cfg`` alone."""
@@ -356,7 +382,7 @@ class TestRunExperiment:
         sizes = []
 
         class RecordingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 sizes.append(max_workers)
 
             submit = staticmethod(_done)
@@ -388,11 +414,16 @@ class TestRunExperiment:
         assert harness.open_pool(2) is harness.open_pool(2)
         assert forked_pools == [(2, 0)]
 
+    def test_workers_run_at_background_priority(self):
+        parent = os.getpriority(os.PRIO_PROCESS, 0)
+        assert harness.open_pool(2).submit(os.getpriority, os.PRIO_PROCESS, 0).result() == 19
+        assert os.getpriority(os.PRIO_PROCESS, 0) == parent
+
     def test_failed_pool_is_dropped(self, monkeypatch):
         closed = []
 
         class FailingPool:
-            def __init__(self, max_workers):
+            def __init__(self, max_workers, **kwargs):
                 pass
 
             submit = staticmethod(_done)
@@ -551,6 +582,13 @@ class TestReportSerialization:
         )
         for cfg in (_thermal_cfg(trials=200), _affine_cfg(gain=2.0, trials=200)):
             jsonschema.validate(json.loads(run_experiment(cfg).to_json()), schema)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_to_json_is_strict(self, value):
+        report = run_experiment(_thermal_cfg(trials=100))
+        report.empirical_var_theta = value
+        with pytest.raises(ValueError, match="not JSON compliant"):
+            report.to_json()
 
     def test_flat_row_fields(self):
         row = report_flat_row(run_experiment(_thermal_cfg(trials=100)))
