@@ -1,7 +1,7 @@
 """Command-line front end: rates, bounds, simulate, sweep, verify.
 
-Exit codes: 0 success, 1 configuration or domain error, 2 I/O error,
-3 verdict or verification failure.
+Exit codes: 0 success, 1 configuration, domain or memory error, 2 I/O
+error, 3 verdict or verification failure.
 """
 
 from __future__ import annotations
@@ -417,6 +417,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except MemoryError as exc:  # a run too large to allocate
+        print(f"memory error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     finally:
         # join the workers here, not at exit, so the command's own
         # RUSAGE_CHILDREN figures count them

@@ -306,44 +306,42 @@ def _selection_from_config(obj) -> MessageSelection:
 # ---------------------------------------------------------------------------
 
 
-def _chunk_draws(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> dict:
-    """The lanes that ``cfgs``, all of one root seed, read for trials [start, stop).
+def _chunk_draws(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """The lanes that ``cfgs``, all of one root seed, read for trials [start, stop): (forward, u).
 
-    "forward" holds positions 0..n of the forward lane for the largest n, one
-    row per position and one column per trial. "message" holds position 0 of
+    ``forward`` holds positions 0..n of the forward lane for the largest n,
+    one row per position and one column per trial. ``u`` holds position 0 of
     the message lane, or is None when no config draws its message. A lane
     position is a pure function of (root_seed, trial, role), so a config with
     fewer rounds or trials reads a prefix of these draws.
     """
     trials = np.arange(start, stop)
     seed = cfgs[0].root_seed
-    draws_message = any(c.message_selection.policy == "uniform-random" for c in cfgs)
-    return {
-        "forward": lane_uniforms(seed, ROLE_FORWARD, trials, 1 + max(c.n for c in cfgs)),
-        "message": lane_uniforms(seed, ROLE_MESSAGE, trials, 1)[0] if draws_message else None,
-    }
+    forward = lane_uniforms(seed, ROLE_FORWARD, trials, 1 + max(c.n for c in cfgs))
+    if not any(c.message_selection.policy == "uniform-random" for c in cfgs):
+        return forward, None
+    return forward, lane_uniforms(seed, ROLE_MESSAGE, trials, 1)[0]
 
 
 def _messages(
     cfg: ExperimentConfig, start: int, stop: int, message_count: int, u: Optional[np.ndarray]
 ) -> np.ndarray:
-    """The message of each trial in [start, stop); ``u`` is the message lane's draws, if any."""
+    """The message of each trial in [start, stop); ``u`` is the message lane's draws from ``start`` on, if any."""
     sel = cfg.message_selection
     if sel.policy == "uniform-random":
-        return np.minimum(1 + (u * message_count).astype(np.int64), message_count)
+        return np.minimum(1 + (u[: stop - start] * message_count).astype(np.int64), message_count)
     if sel.policy == "round-robin":
         return 1 + np.arange(start, stop, dtype=np.int64) % message_count
     return np.full(stop - start, sel.fixed_m, dtype=np.int64)
 
 
-def _simulate_chunk(cfg: ExperimentConfig, start: int, draws: dict) -> dict:
+def _simulate_chunk(cfg: ExperimentConfig, start: int, noise: np.ndarray, u: Optional[np.ndarray]) -> dict:
     """Vectorized execution of one chunk of trials from ``start`` on; every simulation path runs through here.
 
-    ``draws`` holds this config's ``_chunk_draws`` with the forward lane
-    already mapped to noise: "forward" holds the noise of rounds 0..n, one
-    row per round and one column per trial of the chunk, and "message" one
-    entry per trial. Both are taken out of ``draws``, and the noise is
-    overwritten.
+    ``noise`` holds the noise of rounds 0..n, one row per round and one
+    column per trial of the chunk, and is overwritten. ``u`` holds the
+    message lane's draws from ``start`` on (None unless the config draws its
+    message); the kernel reads as many as the chunk has trials.
 
     Every arithmetic expression mirrors the scalar protocol path
     (``protocol.run_protocol`` on ``TrialLanes``) exactly, so the two produce
@@ -361,9 +359,9 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, draws: dict) -> dict:
     mean = float(cfg.channel.noise.mean)
 
     # x holds every round's noise at first; row i turns into round i's x once y_i is computed
-    x = draws.pop("forward")
+    x = noise
     count = x.shape[1]
-    m = _messages(cfg, start, start + count, codebook.message_count, draws.pop("message"))
+    m = _messages(cfg, start, start + count, codebook.message_count, u)
     theta_m = codebook.midpoints(m)
 
     y = np.empty((n + 1, count))
@@ -386,53 +384,23 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, draws: dict) -> dict:
         step -= mean
         step *= schedule.k_gain[i]
         nhat += step
-    theta_n = y0_reduced - nhat
+    theta_n = np.subtract(y0_reduced, nhat, out=nhat)
     m_hat = codebook.decode_value(theta_n)
     return {"m": m, "m_hat": m_hat, "theta_m": theta_m, "theta_n": theta_n, "x": x, "y": y}
 
 
-def _transcripts(cfg: ExperimentConfig, start: int, stop: int) -> List[Transcript]:
-    """Full transcripts of trials [start, stop), with the tap output w0."""
-    draws = _chunk_draws((cfg,), start, stop)
-    _noise_in_place(cfg.channel.noise, draws["forward"])
-    out = _simulate_chunk(cfg, start, draws)
-    x, y = out["x"], out["y"]
-    noise = y / cfg.channel.gain - x
-    tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, np.arange(start, stop), 1)[0]
-    w0 = y[0] + math.sqrt(cfg.tap.variance) * ndtri(tap_u)
-    x, noise, y = x.T, noise.T, y.T  # one row per trial
-    return [
-        Transcript(
-            m=int(out["m"][j]),
-            m_hat=int(out["m_hat"][j]),
-            theta_m=float(out["theta_m"][j]),
-            theta_n=float(out["theta_n"][j]),
-            w0=float(w0[j]),
-            x=x[j],
-            noise=noise[j],
-            y=y[j],
-        )
-        for j in range(stop - start)
-    ]
-
-
-def _chunk_moments(cfg: ExperimentConfig, start: int, draws: dict) -> "_Moments":
-    """One config's chunk reduced to its sums."""
-    out = _simulate_chunk(cfg, start, draws)
-    return _Moments.of(
-        int(np.count_nonzero(out["m"] != out["m_hat"])),
-        cfg.channel.gain * (out["theta_n"] - out["theta_m"]),
-        out["x"],
-        out["y"][1:],
-    )
+def _chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
+    """The batch kernel on trials [start, stop) of ``cfg`` alone: draw, map the noise, simulate."""
+    forward, u = _chunk_draws((cfg,), start, stop)
+    return _simulate_chunk(cfg, start, _noise_in_place(cfg.channel.noise, forward), u)
 
 
 def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "_Moments"]:
     """The chunk sums, keyed by index in ``cfgs``, of every config with trials from ``start`` on.
 
     Config j's chunk is trials [start, min(start + CHUNK_TRIALS, trials_j)),
-    the chunk it has when run alone. The configs of one root seed share one
-    ``_chunk_draws``, and the config with the most trials (then the most
+    the chunk it has when run alone. The configs, all of one root seed, share
+    one ``_chunk_draws``, and the config with the most trials (then the most
     rounds) runs last, on a row prefix of the draws themselves. Configs of
     another noise model run first, each mapping a contiguous copy of its own
     rows and columns of the draws. Then the draws are mapped in place, once,
@@ -443,37 +411,31 @@ def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "
     the draws.
     """
     stop = start + CHUNK_TRIALS
-    active = sorted((j for j, c in enumerate(cfgs) if c.trials > start), key=lambda j: (cfgs[j].trials, cfgs[j].n))
-    groups: Dict[int, List[int]] = {}
-    for j in active:
-        groups.setdefault(cfgs[j].root_seed, []).append(j)
+    active = (j for j, c in enumerate(cfgs) if c.trials > start)
+    *copied, last = sorted(active, key=lambda j: (cfgs[j].trials, cfgs[j].n))
+    forward, u = _chunk_draws([cfgs[j] for j in copied + [last]], start, min(stop, cfgs[last].trials))
+    model = cfgs[last].channel.noise
+    shared = [j for j in copied if cfgs[j].channel.noise == model]
+
+    def own(j: int, rows: np.ndarray) -> np.ndarray:
+        """A contiguous copy of config j's rows and columns of ``rows``."""
+        return rows[: cfgs[j].n + 1, : min(stop, cfgs[j].trials) - start].copy()
+
+    def chunk_sums(j: int, noise: np.ndarray) -> _Moments:
+        """Config j's chunk reduced to its sums; the kernel overwrites ``noise``."""
+        out = _simulate_chunk(cfgs[j], start, noise, u)
+        theta_dev = cfgs[j].channel.gain * (out["theta_n"] - out["theta_m"])
+        return _Moments.of(int(np.count_nonzero(out["m"] != out["m_hat"])), theta_dev, out["x"], out["y"][1:])
+
     sums: Dict[int, _Moments] = {}
-    for *copied, last in groups.values():
-        draws = _chunk_draws([cfgs[j] for j in copied + [last]], start, min(stop, cfgs[last].trials))
-        model = cfgs[last].channel.noise
-        for j in copied:
-            if cfgs[j].channel.noise != model:
-                own = _own_draws(cfgs[j], start, draws)
-                _noise_in_place(cfgs[j].channel.noise, own["forward"])
-                sums[j] = _chunk_moments(cfgs[j], start, own)
-        shared = [j for j in copied if cfgs[j].channel.noise == model]
-        rows = 1 + max(cfgs[j].n for j in shared + [last])
-        draws["forward"] = _noise_in_place(model, draws["forward"][:rows])
-        for j in shared:
-            sums[j] = _chunk_moments(cfgs[j], start, _own_draws(cfgs[j], start, draws))
-        # the kernel takes the noise out of ``draws``, so it is freed once reduced
-        draws["forward"] = draws["forward"][: cfgs[last].n + 1]
-        sums[last] = _chunk_moments(cfgs[last], start, draws)
+    for j in copied:
+        if j not in shared:
+            sums[j] = chunk_sums(j, _noise_in_place(cfgs[j].channel.noise, own(j, forward)))
+    forward = _noise_in_place(model, forward[: 1 + max(cfgs[j].n for j in shared + [last])])
+    for j in shared:
+        sums[j] = chunk_sums(j, own(j, forward))
+    sums[last] = chunk_sums(last, forward[: cfgs[last].n + 1])
     return sums
-
-
-def _own_draws(cfg: ExperimentConfig, start: int, draws: dict) -> dict:
-    """A contiguous copy of ``cfg``'s rows and columns of a span's ``draws``."""
-    count = min(start + CHUNK_TRIALS, cfg.trials) - start
-    return {
-        "forward": draws["forward"][: cfg.n + 1, :count].copy(),
-        "message": None if draws["message"] is None else draws["message"][:count],
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -712,9 +674,11 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
-# One pool serves every pooled run of a command: verify makes nine 2-worker
-# runs, and forking the workers costs more than some of those runs. A new
-# worker count replaces the pool, so two pools are never alive at once.
+# One pool per process, at module level, so that acceptance.run_all can fork
+# the workers on the main thread before its helper thread starts; the
+# helper's run_experiment then finds them open. Each command makes at most
+# one pooled run_experiment call. A new worker count replaces the pool, so
+# two pools are never alive at once.
 _pool: Optional[ProcessPoolExecutor] = None
 _pool_workers = 0
 
@@ -757,9 +721,9 @@ def run_experiment(
     A single config gives its report; a tuple gives the reports of its
     configs in order, each byte-identical to that config run alone. The
     configs run chunk by chunk together: each span of ``CHUNK_TRIALS`` trials
-    draws the lanes of each root seed once, at the most rounds any config of
-    that seed needs, and every config reads its own rows and columns of them.
-    Configs may differ in anything, trials and root seed included.
+    draws the lanes once, at the most rounds any config needs, and every
+    config reads its own rows and columns of them. The configs share one
+    root seed and may differ in anything else, trials included.
 
     ``threads`` only selects the number of worker processes; chunk boundaries
     and reduction order are fixed, so the reports are byte-identical for any
@@ -767,6 +731,9 @@ def run_experiment(
     """
     single = isinstance(cfgs, ExperimentConfig)
     batch = (cfgs,) if single else tuple(cfgs)
+    seeds = sorted({c.root_seed for c in batch})
+    if len(seeds) > 1:
+        raise ConfigError(f"configs run together must share one root seed, not {len(seeds)}: {seeds}")
     starts = range(0, max((c.trials for c in batch), default=0), CHUNK_TRIALS)
     # pool.map yields in submission order, so the fold runs in span order;
     # a worker beyond the span count would be forked and never fed
@@ -830,7 +797,7 @@ def _report(cfg: ExperimentConfig, stats: _Moments) -> ExperimentReport:
 
 
 def collect_transcripts(cfg: ExperimentConfig) -> List[Transcript]:
-    """Full transcripts of the first min(trials, TRANSCRIPT_LIMIT) trials.
+    """Full transcripts of the first min(trials, TRANSCRIPT_LIMIT) trials, with the tap output w0.
 
     ``run_experiment`` keeps only each chunk's sums; this re-executes the
     leading trials through the batch computation, chunk by chunk, keeping
@@ -839,7 +806,26 @@ def collect_transcripts(cfg: ExperimentConfig) -> List[Transcript]:
     count = min(cfg.trials, TRANSCRIPT_LIMIT)
     transcripts: List[Transcript] = []
     for start in range(0, count, CHUNK_TRIALS):
-        transcripts += _transcripts(cfg, start, min(start + CHUNK_TRIALS, count))
+        stop = min(start + CHUNK_TRIALS, count)
+        out = _chunk(cfg, start, stop)
+        x, y = out["x"], out["y"]
+        noise = y / cfg.channel.gain - x
+        tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, np.arange(start, stop), 1)[0]
+        w0 = y[0] + math.sqrt(cfg.tap.variance) * ndtri(tap_u)
+        x, noise, y = x.T, noise.T, y.T  # one row per trial
+        transcripts += (
+            Transcript(
+                m=int(out["m"][j]),
+                m_hat=int(out["m_hat"][j]),
+                theta_m=float(out["theta_m"][j]),
+                theta_n=float(out["theta_n"][j]),
+                w0=float(w0[j]),
+                x=x[j],
+                noise=noise[j],
+                y=y[j],
+            )
+            for j in range(stop - start)
+        )
     return transcripts
 
 

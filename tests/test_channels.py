@@ -17,14 +17,13 @@ from skwiretap.channels import (
     RngLane,
     ThermalWiretapParams,
     TrialLanes,
-    _noise_in_place,
     eve_tap_transmit,
     forward_transmit,
     lane_uniforms,
     noise_from_uniforms,
     sample_noise,
 )
-from skwiretap.harness import ExperimentConfig, _chunk_draws, _simulate_chunk
+from skwiretap.harness import ExperimentConfig, _chunk
 
 SEED = 314159
 
@@ -83,12 +82,7 @@ class TestTypes:
             ExperimentConfig(channel=ch, n_s=2.0, tap=EveTap(1.0), n=5, rate=0.5, trials=300, root_seed=SEED)
             for ch in (thermal, affine)
         ]
-        runs = []
-        for cfg in cfgs:
-            draws = _chunk_draws((cfg,), 0, 300)
-            _noise_in_place(cfg.channel.noise, draws["forward"])
-            runs.append(_simulate_chunk(cfg, 0, draws))
-        thermal_run, affine_run = runs
+        thermal_run, affine_run = (_chunk(cfg, 0, 300) for cfg in cfgs)
         assert thermal_run.keys() == affine_run.keys()
         for key, value in thermal_run.items():
             assert np.array_equal(value, affine_run[key]), key

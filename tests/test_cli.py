@@ -485,6 +485,18 @@ class TestSimulate:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_run_too_large_to_allocate_is_one_line(self, tmp_path, capsys):
+        # it passes every config check; its forward lane draws are (n + 1) x 8192
+        # doubles, 5.8 PiB, which no 2^47-byte address space holds, so numpy
+        # refuses at once and touches no page
+        obj = dict(_with(AFFINE_CFG, ("channel", "noise"), {"family": "gaussian", "variance": 1.0}),
+                   n_s=1e-9, n=10**11, rate=1e-10, trials=CHUNK_TRIALS)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 1
+        assert _one_line_error(capsys).startswith("memory error: ")
+        assert not (tmp_path / "out").exists()
+
     def test_missing_config_file(self, tmp_path):
         assert run_cli("simulate", "--config", tmp_path / "absent.json") == 2
 
@@ -575,6 +587,14 @@ class TestSweep:
         assert run_cli("sweep", "--config", path, "--out", out) == 1
         assert "trials * x^4 of the power sums reaches 2^1363, above 2^1020" in _one_line_error(capsys)
         assert runs == [] and not out.exists()
+
+    def test_too_many_steps_to_allocate_is_one_line(self, tmp_path, capsys):
+        # 10^15 points are 8e15 bytes, beyond any 2^47-byte address space
+        path = self._write(tmp_path, {"axis": "n", "start": 1, "stop": 9, "steps": 10**15})
+        out = tmp_path / "rows.csv"
+        assert run_cli("sweep", "--config", path, "--out", out) == 1
+        assert _one_line_error(capsys).startswith("memory error: ")
+        assert not out.exists()
 
     def test_photon_sweep_rate_increases(self, tmp_path):
         path = self._write(tmp_path, {"axis": "n_s", "start": 1.0, "stop": 9.0, "steps": 4})

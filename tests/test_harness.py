@@ -17,16 +17,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skwiretap import harness
-from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes, _noise_in_place
+from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes
 from skwiretap.harness import (
     CHUNK_TRIALS,
     TRANSCRIPT_LIMIT,
     ConfigError,
     ExperimentConfig,
     MessageSelection,
-    _chunk_draws,
-    _simulate_chunk,
-    _transcripts,
+    _chunk,
     collect_transcripts,
     compare_bounds,
     report_flat_row,
@@ -56,11 +54,11 @@ def _thermal_cfg(**overrides) -> ExperimentConfig:
     return ExperimentConfig(channel=ThermalWiretapParams(eta=0.5, n_th=1.0), n_s=3.0, tap=EveTap(1.0), **kwargs)
 
 
-def _affine_cfg(family="two-point", gain=1.0, variance=1.0, n_s=3.0, **overrides) -> ExperimentConfig:
+def _affine_cfg(family="two-point", gain=1.0, variance=1.0, n_s=3.0, mean=0.0, **overrides) -> ExperimentConfig:
     kwargs = dict(n=4, rate=0.5, trials=2000, root_seed=SEED)
     kwargs.update(overrides)
     return ExperimentConfig(
-        channel=AffineChannel(gain, NoiseModel(family, variance)), n_s=n_s, tap=EveTap(1.0), **kwargs
+        channel=AffineChannel(gain, NoiseModel(family, variance, mean)), n_s=n_s, tap=EveTap(1.0), **kwargs
     )
 
 
@@ -236,13 +234,6 @@ class TestConfig:
             json.loads(run_experiment(_affine_cfg(family, trials=300, **overrides)).to_json())
 
 
-def _chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
-    """The batch kernel on trials [start, stop) of ``cfg`` alone."""
-    draws = _chunk_draws((cfg,), start, stop)
-    _noise_in_place(cfg.channel.noise, draws["forward"])
-    return _simulate_chunk(cfg, start, draws)
-
-
 def _one_trial(cfg: ExperimentConfig, trial: int) -> dict:
     """The batch kernel on the one-trial slice [trial, trial + 1)."""
     return _chunk(cfg, trial, trial + 1)
@@ -277,6 +268,7 @@ class TestBatchEqualsScalar:
         cfg = factory()
         codebook, schedule = cfg.codebook(), cfg.schedule()
         out = _chunk(cfg, 0, cfg.trials)
+        transcripts = collect_transcripts(cfg)
         for trial in (0, 1, 31, 32, 77, 1999):
             lanes = TrialLanes(cfg.root_seed, trial)
             m = min(1 + int(lanes.message.uniform(0) * codebook.message_count), codebook.message_count)
@@ -289,7 +281,7 @@ class TestBatchEqualsScalar:
             assert np.array_equal(out["y"][:, trial], oracle.y)
 
             assert np.array_equal(_one_trial(cfg, trial)["x"][:, 0], oracle.x)
-            (t,) = _transcripts(cfg, trial, trial + 1)
+            t = transcripts[trial]
             for field in dataclasses.fields(t):
                 assert np.array_equal(getattr(t, field.name), getattr(oracle, field.name)), field.name
 
@@ -345,15 +337,36 @@ class TestRunExperiment:
 
     def test_a_config_tuple_gives_each_config_its_own_bytes(self):
         # thermal and affine channels, all three selection policies, n from 1 to 12,
-        # one- and three-chunk trial counts and two root seeds, in one call
+        # and one- and three-chunk trial counts, in one call
         long = 2 * CHUNK_TRIALS + 77
         cfgs = (
             _thermal_cfg(n=1, trials=300),
             _affine_cfg("uniform", 2.0, n=12, trials=long, message_selection=MessageSelection("round-robin")),
-            _affine_cfg("two-point", 2.0, n=5, trials=long, root_seed=SEED + 1),
-            _thermal_cfg(n=7, trials=long, root_seed=SEED + 1, message_selection=MessageSelection("fixed", 3)),
-            _affine_cfg("uniform", 2.0, n=3, trials=300, root_seed=SEED + 1),
+            _affine_cfg("two-point", 2.0, n=5, trials=long),
+            _thermal_cfg(n=7, trials=long, message_selection=MessageSelection("fixed", 3)),
+            _affine_cfg("uniform", 2.0, n=3, trials=300),
             _thermal_cfg(n=12, trials=long),
+        )
+        alone = [run_experiment(cfg).to_json() for cfg in cfgs]
+        for threads in (1, 3):
+            assert [r.to_json() for r in run_experiment(cfgs, threads=threads)] == alone
+
+    def test_a_tuple_has_one_root_seed(self):
+        cfgs = (_thermal_cfg(trials=10), _thermal_cfg(trials=10, root_seed=SEED + 1))
+        with pytest.raises(ConfigError) as info:
+            run_experiment(cfgs)
+        assert str(info.value) == f"configs run together must share one root seed, not 2: {[SEED, SEED + 1]}"
+
+    def test_one_family_with_another_variance_or_mean_maps_its_own_noise(self):
+        # the largest config is Gaussian with variance 1 and mean 0; Gaussian
+        # configs with another variance or mean have another noise model, so
+        # they must not read the noise mapped over the shared draws
+        long = 2 * CHUNK_TRIALS + 77
+        cfgs = (
+            _affine_cfg("gaussian", variance=2.0, n=5, trials=700),
+            _affine_cfg("gaussian", mean=0.5, n=3, trials=CHUNK_TRIALS + 5),
+            _affine_cfg("gaussian", n=6, trials=300),
+            _affine_cfg("gaussian", n=4, trials=long),
         )
         alone = [run_experiment(cfg).to_json() for cfg in cfgs]
         for threads in (1, 3):

@@ -22,17 +22,16 @@ from hypothesis import strategies as st
 from scipy.stats import kurtosis, skew
 
 from skwiretap import acceptance
-from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, _noise_in_place
+from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams
 from skwiretap.harness import (
     CHUNK_TRIALS,
     Diagnostics,
     ExperimentConfig,
     MessageSelection,
     _fold,
+    _chunk,
     _Moments,
-    _chunk_draws,
     _span_moments,
-    _simulate_chunk,
     compare_bounds,
     report_flat_row,
     run_experiment,
@@ -74,9 +73,7 @@ def _array_report(cfg: ExperimentConfig, report):
     arrays a chunked run sees; the reductions are those of numpy and
     scipy.stats over them.
     """
-    draws = _chunk_draws((cfg,), 0, cfg.trials)
-    _noise_in_place(cfg.channel.noise, draws["forward"])
-    out = _simulate_chunk(cfg, 0, draws)
+    out = _chunk(cfg, 0, cfg.trials)
     x2, y_rounds, trials = np.square(out["x"].T), out["y"][1:].T, cfg.trials
     theta_dev = cfg.channel.gain * (out["theta_n"] - out["theta_m"])
     errors = int(np.count_nonzero(out["m"] != out["m_hat"]))
@@ -133,9 +130,7 @@ def test_fold_matches_array_statistics(name):
 def test_offset_stress_defeats_the_naive_comoment():
     # the stress config is a real one: the textbook one-pass co-moment misses the 1e-9 bound
     cfg = ORACLE_CONFIGS["gaussian_mean_1e4"]()
-    draws = _chunk_draws((cfg,), 0, cfg.trials)
-    _noise_in_place(cfg.channel.noise, draws["forward"])
-    y = _simulate_chunk(cfg, 0, draws)["y"][1:].T
+    y = _chunk(cfg, 0, cfg.trials)["y"][1:].T
     mean = y.mean(axis=0)
     naive = np.einsum("ij,ik->jk", y, y) - len(y) * np.outer(mean, mean)
     std = np.sqrt(np.diagonal(naive))
