@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 from numpy.random import Philox
@@ -37,10 +37,7 @@ __all__ = [
     "RngLane",
     "TrialLanes",
     "lane_uniforms",
-    "sample_noise",
     "noise_from_uniforms",
-    "forward_transmit",
-    "eve_tap_transmit",
 ]
 
 NOISE_FAMILIES = ("gaussian", "uniform", "two-point", "shifted-exponential")
@@ -176,10 +173,6 @@ class RngLane:
         raw = Philox(key=self._key).random_raw(count)
         return _raw_to_uniform(raw)
 
-    def uniform(self, position: int) -> float:
-        """The single draw at the given position."""
-        return float(self.uniforms(position + 1)[position])
-
 
 @dataclass(frozen=True)
 class TrialLanes:
@@ -195,10 +188,6 @@ class TrialLanes:
     @property
     def tap(self) -> RngLane:
         return RngLane(self.root_seed, self.trial, ROLE_TAP)
-
-    @property
-    def message(self) -> RngLane:
-        return RngLane(self.root_seed, self.trial, ROLE_MESSAGE)
 
 
 # Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
@@ -317,24 +306,4 @@ def noise_from_uniforms(nm: NoiseModel, u: np.ndarray) -> np.ndarray:
     ``u`` is left unchanged; the result is a new array.
     """
     return _noise_in_place(nm, np.array(u, dtype=np.float64))
-
-
-def sample_noise(nm: NoiseModel, lane: RngLane, position: int = 0) -> float:
-    """One noise draw from the lane at the given round position."""
-    return float(noise_from_uniforms(nm, lane.uniforms(position + 1)[position : position + 1])[0])
-
-
-def forward_transmit(
-    ch: Union[AffineChannel, ThermalWiretapParams], x: float, lane: RngLane, position: int
-) -> float:
-    """Send x through the channel; returns gain * (x + noise).
-
-    The realized noise is recoverable by the caller as y/gain - x.
-    """
-    return ch.gain * (x + sample_noise(ch.noise, lane, position))
-
-
-def eve_tap_transmit(tap: EveTap, y: float, lane: RngLane, position: int = 0) -> float:
-    """Eavesdropper's copy of the round-0 feedback value: y plus Gaussian tap noise."""
-    return y + math.sqrt(tap.variance) * float(ndtri(lane.uniforms(position + 1)[position]))
 

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
+from scipy.special import ndtri
 
-from .channels import AffineChannel, EveTap, ThermalWiretapParams, TrialLanes, eve_tap_transmit, forward_transmit
+from .channels import AffineChannel, EveTap, ThermalWiretapParams, TrialLanes, noise_from_uniforms
 
 __all__ = [
     "ProtocolOrderError",
@@ -30,7 +31,6 @@ __all__ = [
     "alice_round",
     "alice_finish",
     "bob_round",
-    "decode",
     "mmse_oracle",
     "run_protocol",
 ]
@@ -244,11 +244,6 @@ def bob_round(state: BobState, y: float) -> None:
     state.i += 1
 
 
-def decode(bob: BobState, codebook: Codebook) -> int:
-    """Nearest-midpoint decision on the decoder statistic; requires all rounds consumed."""
-    return int(codebook.decode_value(bob.theta))
-
-
 def mmse_oracle(
     observations: Sequence[float],
     schedule: SkSchedule,
@@ -307,42 +302,36 @@ def run_protocol(
     codebook: Codebook,
     schedule: SkSchedule,
     channel: Union[AffineChannel, ThermalWiretapParams],
-    tap: Optional[EveTap],
+    tap: EveTap,
     lanes: TrialLanes,
 ) -> Transcript:
     """Execute one complete trial: message round, n refinement rounds, decode.
 
     The eavesdropper's tap acts on the round-0 feedback value only; its output
     is recorded in the transcript and never decoded (privacy is accounted
-    analytically). The protocol spends n + 1 channel uses in total.
+    analytically). The protocol spends n + 1 channel uses in total, and reads
+    each lane once: the forward lane at positions 0..n, the tap lane at 0.
     """
     n = schedule.blocklength
     gain = channel.gain
     mean = channel.noise.mean
-    forward = lanes.forward
-
+    draws = noise_from_uniforms(channel.noise, lanes.forward.uniforms(n + 1))
     x = np.empty(n + 1)
-    noise = np.empty(n + 1)
     y = np.empty(n + 1)
 
     theta_m = codebook.midpoint(m)
     x[0] = theta_m
-    y[0] = forward_transmit(channel, x[0], forward, 0)
-    noise[0] = y[0] / gain - x[0]
-    w0 = eve_tap_transmit(tap, y[0], lanes.tap) if tap is not None else math.nan
+    y[0] = gain * (x[0] + draws[0])
+    w0 = y[0] + math.sqrt(tap.variance) * ndtri(lanes.tap.uniforms(1)[0])
 
-    alice = AliceState(schedule, first_round_noise=noise[0], noise_mean=mean)
+    alice = AliceState(schedule, first_round_noise=y[0] / gain - x[0], noise_mean=mean)
     bob = BobState(schedule, first_round_observation=y[0] / gain, noise_mean=mean)
-
-    y_prev = y[0]
     for i in range(1, n + 1):
-        x[i] = alice_round(alice, y_prev)
-        y[i] = forward_transmit(channel, x[i], forward, i)
-        noise[i] = y[i] / gain - x[i]
+        x[i] = alice_round(alice, y[i - 1])
+        y[i] = gain * (x[i] + draws[i])
         bob_round(bob, y[i])
-        y_prev = y[i]
-    alice_finish(alice, y_prev)
+    alice_finish(alice, y[n])
 
     theta_n = bob.theta
-    m_hat = decode(bob, codebook)
-    return Transcript(m=m, m_hat=m_hat, theta_m=theta_m, theta_n=theta_n, w0=w0, x=x, noise=noise, y=y)
+    m_hat = int(codebook.decode_value(theta_n))
+    return Transcript(m=m, m_hat=m_hat, theta_m=theta_m, theta_n=theta_n, w0=w0, x=x, noise=y / gain - x, y=y)

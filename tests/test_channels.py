@@ -1,6 +1,7 @@
 """Channel models, noise families, and the counter-based randomness contract."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -17,13 +18,11 @@ from skwiretap.channels import (
     RngLane,
     ThermalWiretapParams,
     TrialLanes,
-    eve_tap_transmit,
-    forward_transmit,
     lane_uniforms,
     noise_from_uniforms,
-    sample_noise,
 )
-from skwiretap.harness import ExperimentConfig, _chunk
+from skwiretap.harness import ExperimentConfig, _chunk, collect_transcripts
+from skwiretap.protocol import make_codebook, make_schedule, run_protocol
 
 SEED = 314159
 
@@ -37,8 +36,12 @@ class StubLane:
     def uniforms(self, count: int) -> np.ndarray:
         return np.full(count, self.u)
 
-    def uniform(self, position: int) -> float:
-        return self.u
+
+def _run(channel, lanes, n=4, n_s=3.0):
+    """One scalar-reference trial of message 1 on ``lanes``."""
+    codebook = make_codebook(n, 0.5, n_s)
+    schedule = make_schedule(n, n_s, channel.noise.variance, channel.gain)
+    return run_protocol(1, codebook, schedule, channel, EveTap(4.0), lanes)
 
 
 class TestTypes:
@@ -95,10 +98,11 @@ class TestRngLanes:
         assert np.array_equal(a, b)
 
     def test_positional_access_matches_stream(self):
+        # a position holds one value however far the lane is read
         lane = RngLane(SEED, 3, ROLE_TAP)
         seq = lane.uniforms(16)
-        for pos in (0, 1, 7, 15):
-            assert lane.uniform(pos) == seq[pos]
+        for count in (1, 2, 8, 15):
+            assert np.array_equal(lane.uniforms(count), seq[:count])
 
     def test_draws_strictly_inside_unit_interval(self):
         u = RngLane(SEED, 0, ROLE_FORWARD).uniforms(100_000)
@@ -161,7 +165,6 @@ class TestRngLanes:
         lanes = TrialLanes(SEED, 7)
         assert lanes.forward.role == ROLE_FORWARD
         assert lanes.tap.role == ROLE_TAP
-        assert lanes.message.role == ROLE_MESSAGE
 
 
 class TestPhiloxKernel:
@@ -253,31 +256,25 @@ class TestNoiseFamilies:
         }[family]
         assert np.array_equal(draws, expected)
 
-    def test_sample_noise_matches_vector_path(self):
-        nm = NoiseModel("shifted-exponential", 2.0, 0.5)
-        lane = RngLane(SEED, 4, ROLE_FORWARD)
-        vector = noise_from_uniforms(nm, lane.uniforms(6))
-        for pos in range(6):
-            assert sample_noise(nm, lane, pos) == vector[pos]
-
 
 class TestForwardTransmit:
     def test_forced_draw(self):
-        # gaussian var=1: a uniform of ndtr(0.5) forces the noise value 0.5
+        # gaussian var=1: a uniform of ndtr(0.5) forces the noise value 0.5 in every round
         channel = AffineChannel(2.0, NoiseModel("gaussian", 1.0))
-        y = forward_transmit(channel, 1.0, StubLane(float(ndtr(0.5))), 0)
-        assert y == pytest.approx(3.0, abs=1e-12)
+        t = _run(channel, SimpleNamespace(forward=StubLane(float(ndtr(0.5))), tap=StubLane(0.5)))
+        assert t.y == pytest.approx(2.0 * (t.x + 0.5), rel=0.0, abs=1e-12)
 
     def test_degenerate_noise_limit(self):
         channel = AffineChannel(3.0, NoiseModel("gaussian", 1e-30))
-        y = forward_transmit(channel, 2.0, RngLane(SEED, 0, ROLE_FORWARD), 0)
-        assert y == pytest.approx(6.0, abs=1e-9)
+        t = _run(channel, TrialLanes(SEED, 0), n_s=1.0)
+        assert t.y == pytest.approx(3.0 * t.x, rel=0.0, abs=1e-9)
 
     def test_noise_recoverable(self):
+        # round i's noise is the forward lane's draw at position i
         channel = AffineChannel(2.0, NoiseModel("uniform", 1.0, 0.25))
-        lane = RngLane(SEED, 8, ROLE_FORWARD)
-        y = forward_transmit(channel, 1.5, lane, 3)
-        assert y / 2.0 - 1.5 == pytest.approx(sample_noise(channel.noise, lane, 3), abs=1e-12)
+        t = _run(channel, TrialLanes(SEED, 8))
+        drawn = noise_from_uniforms(channel.noise, RngLane(SEED, 8, ROLE_FORWARD).uniforms(5))
+        assert t.noise == pytest.approx(drawn, rel=0.0, abs=1e-12)
 
     def test_sample_mean_of_noise(self):
         channel = AffineChannel(1.0, NoiseModel("gaussian", 1.0))
@@ -297,20 +294,16 @@ class TestForwardTransmit:
 
 class TestEveTap:
     def test_forced_cancellation(self):
-        tap = EveTap(4.0)
-        y = 1.7
-        u = float(ndtr(-y / 2.0))  # s = -y
-        assert eve_tap_transmit(tap, y, StubLane(u)) == pytest.approx(0.0, abs=1e-12)
+        # tap variance 4: a tap uniform of ndtr(-y0 / 2) forces the tap noise -y0
+        channel = AffineChannel(1.0, NoiseModel("gaussian", 1.0))
+        forward = StubLane(float(ndtr(0.5)))
+        y0 = _run(channel, SimpleNamespace(forward=forward, tap=StubLane(0.5))).y[0]
+        t = _run(channel, SimpleNamespace(forward=forward, tap=StubLane(float(ndtr(-y0 / 2.0)))))
+        assert t.w0 == pytest.approx(0.0, abs=1e-12)
 
     def test_tap_variance(self):
-        tap = EveTap(0.8)
-        u = RngLane(SEED, 6, ROLE_TAP).uniforms(10**6)
-        w = 0.0 + math.sqrt(tap.variance) * ndtri(u)
-        assert w.var(ddof=1) == pytest.approx(0.8, rel=0.01, abs=0.0)
-
-    def test_scalar_matches_vector(self):
-        tap = EveTap(0.8)
-        lane = RngLane(SEED, 6, ROLE_TAP)
-        w_vec = 0.5 + math.sqrt(0.8) * ndtri(lane.uniforms(3))
-        for pos in range(3):
-            assert eve_tap_transmit(tap, 0.5, lane, pos) == w_vec[pos]
+        cfg = ExperimentConfig(
+            channel=ThermalWiretapParams(0.5, 1.0), n_s=2.0, tap=EveTap(0.8), n=1, rate=0.5, trials=10**4, root_seed=SEED
+        )
+        w = np.array([t.w0 - t.y[0] for t in collect_transcripts(cfg)])
+        assert w.var(ddof=1) == pytest.approx(0.8, rel=5 * math.sqrt(2.0 / w.size), abs=0.0)

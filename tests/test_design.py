@@ -32,9 +32,6 @@ ORACLE_NAMES = frozenset(
         "AliceState",
         "alice_round",
         "alice_finish",
-        "forward_transmit",
-        "sample_noise",
-        "eve_tap_transmit",
     }
 )
 

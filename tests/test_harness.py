@@ -17,7 +17,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skwiretap import harness
-from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes
+from skwiretap.channels import ROLE_MESSAGE, AffineChannel, EveTap, NoiseModel, RngLane, ThermalWiretapParams, TrialLanes
 from skwiretap.harness import (
     CHUNK_TRIALS,
     TRANSCRIPT_LIMIT,
@@ -60,6 +60,14 @@ def _affine_cfg(family="two-point", gain=1.0, variance=1.0, n_s=3.0, mean=0.0, *
     return ExperimentConfig(
         channel=AffineChannel(gain, NoiseModel(family, variance, mean)), n_s=n_s, tap=EveTap(1.0), **kwargs
     )
+
+
+def _two_point_mean_cfg() -> ExperimentConfig:
+    return _affine_cfg("two-point", mean=0.6)
+
+
+def _exponential_cfg() -> ExperimentConfig:
+    return _affine_cfg("shifted-exponential", -0.75, variance=1.5, mean=-0.3)
 
 
 def _high_seed_cfg() -> ExperimentConfig:
@@ -262,17 +270,21 @@ class TestBatchEqualsScalar:
         for key in ("x", "y"):  # round-major: one column per trial
             assert np.array_equal(full[key][:, 150:], tail[key])
 
-    @pytest.mark.parametrize("factory", [_thermal_cfg, lambda: _affine_cfg("uniform", 2.0), _high_seed_cfg])
+    @pytest.mark.parametrize(
+        "factory",
+        [_thermal_cfg, lambda: _affine_cfg("uniform", 2.0), _high_seed_cfg, _two_point_mean_cfg, _exponential_cfg],
+    )
     def test_scalar_path_bitwise(self, factory):
-        # oracle: the round-by-round state machines on per-trial Philox lanes
+        # oracle: the round-by-round state machines on per-trial Philox lanes; every
+        # noise family, so the copysign and log1p maps read each position as the kernel does
         cfg = factory()
         codebook, schedule = cfg.codebook(), cfg.schedule()
         out = _chunk(cfg, 0, cfg.trials)
         transcripts = collect_transcripts(cfg)
         for trial in (0, 1, 31, 32, 77, 1999):
-            lanes = TrialLanes(cfg.root_seed, trial)
-            m = min(1 + int(lanes.message.uniform(0) * codebook.message_count), codebook.message_count)
-            oracle = run_protocol(m, codebook, schedule, cfg.channel, cfg.tap, lanes)
+            u = RngLane(cfg.root_seed, trial, ROLE_MESSAGE).uniforms(1)[0]
+            m = min(1 + int(u * codebook.message_count), codebook.message_count)
+            oracle = run_protocol(m, codebook, schedule, cfg.channel, cfg.tap, TrialLanes(cfg.root_seed, trial))
             assert out["m"][trial] == m
             assert out["m_hat"][trial] == oracle.m_hat
             assert out["theta_m"][trial] == oracle.theta_m
@@ -291,9 +303,9 @@ class TestBatchEqualsScalar:
         codebook = cfg.codebook()
         assert codebook.message_count == 2**40
         assert run_experiment(cfg).realized_rate == 1.0
-        lanes = TrialLanes(cfg.root_seed, 5)
-        m = min(1 + int(lanes.message.uniform(0) * codebook.message_count), codebook.message_count)
-        oracle = run_protocol(m, codebook, cfg.schedule(), cfg.channel, cfg.tap, lanes)
+        u = RngLane(cfg.root_seed, 5, ROLE_MESSAGE).uniforms(1)[0]
+        m = min(1 + int(u * codebook.message_count), codebook.message_count)
+        oracle = run_protocol(m, codebook, cfg.schedule(), cfg.channel, cfg.tap, TrialLanes(cfg.root_seed, 5))
         one = _one_trial(cfg, 5)
         assert (one["m"][0], one["m_hat"][0], one["theta_n"][0]) == (oracle.m, oracle.m_hat, oracle.theta_n)
 

@@ -17,7 +17,6 @@ from skwiretap.protocol import (
     alice_finish,
     alice_round,
     bob_round,
-    decode,
     make_codebook,
     make_schedule,
     mmse_oracle,
@@ -196,13 +195,6 @@ class TestRounds:
         bob_round(bob, 0.0)
         with pytest.raises(ProtocolOrderError):
             bob_round(bob, 0.0)
-
-    def test_decode_requires_all_rounds(self):
-        sched = make_schedule(2, 3.0, 1.0)
-        cb = make_codebook(2, 1.0, 3.0)
-        bob = BobState(sched, first_round_observation=0.0)
-        with pytest.raises(ProtocolOrderError):
-            decode(bob, cb)
 
 
 class TestMmseOracle:
