@@ -21,7 +21,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 from numpy.random import Philox
-from scipy.special import ndtri
+from scipy.special import log1p, ndtri
 
 from .infotheory import induced_sigma2
 
@@ -283,7 +283,8 @@ def _noise_in_place(nm: NoiseModel, u: np.ndarray) -> np.ndarray:
         u *= math.sqrt(nm.variance)
     else:  # shifted-exponential
         np.negative(u, out=u)
-        np.log1p(u, out=u)
+        # scipy's loop, like ndtri's, gives the same bits at every numpy SIMD level
+        log1p(u, out=u)
         np.negative(u, out=u)
         u -= 1.0
         u *= math.sqrt(nm.variance)

@@ -104,7 +104,7 @@ GOLDEN = {
             root_seed=141421,
             message_selection=MessageSelection("round-robin"),
         ),
-        "b0ff69f86447b5c537e5c336292051ac6c969bb03b2a17ad257761a999edc62b",
+        "8df416cfc7b3aaa0a8bf4c2efbf48926685c66c93b4f2ee32b231288c86e0070",
     ),
 }
 
