@@ -88,13 +88,14 @@ def _reject_constant(name: str):
 
 
 def _load_json(path: str) -> dict:
-    """A config file's top-level JSON object; NaN and Infinity are rejected."""
+    """A config file's top-level JSON object; text that is not UTF-8, NaN and Infinity are rejected."""
     try:
-        text = Path(path).read_text()
+        raw = Path(path).read_bytes()
     except OSError as exc:
         raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
     try:
-        obj = json.loads(text, parse_constant=_reject_constant)
+        # a UnicodeDecodeError is a ValueError: malformed JSON like any other
+        obj = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
         raise CliError(
             EXIT_CONFIG, f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"

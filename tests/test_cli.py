@@ -133,6 +133,12 @@ class TestRates:
         assert run_cli("rates", "--eta", 0.5, "--n", 4, "--rate", 0.5) == 1
         assert "--n-s" in capsys.readouterr().err
 
+    def test_config_not_utf8_is_malformed_json(self, tmp_path, capsys):
+        bad = tmp_path / "phys.json"
+        bad.write_bytes(b"\xff" + json.dumps({"eta": 0.5, "n_th": 1.0, "n_s": 3.0, "n": 4, "rate": 0.5}).encode())
+        assert run_cli("rates", "--config", bad) == 1
+        assert _one_line_error(capsys).startswith(f"error: malformed JSON in {bad}: 'utf-8' codec")
+
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         path = tmp_path / "phys.json"
         path.write_text(json.dumps({"eta": 0.5, "n_th": 1.0, "n_s": 3.0, "n": 4, "rate": 0.5}))
@@ -425,6 +431,13 @@ class TestSimulate:
         assert run_cli("simulate", "--config", bad) == 1
         err = capsys.readouterr().err
         assert "line 2" in err and "column" in err
+
+    def test_config_not_utf8_is_malformed_json(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.json"
+        bad.write_bytes(b"\xff" + json.dumps(THERMAL_CFG).encode())
+        assert run_cli("simulate", "--config", bad, "--out", tmp_path / "out") == 1
+        assert _one_line_error(capsys).startswith(f"error: malformed JSON in {bad}: 'utf-8' codec")
+        assert not (tmp_path / "out").exists()
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
         obj = dict(THERMAL_CFG, typo_field=3)
