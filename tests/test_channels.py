@@ -302,8 +302,7 @@ class TestEveTap:
         assert t.w0 == pytest.approx(0.0, abs=1e-12)
 
     def test_tap_variance(self):
-        cfg = ExperimentConfig(
-            channel=ThermalWiretapParams(0.5, 1.0), n_s=2.0, tap=EveTap(0.8), n=1, rate=0.5, trials=10**4, root_seed=SEED
-        )
+        channel = ThermalWiretapParams(0.5, 1.0)
+        cfg = ExperimentConfig(channel=channel, n_s=2.0, tap=EveTap(0.8), n=1, rate=0.5, trials=10**4, root_seed=SEED)
         w = np.array([t.w0 - t.y[0] for t in collect_transcripts(cfg)])
         assert w.var(ddof=1) == pytest.approx(0.8, rel=5 * math.sqrt(2.0 / w.size), abs=0.0)

@@ -17,7 +17,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from skwiretap import harness
-from skwiretap.channels import ROLE_MESSAGE, AffineChannel, EveTap, NoiseModel, RngLane, ThermalWiretapParams, TrialLanes
+from skwiretap.channels import (
+    ROLE_MESSAGE,
+    AffineChannel,
+    EveTap,
+    NoiseModel,
+    RngLane,
+    ThermalWiretapParams,
+    TrialLanes,
+)
 from skwiretap.harness import (
     CHUNK_TRIALS,
     TRANSCRIPT_LIMIT,
