@@ -9,15 +9,17 @@ noise are supported on the same interface.
 Randomness is counter-based and splittable: every sample is addressed by
 (root_seed, trial, round, role) and is a pure function of that tuple, so
 trials can run on any thread in any order and still reproduce bit-identically.
-Batch simulation draws through one vectorized Philox kernel (``lane_uniforms``)
-that reproduces the per-lane ``RngLane`` streams bit for bit.
+The Philox key is (root_seed, role) and the trial sits in the counter, so the
+trials of a chunk are consecutive counters of one numpy ``Philox`` stream:
+batch simulation draws them with ``lane_uniforms``, and ``RngLane`` reads the
+same positions one trial at a time.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from numpy.random import Philox
@@ -123,24 +125,17 @@ ROLE_FORWARD = 0
 ROLE_TAP = 1
 ROLE_MESSAGE = 2
 
-_ROLE_SHIFT = 56  # trial indices occupy the low 56 bits of the second key word
-_TRIAL_LIMIT = 1 << _ROLE_SHIFT
+_TRIAL_LIMIT = 1 << 56  # keeps counter word 0 (trial + 1) from carrying into word 1
 _U53_SCALE = 2.0 ** -53
 
 
-def _check_seed_role(root_seed: int, role: int) -> None:
+def _philox_key(root_seed: int, role: int) -> np.ndarray:
     if not 0 <= root_seed < 1 << 64:
         raise ValueError(f"root_seed={root_seed!r} must be a 64-bit unsigned integer")
     if not 0 <= role < 256:
         raise ValueError(f"role={role!r} must be in [0, 256)")
-
-
-def _lane_key(root_seed: int, trial: int, role: int) -> np.ndarray:
-    _check_seed_role(root_seed, role)
-    if not 0 <= trial < _TRIAL_LIMIT:
-        raise ValueError(f"trial={trial!r} must be in [0, 2^56)")
     # uint64, not a list: numpy turns a list holding a word >= 2^63 into float64
-    return np.array([root_seed, (role << _ROLE_SHIFT) | trial], dtype=np.uint64)
+    return np.array([root_seed, role], dtype=np.uint64)
 
 
 def _raw_to_uniform(raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
@@ -153,25 +148,31 @@ def _raw_to_uniform(raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.nda
 class RngLane:
     """One independent stream addressed by (root_seed, trial, role).
 
-    Sample position within the lane is the protocol round index. Lanes with
-    distinct keys are independent Philox counter streams; re-creating a lane
-    and re-reading a position always yields the same value. This is a thin
-    view over ``numpy.random.Philox``, kept for the scalar protocol path and
-    as the reference the batch kernel (``lane_uniforms``) is tested against.
+    Sample position within the lane is the protocol round index: position p
+    is word p mod 4 of the ``numpy.random.Philox`` block with key
+    (root_seed, role) and counter (trial + 1, p // 4, 0, 0). Re-creating a
+    lane and re-reading a position always yields the same value. It reads one
+    block at a time, a generator per block, so it is the per-trial reference
+    the batch draws (``lane_uniforms``) are tested against.
     """
 
     __slots__ = ("root_seed", "trial", "role", "_key")
 
     def __init__(self, root_seed: int, trial: int, role: int) -> None:
-        self._key = _lane_key(root_seed, trial, role)
+        self._key = _philox_key(root_seed, role)
+        if not 0 <= trial < _TRIAL_LIMIT:
+            raise ValueError(f"trial={trial!r} must be in [0, 2^56)")
         self.root_seed = root_seed
         self.trial = trial
         self.role = role
 
     def uniforms(self, count: int) -> np.ndarray:
         """Uniform(0,1) draws at positions 0..count-1."""
-        raw = Philox(key=self._key).random_raw(count)
-        return _raw_to_uniform(raw)
+        raw = np.empty(4 * -(-count // 4), dtype=np.uint64)
+        for b in range(len(raw) // 4):
+            # numpy increments the counter before it generates: this is block (trial + 1, b)
+            raw[4 * b : 4 * b + 4] = Philox(counter=[self.trial, b, 0, 0], key=self._key).random_raw(4)
+        return _raw_to_uniform(raw[:count])
 
 
 @dataclass(frozen=True)
@@ -190,80 +191,24 @@ class TrialLanes:
         return RngLane(self.root_seed, self.trial, ROLE_TAP)
 
 
-# Philox4x64-10 (Salmon et al., "Parallel random numbers: as easy as 1, 2, 3",
-# SC'11), computed for many lanes at once on uint64 arrays. Lane keys and the
-# counter layout follow numpy.random.Philox: key (root_seed, role<<56 | trial),
-# counter word 0 counting blocks from 1 (numpy increments before generating),
-# four output words per block.
-_PHILOX_M = (0xD2E7470EE14C6C93, 0xCA5A826395121157)
-_PHILOX_W = (0x9E3779B97F4A7C15, 0xBB67AE8584CAA73B)
-_PHILOX_ROUNDS = 10
-_WORD_MASK = (1 << 64) - 1
-_LOW32 = np.uint64(0xFFFFFFFF)
-_SHIFT32 = np.uint64(32)
-# counter blocks per kernel pass: keeps the temporaries cache-sized
-_PASS_BLOCKS = 1 << 14
+def lane_uniforms(root_seed: int, role: int, start: int, stop: int, count: int) -> np.ndarray:
+    """Uniform(0,1) draws at positions 0..count-1 of trials start..stop-1, one row per position.
 
-
-def _mulhilo(m: int, a: np.ndarray) -> tuple:
-    """High and low words of the 128-bit products m * a, from 32-bit halves."""
-    m_lo, m_hi = np.uint64(m & 0xFFFFFFFF), np.uint64(m >> 32)
-    a_lo = a & _LOW32
-    a_hi = a >> _SHIFT32
-    carry = a_lo * m_lo
-    carry >>= _SHIFT32
-    carry += a_hi * m_lo
-    cross = a_lo * m_hi
-    cross += carry & _LOW32
-    cross >>= _SHIFT32
-    carry >>= _SHIFT32
-    hi = a_hi * m_hi
-    hi += carry
-    hi += cross
-    return hi, a * np.uint64(m)
-
-
-def _philox_blocks(k0: int, k1: np.ndarray, blocks: int) -> Tuple[np.ndarray, ...]:
-    """Output words 0..3 of counter blocks 1..blocks for keys (k0, k1[j]).
-
-    Word w is a (blocks, len(k1)) array: row b holds lane position 4 b + w of
-    every key.
+    The result has shape (count, stop - start); column j equals
+    ``RngLane(root_seed, start + j, role).uniforms(count)``. The counters of
+    consecutive trials are consecutive, so one numpy ``Philox`` stream per
+    position block yields that block's four positions of every trial.
     """
-    c0 = np.arange(1, blocks + 1, dtype=np.uint64)[:, None]
-    c1 = c2 = c3 = np.zeros((1, 1), dtype=np.uint64)
-    k1 = k1[None, :]
-    for r in range(_PHILOX_ROUNDS):
-        if r:
-            k0 = (k0 + _PHILOX_W[0]) & _WORD_MASK
-            k1 = k1 + np.uint64(_PHILOX_W[1])
-        hi0, lo0 = _mulhilo(_PHILOX_M[0], c0)
-        hi1, lo1 = _mulhilo(_PHILOX_M[1], c2)
-        c0, c1, c2, c3 = hi1 ^ c1 ^ np.uint64(k0), lo1, hi0 ^ c3 ^ k1, lo0
-    return c0, c1, c2, c3
-
-
-def lane_uniforms(root_seed: int, role: int, trials, count: int) -> np.ndarray:
-    """Uniform(0,1) draws at positions 0..count-1 of many lanes, one row per position.
-
-    The result has shape (count, len(trials)); column j equals
-    ``RngLane(root_seed, trials[j], role).uniforms(count)``. The lanes run in
-    cache-sized passes, each writing its uniforms straight into the result,
-    so no raw-word array of the full size is built.
-    """
-    _check_seed_role(root_seed, role)
-    trials = np.asarray(trials, dtype=np.int64).reshape(-1)
-    if trials.size and not (0 <= trials.min() and trials.max() < _TRIAL_LIMIT):
-        raise ValueError("trial indices must be in [0, 2^56)")
+    key = _philox_key(root_seed, role)
+    if not 0 <= start <= stop <= _TRIAL_LIMIT:
+        raise ValueError(f"trials [{start!r}, {stop!r}) must be an ordered range in [0, 2^56)")
     if count < 0:
         raise ValueError(f"count={count!r} must be >= 0")
-    k1 = trials.astype(np.uint64) | np.uint64(role << _ROLE_SHIFT)
-    out = np.empty((count, len(k1)))
-    blocks = -(-count // 4)
-    step = max(1, _PASS_BLOCKS // max(blocks, 1))
-    for lo in range(0, len(k1), step):
-        lanes = slice(lo, lo + step)
-        for w, words in enumerate(_philox_blocks(root_seed, k1[lanes], blocks)):
-            _raw_to_uniform(words[: len(range(w, count, 4))], out=out[w::4, lanes])
+    out = np.empty((count, stop - start))
+    for b in range(-(-count // 4)):
+        raw = Philox(counter=[start, b, 0, 0], key=key).random_raw(4 * (stop - start)).reshape(-1, 4)
+        rows = out[4 * b : 4 * b + 4]
+        _raw_to_uniform(raw[:, : len(rows)].T, out=rows)
     return out
 
 

@@ -315,12 +315,11 @@ def _chunk_draws(cfgs: Sequence[ExperimentConfig], start: int, stop: int) -> Tup
     position is a pure function of (root_seed, trial, role), so a config with
     fewer rounds or trials reads a prefix of these draws.
     """
-    trials = np.arange(start, stop)
     seed = cfgs[0].root_seed
-    forward = lane_uniforms(seed, ROLE_FORWARD, trials, 1 + max(c.n for c in cfgs))
+    forward = lane_uniforms(seed, ROLE_FORWARD, start, stop, 1 + max(c.n for c in cfgs))
     if not any(c.message_selection.policy == "uniform-random" for c in cfgs):
         return forward, None
-    return forward, lane_uniforms(seed, ROLE_MESSAGE, trials, 1)[0]
+    return forward, lane_uniforms(seed, ROLE_MESSAGE, start, stop, 1)[0]
 
 
 def _messages(
@@ -810,7 +809,7 @@ def collect_transcripts(cfg: ExperimentConfig) -> List[Transcript]:
         out = _chunk(cfg, start, stop)
         x, y = out["x"], out["y"]
         noise = y / cfg.channel.gain - x
-        tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, np.arange(start, stop), 1)[0]
+        tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, start, stop, 1)[0]
         w0 = y[0] + math.sqrt(cfg.tap.variance) * ndtri(tap_u)
         x, noise, y = x.T, noise.T, y.T  # one row per trial
         transcripts += (

@@ -105,43 +105,50 @@ class TestRngLanes:
             assert np.array_equal(lane.uniforms(count), seq[:count])
 
     def test_draws_strictly_inside_unit_interval(self):
-        u = RngLane(SEED, 0, ROLE_FORWARD).uniforms(100_000)
+        u = lane_uniforms(SEED, ROLE_FORWARD, 0, 25_000, 4)
         assert np.all(u > 0.0) and np.all(u < 1.0)
         assert not np.any(u == 0.5)
 
     @pytest.mark.parametrize(
         "lane_a,lane_b",
         [
-            ((SEED, 0, ROLE_FORWARD), (SEED, 1, ROLE_FORWARD)),
-            ((SEED, 0, ROLE_FORWARD), (SEED, 0, ROLE_TAP)),
-            ((SEED, 0, ROLE_FORWARD), (SEED, 0, ROLE_MESSAGE)),
-            ((SEED, 5, ROLE_TAP), (SEED + 1, 5, ROLE_TAP)),
+            # (root_seed, role, first trial, position) of 100_000 consecutive trials
+            ((SEED, ROLE_FORWARD, 0, 0), (SEED, ROLE_FORWARD, 1, 0)),
+            ((SEED, ROLE_FORWARD, 0, 0), (SEED, ROLE_TAP, 0, 0)),
+            ((SEED, ROLE_FORWARD, 0, 0), (SEED, ROLE_MESSAGE, 0, 0)),
+            ((SEED, ROLE_TAP, 5, 0), (SEED + 1, ROLE_TAP, 5, 0)),
+            ((SEED, ROLE_FORWARD, 0, 0), (SEED, ROLE_FORWARD, 0, 1)),  # two words of one block
+            ((SEED, ROLE_FORWARD, 0, 0), (SEED, ROLE_FORWARD, 0, 4)),  # two position blocks
         ],
     )
     def test_lane_independence(self, lane_a, lane_b):
-        a = RngLane(*lane_a).uniforms(100_000)
-        b = RngLane(*lane_b).uniforms(100_000)
+        a, b = (
+            lane_uniforms(seed, role, first, first + 100_000, position + 1)[position]
+            for seed, role, first, position in (lane_a, lane_b)
+        )
         assert abs(np.corrcoef(a, b)[0, 1]) < 0.01
 
     def test_batch_lanes_match_fresh_lanes(self):
-        trials = [0, 9, 12345, 2**56 - 1]
-        for role, count in [(ROLE_FORWARD, 11), (ROLE_TAP, 1), (ROLE_MESSAGE, 3)]:
-            batch = lane_uniforms(SEED, role, trials, count)
-            assert batch.shape == (count, len(trials)) and batch.flags.c_contiguous
-            for column, trial in zip(batch.T, trials):
-                assert np.array_equal(column, RngLane(SEED, trial, role).uniforms(count))
+        for start, stop in [(0, 3), (12345, 12350), (2**56 - 2, 2**56)]:
+            for role, count in [(ROLE_FORWARD, 11), (ROLE_TAP, 1), (ROLE_MESSAGE, 3)]:
+                batch = lane_uniforms(SEED, role, start, stop, count)
+                assert batch.shape == (count, stop - start) and batch.flags.c_contiguous
+                for column, trial in zip(batch.T, range(start, stop)):
+                    assert np.array_equal(column, RngLane(SEED, trial, role).uniforms(count))
 
     def test_high_seeds_do_not_alias(self):
         # a list key with a word >= 2^63 would be rounded through float64,
         # merging seeds in blocks of 2048 and message lanes in blocks of 32 trials
         high = 2**63 + 12345
         assert not np.array_equal(RngLane(high, 0, 0).uniforms(4), RngLane(high + 7, 0, 0).uniforms(4))
-        a = RngLane(high, 0, ROLE_MESSAGE).uniforms(1)
-        b = RngLane(high, 1, ROLE_MESSAGE).uniforms(1)
-        assert not np.array_equal(a, b)
-        key = np.array([high, (ROLE_FORWARD << 56) | 5], dtype=np.uint64)
-        raw = Philox(key=key).random_raw(3)
-        assert np.array_equal(RngLane(high, 5, ROLE_FORWARD).uniforms(3), ((raw >> np.uint64(11)) + 0.5) * 2.0**-53)
+        batch = lane_uniforms(high, ROLE_FORWARD, 0, 1, 4)[:, 0]
+        assert not np.array_equal(batch, lane_uniforms(high + 7, ROLE_FORWARD, 0, 1, 4)[:, 0])
+        a, b = lane_uniforms(high, ROLE_MESSAGE, 0, 2, 1)[0]
+        assert a != b
+        raw = Philox(counter=[5, 0, 0, 0], key=np.array([high, ROLE_FORWARD], dtype=np.uint64)).random_raw(3)
+        expected = ((raw >> np.uint64(11)) + 0.5) * 2.0**-53
+        assert np.array_equal(RngLane(high, 5, ROLE_FORWARD).uniforms(3), expected)
+        assert np.array_equal(lane_uniforms(high, ROLE_FORWARD, 5, 6, 3)[:, 0], expected)
 
     def test_domain_checks(self):
         with pytest.raises(ValueError, match="trial"):
@@ -151,15 +158,19 @@ class TestRngLanes:
 
     def test_batch_domain_checks(self):
         with pytest.raises(ValueError, match="trial"):
-            lane_uniforms(SEED, ROLE_FORWARD, [3, -1], 2)
+            lane_uniforms(SEED, ROLE_FORWARD, -1, 3, 2)
         with pytest.raises(ValueError, match="trial"):
-            lane_uniforms(SEED, ROLE_FORWARD, [2**56], 2)
+            lane_uniforms(SEED, ROLE_FORWARD, 2**56 - 1, 2**56 + 1, 2)
+        with pytest.raises(ValueError, match="trial"):
+            lane_uniforms(SEED, ROLE_FORWARD, 5, 4, 2)  # stop before start
         with pytest.raises(ValueError, match="root_seed"):
-            lane_uniforms(1 << 64, ROLE_FORWARD, [0], 2)
+            lane_uniforms(1 << 64, ROLE_FORWARD, 0, 1, 2)
         with pytest.raises(ValueError, match="role"):
-            lane_uniforms(SEED, 256, [0], 2)
-        assert lane_uniforms(SEED, ROLE_FORWARD, [], 5).shape == (5, 0)
-        assert lane_uniforms(SEED, ROLE_FORWARD, [1, 2], 0).shape == (0, 2)
+            lane_uniforms(SEED, 256, 0, 1, 2)
+        with pytest.raises(ValueError, match="count"):
+            lane_uniforms(SEED, ROLE_FORWARD, 0, 1, -1)
+        assert lane_uniforms(SEED, ROLE_FORWARD, 3, 3, 5).shape == (5, 0)
+        assert lane_uniforms(SEED, ROLE_FORWARD, 1, 3, 0).shape == (0, 2)
 
     def test_trial_lanes_bundle(self):
         lanes = TrialLanes(SEED, 7)
@@ -167,34 +178,47 @@ class TestRngLanes:
         assert lanes.tap.role == ROLE_TAP
 
 
+def _pinned_lane(seed, role, trial, count):
+    """Positions 0..count-1 of a lane, straight from numpy's Philox: key (seed, role), counter (trial, block)."""
+    key = np.array([seed, role], dtype=np.uint64)
+    raw = np.concatenate([Philox(counter=[trial, b, 0, 0], key=key).random_raw(4) for b in range(-(-count // 4))])
+    return ((raw[:count] >> np.uint64(11)) + 0.5) * 2.0**-53
+
+
 class TestPhiloxKernel:
-    """The batch kernel against numpy.random.Philox keyed with exact uint64 words."""
+    """The batch draws against numpy.random.Philox keyed with exact uint64 words."""
 
     @pytest.mark.parametrize("role", [ROLE_FORWARD, ROLE_TAP, ROLE_MESSAGE])
     def test_matches_numpy_philox(self, role):
         # the uniforms read the top 53 bits of each raw word, the only bits any path reads
         rng = np.random.default_rng(2718 + role)
         seeds = [0, 2**63 - 1, 2**63, 2**64 - 1] + [int(s) for s in rng.integers(0, 2**64, 6, dtype=np.uint64)]
-        trials = [0, 1, 2**56 - 1] + [int(t) for t in rng.integers(0, 2**56, 5)]
+        chunks = [(0, 3), (2**56 - 3, 2**56)]  # trials 0 and 2^56 - 1 at the ends
         for seed in seeds:
-            for count in range(1, 31):  # crosses the 4-word block boundary
-                batch = lane_uniforms(seed, role, trials, count)
-                assert batch.shape == (count, len(trials))
-                for column, trial in zip(batch.T, trials):
-                    key = np.array([seed, (role << 56) | trial], dtype=np.uint64)
-                    raw = Philox(key=key).random_raw(count)
-                    assert np.array_equal(column, ((raw >> np.uint64(11)) + 0.5) * 2.0**-53)
+            for start, stop in chunks:
+                expected = [_pinned_lane(seed, role, trial, 30) for trial in range(start, stop)]
+                for count in range(1, 31):  # crosses the 4-word block boundary
+                    batch = lane_uniforms(seed, role, start, stop, count)
+                    assert batch.shape == (count, stop - start)
+                    for column, pinned in zip(batch.T, expected):
+                        assert np.array_equal(column, pinned[:count])
 
-    def test_many_lanes_span_several_passes(self):
-        # enough lanes that the kernel splits them into passes
-        trials = np.arange(40_000)
-        batch = lane_uniforms(SEED, ROLE_FORWARD, trials, 3)
+    def test_column_depends_on_trial_and_position_only(self):
+        batch = lane_uniforms(SEED, ROLE_FORWARD, 0, 40_000, 11)
+        # a chunk that starts elsewhere reads the same columns
+        for start, stop in [(1, 2), (16_383, 16_385), (39_990, 40_000), (8192, 16_384)]:
+            assert np.array_equal(lane_uniforms(SEED, ROLE_FORWARD, start, stop, 11), batch[:, start:stop])
+        # fewer rows are a prefix
+        for count in (1, 3, 4, 5, 8):
+            assert np.array_equal(lane_uniforms(SEED, ROLE_FORWARD, 0, 40_000, count), batch[:count])
+        # a column is the lane that RngLane reads
         for trial in (0, 16_383, 16_384, 39_999):
-            assert np.array_equal(batch[:, trial], RngLane(SEED, trial, ROLE_FORWARD).uniforms(3))
+            assert np.array_equal(batch[:, trial], RngLane(SEED, trial, ROLE_FORWARD).uniforms(11))
 
 
-def _lane_u(count, trial=0):
-    return RngLane(SEED, trial, ROLE_FORWARD).uniforms(count)
+def _lane_u(count, position=0):
+    """Position ``position`` of the forward lanes of trials 0..count-1."""
+    return lane_uniforms(SEED, ROLE_FORWARD, 0, count, position + 1)[position]
 
 
 class TestNoiseFamilies:
@@ -241,7 +265,7 @@ class TestNoiseFamilies:
         # the map writes over a copy, never the caller's array, and its bits are
         # those of the textbook expressions (1/2 is never drawn, but maps to +1)
         nm = NoiseModel(family, 1.7, -0.4)
-        u = lane_uniforms(SEED, ROLE_FORWARD, np.arange(300), 7)
+        u = lane_uniforms(SEED, ROLE_FORWARD, 0, 300, 7)
         u[0, :3] = [0.5, 2.0**-53, 1.0 - 2.0**-53]
         before = u.copy()
         draws = noise_from_uniforms(nm, u)
@@ -278,7 +302,7 @@ class TestForwardTransmit:
 
     def test_sample_mean_of_noise(self):
         channel = AffineChannel(1.0, NoiseModel("gaussian", 1.0))
-        u = _lane_u(10**6, trial=2)
+        u = _lane_u(10**6, position=2)
         y = channel.gain * (0.0 + noise_from_uniforms(channel.noise, u))
         assert abs(y.mean()) <= 0.004
 
@@ -286,7 +310,7 @@ class TestForwardTransmit:
         # fixed input through the induced channel: mean x, variance sigma2
         channel = ThermalWiretapParams(eta=0.5, n_th=1.0)
         x = 1.25
-        draws = x + noise_from_uniforms(channel.noise, _lane_u(10**5, trial=3))
+        draws = x + noise_from_uniforms(channel.noise, _lane_u(10**5, position=3))
         sigma2 = channel.noise.variance
         assert abs(draws.mean() - x) <= 5 * math.sqrt(sigma2 / 10**5)
         assert abs(draws.var(ddof=1) - sigma2) <= 5 * sigma2 * math.sqrt(2.0 / 10**5)

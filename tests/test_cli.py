@@ -64,7 +64,7 @@ def cfg_path(tmp_path):
 
 
 # SHA-256 of the stdout of ``skwiretap verify``
-VERIFY_STDOUT_DIGEST = "66e17d6570c029884cddb5ee5b2281a7f0a7f3cdbbfc899323dfff5a74e80531"
+VERIFY_STDOUT_DIGEST = "405b7e41b5bc108161f5fbe23a41531d7751935161cb386628ec6d3f211b11af"
 
 
 def run_cli(*argv):
@@ -563,12 +563,12 @@ class TestSweep:
             (
                 {"axis": "n", "start": 1, "stop": 9, "steps": 3},
                 CHUNK_TRIALS + 300,
-                "4894119d61a9de8b9e7f7212620109e45aa57654c43cbdfe8646e23abd9233a5",
+                "247035b81a39fe53b926e172a1641426576b96e8410e06cacf63def195735f7a",
             ),
             (
                 {"axis": "trials", "start": 300, "stop": 2 * CHUNK_TRIALS + 77, "steps": 3},
                 1200,
-                "17405a2d57c43015a6ae37737367fc890cd2e1d635226388c08328dc02e7c858",
+                "2bdbd838b858e7e6d12454f6c207c64f65a183ee10971341eef02505a8cf1084",
             ),
         ],
         ids=["n", "trials"],

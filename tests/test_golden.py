@@ -34,7 +34,7 @@ GOLDEN = {
             root_seed=161803,
             message_selection=MessageSelection("uniform-random"),
         ),
-        "df4f2ac9770692b3c51c58e3f15582306f798604b70acb35a44ca80562157cad",
+        "983652a31e0641a637b77d6734d870b110e236f3f69c9f5be7080ba15ea777a9",
     ),
     # non-Gaussian affine channel, two chunk boundaries crossed
     "affine_uniform_chunks": (
@@ -48,7 +48,7 @@ GOLDEN = {
             root_seed=271828,
             message_selection=MessageSelection("uniform-random"),
         ),
-        "1482d439f7fb9cf9b03cbaf24b240db77abc1fa3bbb10142bad6b12d6eed379f",
+        "00242895ed1df16cf905c494c1ed6d5f6016ec647cc073b633a66b40a930f961",
     ),
     # root seed in the upper half of the 64-bit range
     "affine_two_point_high_seed": (
@@ -62,7 +62,7 @@ GOLDEN = {
             root_seed=2**63 + 12345,
             message_selection=MessageSelection("uniform-random"),
         ),
-        "80815d0f17a3d512729d4ee21d05629e97951c28d827327e52e7fa9817f0c682",
+        "0e2c23a2d36a066b34405d938694c5038684846d3396d6764da4ebe4b56c4d33",
     ),
     # 40 feedback rounds over four chunks: pins the merge of the co-moment matrix
     "thermal_wide_round_robin": (
@@ -76,7 +76,7 @@ GOLDEN = {
             root_seed=314159,
             message_selection=MessageSelection("round-robin"),
         ),
-        "049d8e96ce12a2d72f84069b1c70c7439fc983a15774c62e5345797f4f9a55e5",
+        "ebb86b07bc2433ef8f3c975b9d12237c8b8ef45a62f115727e6b0d817064b204",
     ),
     # one feedback round: every per-round sum reduces a single feedback column
     "thermal_one_round_chunks": (
@@ -90,7 +90,7 @@ GOLDEN = {
             root_seed=577215,
             message_selection=MessageSelection("uniform-random"),
         ),
-        "d5638dc49a5f7ed273fe88d6a51d0e8a505f8382ad0b3100770272232dd22fa4",
+        "07196d791160ee8b9fc8a0dc76dd7847e7a80248656ddcb7653210a448e17ea6",
     ),
     # two feedback rounds, skewed noise with a nonzero mean: one co-moment pair
     "affine_exponential_two_rounds": (
@@ -104,7 +104,7 @@ GOLDEN = {
             root_seed=141421,
             message_selection=MessageSelection("round-robin"),
         ),
-        "8df416cfc7b3aaa0a8bf4c2efbf48926685c66c93b4f2ee32b231288c86e0070",
+        "f501ef55a7a897ad65401605f80fe8dd08620d6358dd62d4c786d4d6a9a608b3",
     ),
 }
 
@@ -119,7 +119,7 @@ TRANSCRIPTS_CONFIG = ExperimentConfig(
     root_seed=173205,
     message_selection=MessageSelection("uniform-random"),
 )
-TRANSCRIPTS_DIGEST = "a843f699da3ccc09de9448cbd12e370f4515e8b2e33feb7e4c7e5c1829789aa9"
+TRANSCRIPTS_DIGEST = "255a45ba9568936300dafe72a215a0df92b61195abbf6ac319e09bba8f74ab55"
 
 
 @pytest.mark.parametrize("threads", [1, 2])
