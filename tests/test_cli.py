@@ -450,7 +450,9 @@ class TestSimulate:
         clash = tmp_path / "occupied"
         clash.write_text("a file, not a directory")
         assert run_cli("simulate", "--config", cfg_path, "--out", clash) == 2
-        assert "io error" in capsys.readouterr().err or True
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write outputs under {clash}: [Errno 17] File exists")
+        assert err.count("\n") == 1
 
     def test_verdict_failure_exit_code(self, cfg_path, tmp_path, monkeypatch, capsys):
         failing = VerdictTable(
