@@ -338,9 +338,9 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, noise: np.ndarray, u: Opt
     """Vectorized execution of one chunk of trials from ``start`` on; every simulation path runs through here.
 
     ``noise`` holds the noise of rounds 0..n, one row per round and one
-    column per trial of the chunk, and is overwritten. ``u`` holds the
-    message lane's draws from ``start`` on (None unless the config draws its
-    message); the kernel reads as many as the chunk has trials.
+    column per trial of the chunk, and becomes the returned y. ``u`` holds
+    the message lane's draws from ``start`` on (None unless the config draws
+    its message); the kernel reads as many as the chunk has trials.
 
     Every arithmetic expression mirrors the scalar protocol path
     (``protocol.run_protocol`` on ``TrialLanes``) exactly, so the two produce
@@ -348,8 +348,8 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, noise: np.ndarray, u: Opt
     decisions and decoder statistics, and the x and raw y of rounds 0..n as
     round-major (n + 1, trials) arrays: row i holds round i of every trial.
 
-    The kernel works on contiguous rows and mostly in place: x overwrites
-    the noise buffer round by round.
+    The kernel works on contiguous rows and in place: round i writes its x
+    into row i of the one new array, x, and its y over noise row i.
     """
     n = cfg.n
     codebook = cfg.codebook()
@@ -357,28 +357,26 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, noise: np.ndarray, u: Opt
     gain = cfg.channel.gain
     mean = float(cfg.channel.noise.mean)
 
-    # x holds every round's noise at first; row i turns into round i's x once y_i is computed
-    x = noise
-    count = x.shape[1]
+    # y holds every round's noise at first; row i turns into round i's y once x_i is added
+    y = noise
+    count = y.shape[1]
     m = _messages(cfg, start, start + count, codebook.message_count, u)
     theta_m = codebook.midpoints(m)
 
-    y = np.empty((n + 1, count))
-    np.add(theta_m, x[0], out=y[0])
-    y[0] *= gain
+    x = np.empty((n + 1, count))
     x[0] = theta_m
+    np.add(theta_m, y[0], out=y[0])
+    y[0] *= gain
     y0_reduced = y[0] / gain
     n0 = y0_reduced - theta_m
     nhat = np.full(count, mean)
-    x_i = np.empty(count)
     step = np.empty(count)
     for i in range(1, n + 1):
+        x_i, y_i = x[i], y[i]
         np.subtract(n0, nhat, out=x_i)
         x_i *= schedule.gamma[i]
-        y_i = y[i]
-        np.add(x_i, x[i], out=y_i)
+        np.add(x_i, y_i, out=y_i)
         y_i *= gain
-        x[i] = x_i
         np.divide(y_i, gain, out=step)
         step -= mean
         step *= schedule.k_gain[i]
@@ -400,14 +398,14 @@ def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "
     Config j's chunk is trials [start, min(start + CHUNK_TRIALS, trials_j)),
     the chunk it has when run alone. The configs, all of one root seed, share
     one ``_chunk_draws``, and the config with the most trials (then the most
-    rounds) runs last, on a row prefix of the draws themselves. Configs of
-    another noise model run first, each mapping a contiguous copy of its own
-    rows and columns of the draws. Then the draws are mapped in place, once,
-    with the last config's noise model, over as many rows as the configs of
-    that model need; each of those configs copies its own rows and columns of
-    the noise. The noise map is elementwise, so every config gets the bits it
-    gets alone, and a span holds no more arrays at once than one copy beside
-    the draws.
+    rounds) runs last, on a row prefix of the draws themselves, which become
+    its y. Configs of another noise model run first, each mapping a
+    contiguous copy of its own rows and columns of the draws. Then the draws
+    are mapped in place, once, with the last config's noise model, over as
+    many rows as the configs of that model need; each of those configs copies
+    its own rows and columns of the noise, which become its y. The noise map
+    is elementwise, so every config gets the bits it gets alone, and a span
+    holds no more arrays at once than one copy beside the draws.
     """
     stop = start + CHUNK_TRIALS
     active = (j for j, c in enumerate(cfgs) if c.trials > start)
@@ -421,7 +419,7 @@ def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "
         return rows[: cfgs[j].n + 1, : min(stop, cfgs[j].trials) - start].copy()
 
     def chunk_sums(j: int, noise: np.ndarray) -> _Moments:
-        """Config j's chunk reduced to its sums; the kernel overwrites ``noise``."""
+        """Config j's chunk reduced to its sums; ``noise`` becomes the kernel's y."""
         out = _simulate_chunk(cfgs[j], start, noise, u)
         theta_dev = cfgs[j].channel.gain * (out["theta_n"] - out["theta_m"])
         return _Moments.of(int(np.count_nonzero(out["m"] != out["m_hat"])), theta_dev, out["x"], out["y"][1:])

@@ -305,6 +305,17 @@ class TestBatchEqualsScalar:
             for field in dataclasses.fields(t):
                 assert np.array_equal(getattr(t, field.name), getattr(oracle, field.name)), field.name
 
+    @pytest.mark.parametrize("factory", [_thermal_cfg, lambda: _affine_cfg("uniform", 2.0)])
+    def test_kernel_writes_y_over_noise(self, factory):
+        # which buffer a caller may reuse: y is the noise buffer itself, x the kernel's one new array
+        cfg = factory()
+        forward, u = harness._chunk_draws((cfg,), 0, 300)
+        noise = harness._noise_in_place(cfg.channel.noise, forward)
+        out = harness._simulate_chunk(cfg, 0, noise, u)
+        assert out["y"] is noise
+        assert out["x"].shape == noise.shape and out["x"].flags.c_contiguous
+        assert not np.shares_memory(out["x"], noise)
+
     def test_largest_codebook(self):
         # 2^40 messages: the batch path must not build the full midpoint table
         cfg = _thermal_cfg(n=40, rate=1.0, trials=64)

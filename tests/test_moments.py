@@ -240,8 +240,8 @@ def _span_peak(rounds) -> int:
 
 
 def test_chunk_peak_memory():
-    # round-major and in place: the draws, the noise and x share one buffer and
-    # y has one more, so a chunk peaks near two arrays of (n + 1) rounds, not four
+    # round-major and in place: the draws, the noise and y share one buffer and
+    # x has one more, so a chunk peaks near two arrays of (n + 1) rounds, not four
     n = 40
     peak = _span_peak((n,))
     assert peak <= 3 * CHUNK_TRIALS * (n + 1) * 8, peak
