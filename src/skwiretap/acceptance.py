@@ -18,7 +18,7 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from .channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams
-from .harness import ExperimentConfig, ExperimentReport, VerdictRow, compare_bounds, open_pool, run_experiment
+from .harness import ExperimentConfig, ExperimentReport, VerdictRow, compare_bounds, run_experiment, worker_pool
 from .infotheory import (
     BoundQuery,
     awgn_capacity,
@@ -282,14 +282,14 @@ def run_all() -> List[CriterionResult]:
 
     A helper thread computes the pooled report set, mostly waiting on the
     workers, while this thread computes the serial set and criteria 1-9, so
-    both sets run at once. The workers run at nice 19 (see ``open_pool``),
+    both sets run at once. The workers run at nice 19 (see ``worker_pool``),
     so this thread, the critical path, keeps a whole core while they take
     what is left. The workers are forked first, before the helper
     starts, so no fork happens while a second thread runs. The helper is
-    joined, and its exception raised, before criterion 10 compares the sets.
+    joined, and its exception raised, before criterion 10 compares the
+    sets; the workers are joined as the block exits, on failure too.
     """
-    open_pool(_POOL_WORKERS)
-    with ThreadPoolExecutor(max_workers=1) as helper:
+    with worker_pool(_POOL_WORKERS), ThreadPoolExecutor(max_workers=1) as helper:
         pooled = helper.submit(shared_reports, threads=_POOL_WORKERS)
         reports = shared_reports(threads=1)
         results = [

@@ -30,7 +30,6 @@ from .harness import (
     compare_bounds,
     report_flat_row,
     run_experiment,
-    shutdown_pool,
     write_transcripts_csv,
 )
 from .infotheory import (
@@ -157,12 +156,14 @@ _PHYSICS_FIELDS = ("eta", "n_th", "n_s", "sigma2", "n", "rate", "tap_variance")
 
 
 def _physics_params(args) -> Tuple[dict, BoundQuery]:
+    # a config file may set exactly the fields that the command has flags for
+    fields = [field for field in _PHYSICS_FIELDS if hasattr(args, field)]
     params = {}
     if args.config:
-        obj = _fields(_load_json(args.config), args.config, (), _PHYSICS_FIELDS)
+        obj = _fields(_load_json(args.config), args.config, (), fields)
         params.update((k, v) for k, v in obj.items() if v is not None)
-    for field in _PHYSICS_FIELDS:
-        value = getattr(args, field, None)
+    for field in fields:
+        value = getattr(args, field)
         if value is not None:
             params[field] = value
     # a required parameter may come from the file or a flag, so this check names the flag
@@ -172,7 +173,6 @@ def _physics_params(args) -> Tuple[dict, BoundQuery]:
     for field, value in params.items():
         params[field] = _config_int(value, field) if field == "n" else _config_float(value, field)
     params.setdefault("n_th", 0.0)
-    params.setdefault("tap_variance", None)
     # range-checks eta and n_th even where a given sigma2 replaces the result
     induced = induced_sigma2(params["eta"], params["n_th"])
     if "sigma2" not in params and not math.isfinite(induced):
@@ -223,7 +223,7 @@ def cmd_bounds(args) -> int:
     else:
         tet = {"order": order, "note": "not active: tower order below 1 at this n"}
     leak = None
-    if p["tap_variance"] is not None:
+    if p.get("tap_variance") is not None:
         leak = asdict(
             leakage_budget(p["eta"], p["n_th"], query.n_s, query.sigma2, p["tap_variance"], query.n)
         )
@@ -231,7 +231,7 @@ def cmd_bounds(args) -> int:
         return value if math.isfinite(value) else None
 
     result = {
-        "inputs": {k: p[k] for k in _PHYSICS_FIELDS},
+        "inputs": {k: p.get(k) for k in _PHYSICS_FIELDS},
         "p_h": p_h,
         "sk_bound": sk,
         "sk_bound_log10": _finite(sk_error_bound_log10(query)),
@@ -365,9 +365,6 @@ def _add_physics(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sigma2", type=_finite_float, help="override the induced noise variance")
     parser.add_argument("--n", type=int, help="estimation rounds after round 0")
     parser.add_argument("--rate", type=_finite_float, help="nominal rate in bits/round")
-    parser.add_argument(
-        "--tap-variance", dest="tap_variance", type=_finite_float, help="eavesdropper tap noise variance"
-    )
 
 
 def build_parser() -> _Parser:
@@ -381,6 +378,9 @@ def build_parser() -> _Parser:
 
     p_bounds = sub.add_parser("bounds", help="analytic error bounds and the leakage budget")
     _add_physics(p_bounds)
+    p_bounds.add_argument(
+        "--tap-variance", dest="tap_variance", type=_finite_float, help="eavesdropper tap noise variance"
+    )
     _add_io(p_bounds, config_required=False)
     p_bounds.set_defaults(func=cmd_bounds)
 
@@ -421,10 +421,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except MemoryError as exc:  # a run too large to allocate
         print(f"memory error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    finally:
-        # join the workers here, not at exit, so the command's own
-        # RUSAGE_CHILDREN figures count them
-        shutdown_pool()
 
 
 if __name__ == "__main__":

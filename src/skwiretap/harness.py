@@ -16,9 +16,10 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from itertools import repeat
-from typing import IO, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import IO, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 from scipy.special import ndtri
@@ -54,8 +55,7 @@ __all__ = [
     "VerdictRow",
     "VerdictTable",
     "run_experiment",
-    "open_pool",
-    "shutdown_pool",
+    "worker_pool",
     "collect_transcripts",
     "write_transcripts_csv",
     "wilson_interval",
@@ -671,21 +671,19 @@ class ExperimentReport:
         return json.dumps(self.to_dict(), indent=2, allow_nan=False)
 
 
-# One pool per process, at module level, so that acceptance.run_all can fork
-# the workers on the main thread before its helper thread starts; the
-# helper's run_experiment then finds them open. Each command makes at most
-# one pooled run_experiment call. A new worker count replaces the pool, so
-# two pools are never alive at once.
+# The pool of the open worker_pool block, if any: acceptance.run_all forks
+# the workers on the main thread before its helper thread starts, and the
+# helper's run_experiment finds them here.
 _pool: Optional[ProcessPoolExecutor] = None
-_pool_workers = 0
 
 
-def open_pool(workers: int) -> ProcessPoolExecutor:
-    """The ``workers``-process pool; a new one is forked now, on the calling thread.
+@contextmanager
+def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
+    """A ``workers``-process pool, forked now, on the calling thread, and joined when the block exits.
 
     A fork pool starts all its workers at its first submit, so a no-op task
-    forks a new pool's workers here, before the caller starts any thread of
-    its own. An open pool of that size is returned as it is.
+    forks them here, before the caller starts any thread of its own. While
+    the block is open, pooled ``run_experiment`` calls run on this pool.
 
     Each worker lowers its own CPU priority to nice 19 as it starts, and the
     parent keeps its own. ``simulate`` and ``sweep`` only wait on the pool,
@@ -694,19 +692,13 @@ def open_pool(workers: int) -> ProcessPoolExecutor:
     it gets a whole core instead of a fair share among three busy processes.
     The priority moves no byte and no work, only who waits.
     """
-    global _pool, _pool_workers
-    if _pool is None or _pool_workers != workers:
-        shutdown_pool()
-        _pool, _pool_workers = ProcessPoolExecutor(max_workers=workers, initializer=os.nice, initargs=(19,)), workers
-        _pool.submit(int).result()
-    return _pool
-
-
-def shutdown_pool() -> None:
-    """Join the worker pool, if one is open; the next pooled run forks a new one."""
     global _pool
-    pool, _pool = _pool, None
-    if pool is not None:
+    _pool = pool = ProcessPoolExecutor(max_workers=workers, initializer=os.nice, initargs=(19,))
+    try:
+        pool.submit(int).result()
+        yield pool
+    finally:
+        _pool = None
         pool.shutdown(cancel_futures=True)
 
 
@@ -724,7 +716,9 @@ def run_experiment(
 
     ``threads`` only selects the number of worker processes; chunk boundaries
     and reduction order are fixed, so the reports are byte-identical for any
-    value.
+    value. With ``threads > 1`` and more than one span, the spans run on the
+    pool of the open ``worker_pool`` block, or else on a pool of
+    ``min(threads, spans)`` workers that is joined before this returns.
     """
     single = isinstance(cfgs, ExperimentConfig)
     batch = (cfgs,) if single else tuple(cfgs)
@@ -735,12 +729,8 @@ def run_experiment(
     # pool.map yields in submission order, so the fold runs in span order;
     # a worker beyond the span count would be forked and never fed
     if threads > 1 and len(starts) > 1:
-        try:
-            pool = open_pool(min(threads, len(starts)))
+        with nullcontext(_pool) if _pool else worker_pool(min(threads, len(starts))) as pool:
             sums = _fold(pool.map(_span_moments, repeat(batch), starts))
-        except BaseException:
-            shutdown_pool()  # a pool that failed once is never reused
-            raise
     else:
         sums = _fold(_span_moments(batch, start) for start in starts)
     reports = tuple(_report(cfg, sums[j]) for j, cfg in enumerate(batch))

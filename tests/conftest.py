@@ -16,11 +16,12 @@ settings.load_profile("suite")
 
 
 @pytest.fixture(autouse=True)
-def _pool_closes_with_its_test():
-    # workers fork on first use, so a pool kept past its test would run the
-    # next test's chunks under the monkeypatches of the one that forked it
+def _no_pool_outlives_its_test():
+    # a pool kept past its test would run the next test's chunks under the
+    # monkeypatches of the one that forked it
     yield
-    harness.shutdown_pool()
+    assert harness._pool is None
+    assert multiprocessing.active_children() == []
 
 
 @pytest.fixture()

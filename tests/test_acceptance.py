@@ -158,13 +158,12 @@ def test_chebyshev_criterion_is_stricter_than_its_row():
 
 
 def test_shared_reports_fork_one_pool(forked_pools):
-    # past the cache, so all nine 2-worker runs happen
+    # past the cache, so the one 2-worker run of all nine configs happens
     reports = acceptance.shared_reports.__wrapped__(threads=2)
     assert len(reports) == 9 and forked_pools == [(2, 0)]
 
 
 def _fresh_run_all_state():
-    harness.shutdown_pool()
     acceptance.shared_reports.cache_clear()
     return acceptance.shared_reports.cache_info().misses
 

@@ -152,6 +152,13 @@ class TestRates:
         path.write_text(json.dumps({"eta": 0.5, "n_s": 3.0, "n": 4, "rate": 0.5, "bogus": 1}))
         assert run_cli("rates", "--config", path) == 1
 
+    def test_config_file_tap_variance_is_unknown(self, tmp_path, capsys):
+        # rates reads no tap, so its config file may not set one, as its flags may not
+        path = tmp_path / "phys.json"
+        path.write_text(json.dumps({"eta": 0.5, "n_s": 3.0, "n": 4, "rate": 0.5, "tap_variance": 1.0}))
+        assert run_cli("rates", "--config", path) == 1
+        assert _one_line_error(capsys) == f"config error: unknown fields in {path}: ['tap_variance']\n"
+
 
 class TestBounds:
     def test_reference_configuration(self, capsys):
@@ -345,11 +352,14 @@ _FUZZ_VALUES = st.one_of(
 
 
 @pytest.mark.parametrize("command", ["rates", "bounds"])
-@given(params=st.fixed_dictionaries(
-    {field: _FUZZ_VALUES for field in ("eta", "n_s", "n", "rate")},
-    optional={field: _FUZZ_VALUES for field in ("n_th", "sigma2", "tap_variance")},
-))
-def test_fuzz_physics_config(command, params):
+@given(data=st.data())
+def test_fuzz_physics_config(command, data):
+    # each command's own fields: rates rejects tap_variance before any other check
+    optional = ("n_th", "sigma2", "tap_variance") if command == "bounds" else ("n_th", "sigma2")
+    params = data.draw(st.fixed_dictionaries(
+        {field: _FUZZ_VALUES for field in ("eta", "n_s", "n", "rate")},
+        optional={field: _FUZZ_VALUES for field in optional},
+    ))
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "phys.json"
         path.write_text(json.dumps(params))
@@ -722,7 +732,7 @@ class TestPlumbing:
         [("verify", f) for f in ("--config=c.json", "--seed=1", "--out=o", "--format=json", "--threads=2")]
         + [("verify", "--dump-transcripts")]
         + [(c, f) for c in ("rates", "bounds") for f in ("--seed=1", "--threads=2", "--dump-transcripts")]
-        + [("sweep", "--format=json"), ("sweep", "--dump-transcripts")],
+        + [("rates", "--tap-variance=1"), ("sweep", "--format=json"), ("sweep", "--dump-transcripts")],
     )
     def test_subcommand_rejects_flags_it_does_not_read(self, command, flag, tmp_path, capsys):
         base = {"verify": (), "rates": PHYSICS, "bounds": PHYSICS, "sweep": ("--config", tmp_path / "s.json")}

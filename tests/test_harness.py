@@ -444,23 +444,34 @@ class TestRunExperiment:
         assert run_experiment(cfg, threads=5000).to_json() == serial
         assert sizes == [2]
 
-    def test_one_pool_at_a_time(self, forked_pools):
+    def test_each_run_forks_and_joins_its_own_pool(self, forked_pools):
         # 3 chunks, so each run gets exactly the workers it asks for
         cfg = _thermal_cfg(trials=2 * CHUNK_TRIALS + 1, n=2)
         serial = run_experiment(cfg).to_json()
         for workers in (2, 2, 3, 2):
             assert run_experiment(cfg, threads=workers).to_json() == serial
-            assert len(multiprocessing.active_children()) == workers
-        # the same count reuses the pool; a new count joins the old workers before it forks
-        assert forked_pools == [(2, 0), (3, 0), (2, 0)]
+            assert multiprocessing.active_children() == []
+        assert forked_pools == [(2, 0), (2, 0), (3, 0), (2, 0)]
 
-    def test_open_pool_returns_the_open_pool(self, forked_pools):
-        assert harness.open_pool(2) is harness.open_pool(2)
+    def test_runs_in_a_block_use_its_pool(self, forked_pools):
+        cfg = _thermal_cfg(trials=2 * CHUNK_TRIALS + 1, n=2)
+        serial = run_experiment(cfg).to_json()
+        with harness.worker_pool(2) as pool:
+            assert harness._pool is pool
+            for threads in (2, 3, 5000):
+                assert run_experiment(cfg, threads=threads).to_json() == serial
+                assert len(multiprocessing.active_children()) == 2
         assert forked_pools == [(2, 0)]
+
+    def test_one_chunk_forks_no_pool(self, forked_pools):
+        cfg = _thermal_cfg(trials=CHUNK_TRIALS, n=2)
+        assert run_experiment(cfg, threads=4).to_json() == run_experiment(cfg).to_json()
+        assert forked_pools == []
 
     def test_workers_run_at_background_priority(self):
         parent = os.getpriority(os.PRIO_PROCESS, 0)
-        assert harness.open_pool(2).submit(os.getpriority, os.PRIO_PROCESS, 0).result() == 19
+        with harness.worker_pool(2) as pool:
+            assert pool.submit(os.getpriority, os.PRIO_PROCESS, 0).result() == 19
         assert os.getpriority(os.PRIO_PROCESS, 0) == parent
 
     def test_failed_pool_is_dropped(self, monkeypatch):
