@@ -22,8 +22,6 @@ from .acceptance import run_all
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    _config_float,
-    _config_int,
     _fields,
     check_signal_to_noise,
     collect_transcripts,
@@ -158,20 +156,14 @@ _PHYSICS_FIELDS = ("eta", "n_th", "n_s", "sigma2", "n", "rate", "tap_variance")
 def _physics_params(args) -> Tuple[dict, BoundQuery]:
     # a config file may set exactly the fields that the command has flags for
     fields = [field for field in _PHYSICS_FIELDS if hasattr(args, field)]
-    params = {}
-    if args.config:
-        obj = _fields(_load_json(args.config), args.config, (), fields)
-        params.update((k, v) for k, v in obj.items() if v is not None)
-    for field in fields:
-        value = getattr(args, field)
-        if value is not None:
-            params[field] = value
+    obj = _load_json(args.config) if args.config else {}
+    # a flag overrides the file, and a known field that the file sets to null is absent
+    obj.update((field, getattr(args, field)) for field in fields if getattr(args, field) is not None)
+    params = _fields({k: v for k, v in obj.items() if v is not None or k not in fields}, args.config, (), fields)
     # a required parameter may come from the file or a flag, so this check names the flag
     for field in ("eta", "n_s", "n", "rate"):
         if field not in params:
             raise CliError(EXIT_CONFIG, f"missing required parameter --{field.replace('_', '-')}")
-    for field, value in params.items():
-        params[field] = _config_int(value, field) if field == "n" else _config_float(value, field)
     params.setdefault("n_th", 0.0)
     # range-checks eta and n_th even where a given sigma2 replaces the result
     induced = induced_sigma2(params["eta"], params["n_th"])
@@ -275,15 +267,13 @@ _SWEEP_AXES = ("n", "rate", "n_s", "eta", "trials")
 
 def _sweep_values(spec: Mapping) -> Tuple[str, list]:
     """The axis of the 'sweep' object and the config values along it."""
-    _fields(spec, "sweep", ("axis", "start", "stop", "steps"))
-    axis = spec["axis"]
+    spec = _fields(spec, "sweep", ("axis", "start", "stop", "steps"))
+    axis, steps = spec["axis"], spec["steps"]
     if axis not in _SWEEP_AXES:
         raise CliError(EXIT_CONFIG, f"sweep axis must be one of {_SWEEP_AXES}")
-    steps = _config_int(spec["steps"], "steps")
     if steps < 1:
         raise CliError(EXIT_CONFIG, f"sweep steps={steps} must be >= 1")
-    start, stop = _config_float(spec["start"], "start"), _config_float(spec["stop"], "stop")
-    values = np.linspace(start, stop, steps).tolist()
+    values = np.linspace(spec["start"], spec["stop"], steps).tolist()
     if axis in ("n", "trials"):
         values = [round(v) for v in values]
         if len(set(values)) != len(values):
@@ -339,13 +329,6 @@ def cmd_verify(args) -> int:
     return EXIT_OK if not failed else EXIT_VERDICT
 
 
-def _finite_float(text: str) -> float:
-    value = float(text)
-    if not math.isfinite(value):
-        raise argparse.ArgumentTypeError(f"{text!r} is not a finite number")
-    return value
-
-
 def _add_io(parser: argparse.ArgumentParser, config_required: bool, formats: bool = True) -> None:
     parser.add_argument("--config", required=config_required, help="JSON config file")
     parser.add_argument("--out", default=None, help="output path")
@@ -359,12 +342,12 @@ def _add_run(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_physics(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--eta", type=_finite_float, help="transmissivity in (0, 1]")
-    parser.add_argument("--n-th", dest="n_th", type=_finite_float, help="thermal photon number >= 0")
-    parser.add_argument("--n-s", dest="n_s", type=_finite_float, help="mean photon number per mode > 0")
-    parser.add_argument("--sigma2", type=_finite_float, help="override the induced noise variance")
+    parser.add_argument("--eta", type=float, help="transmissivity in (0, 1]")
+    parser.add_argument("--n-th", dest="n_th", type=float, help="thermal photon number >= 0")
+    parser.add_argument("--n-s", dest="n_s", type=float, help="mean photon number per mode > 0")
+    parser.add_argument("--sigma2", type=float, help="override the induced noise variance")
     parser.add_argument("--n", type=int, help="estimation rounds after round 0")
-    parser.add_argument("--rate", type=_finite_float, help="nominal rate in bits/round")
+    parser.add_argument("--rate", type=float, help="nominal rate in bits/round")
 
 
 def build_parser() -> _Parser:
@@ -378,9 +361,7 @@ def build_parser() -> _Parser:
 
     p_bounds = sub.add_parser("bounds", help="analytic error bounds and the leakage budget")
     _add_physics(p_bounds)
-    p_bounds.add_argument(
-        "--tap-variance", dest="tap_variance", type=_finite_float, help="eavesdropper tap noise variance"
-    )
+    p_bounds.add_argument("--tap-variance", dest="tap_variance", type=float, help="eavesdropper tap noise variance")
     _add_io(p_bounds, config_required=False)
     p_bounds.set_defaults(func=cmd_bounds)
 

@@ -135,37 +135,28 @@ class ExperimentConfig:
     def from_dict(cls, obj: Mapping) -> "ExperimentConfig":
         """Strict parse of the JSON experiment config; unknown fields are rejected."""
         required = ("channel", "tap", "n", "rate", "trials")
-        _fields(obj, "experiment config", required, ("n_s", "root_seed", "message_selection"))
+        obj = _fields(obj, "experiment config", required, ("n_s", "root_seed", "message_selection"))
         chan = obj["channel"]
         ctype = chan.get("type") if isinstance(chan, Mapping) else None
         try:
             if ctype == "thermal":
-                _fields(chan, "thermal channel", ("type", "eta", "n_s"), ("n_th",))
+                chan = _fields(chan, "thermal channel", ("type", "eta", "n_s"), ("n_th",))
                 if "n_s" in obj:
                     raise ConfigError("n_s belongs inside the thermal channel object")
-                channel = ThermalWiretapParams(
-                    eta=_config_float(chan["eta"], "eta"),
-                    n_th=_config_float(chan.get("n_th", 0.0), "n_th"),
-                )
-                n_s = _config_float(chan["n_s"], "n_s")
+                channel = ThermalWiretapParams(eta=chan["eta"], n_th=chan.get("n_th", 0.0))
+                n_s = chan["n_s"]
             elif ctype == "affine":
-                _fields(chan, "affine channel", ("type", "noise"), ("gain",))
+                chan = _fields(chan, "affine channel", ("type", "noise"), ("gain",))
                 if "n_s" not in obj:
                     raise ConfigError("affine channel configs require a top-level n_s")
                 noise = _fields(chan["noise"], "noise", ("family", "variance"), ("mean",))
                 channel = AffineChannel(
-                    gain=_config_float(chan.get("gain", 1.0), "gain"),
-                    noise=NoiseModel(
-                        family=noise["family"],
-                        variance=_config_float(noise["variance"], "variance"),
-                        mean=_config_float(noise.get("mean", 0.0), "mean"),
-                    ),
+                    chan.get("gain", 1.0), NoiseModel(noise["family"], noise["variance"], noise.get("mean", 0.0))
                 )
-                n_s = _config_float(obj["n_s"], "n_s")
+                n_s = obj["n_s"]
             else:
                 raise ConfigError("channel must be a JSON object with type 'thermal' or 'affine'")
-            tap_obj = _fields(obj["tap"], "tap", ("variance",))
-            tap = EveTap(_config_float(tap_obj["variance"], "tap variance"))
+            tap = EveTap(_fields(obj["tap"], "tap", ("variance",))["variance"])
         except ConfigError:
             raise
         except ValueError as exc:  # a range check of the channel dataclasses
@@ -174,10 +165,10 @@ class ExperimentConfig:
             channel=channel,
             n_s=n_s,
             tap=tap,
-            n=_config_int(obj["n"], "n"),
-            rate=_config_float(obj["rate"], "rate"),
-            trials=_config_int(obj["trials"], "trials"),
-            root_seed=_config_int(obj.get("root_seed", 0), "root_seed"),
+            n=obj["n"],
+            rate=obj["rate"],
+            trials=obj["trials"],
+            root_seed=obj.get("root_seed", 0),
             message_selection=_selection_from_config(obj.get("message_selection", "uniform-random")),
         )
 
@@ -209,19 +200,6 @@ class ExperimentConfig:
         return make_schedule(self.n, self.n_s, self.channel.noise.variance, self.channel.gain)
 
 
-def _fields(obj, where: str, required: Sequence[str], optional: Sequence[str] = ()) -> Mapping:
-    """``obj`` itself, once checked to be a JSON object with every required field and no unknown one."""
-    if not isinstance(obj, Mapping):
-        raise ConfigError(f"{where} must be a JSON object, not {type(obj).__name__}")
-    unknown = set(obj) - set(required) - set(optional)
-    if unknown:
-        raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
-    for field in required:
-        if field not in obj:
-            raise ConfigError(f"{where} requires {field!r}")
-    return obj
-
-
 def _config_int(value, name: str) -> int:
     if isinstance(value, float) and value.is_integer():
         value = int(value)
@@ -240,6 +218,26 @@ def _config_float(value, name: str) -> float:
     if not math.isfinite(number):
         raise ConfigError(f"{name}={value!r} must be a finite number")
     return number
+
+
+# The type of each numeric field of a config object or physics flag; ``_fields`` reads any other field as it is.
+_FIELD_READERS = dict.fromkeys(("n", "trials", "root_seed", "m", "steps"), _config_int) | dict.fromkeys(
+    ("eta", "n_th", "n_s", "sigma2", "rate", "gain", "variance", "mean", "tap_variance", "start", "stop"), _config_float
+)
+
+
+def _fields(obj, where: str, required: Sequence[str], optional: Sequence[str] = ()) -> dict:
+    """The fields of JSON object ``obj``, read by type, once it has every required field and no unknown one."""
+    if not isinstance(obj, Mapping):
+        raise ConfigError(f"{where} must be a JSON object, not {type(obj).__name__}")
+    unknown = set(obj) - set(required) - set(optional)
+    if unknown:
+        raise ConfigError(f"unknown fields in {where}: {sorted(unknown)}")
+    for field in required:
+        if field not in obj:
+            raise ConfigError(f"{where} requires {field!r}")
+    prefix = "tap " if where == "tap" else ""  # the noise and the tap both have a variance
+    return {k: _FIELD_READERS[k](v, prefix + k) if k in _FIELD_READERS else v for k, v in obj.items()}
 
 
 def check_signal_to_noise(n_s: float, sigma2: float) -> None:
@@ -295,10 +293,10 @@ def _selection_from_config(obj) -> MessageSelection:
         if obj == "fixed":
             raise ConfigError("fixed message selection needs {'type': 'fixed', 'm': <int>}")
         return MessageSelection(obj)
-    _fields(obj, "message_selection", ("type", "m"))
+    obj = _fields(obj, "message_selection", ("type", "m"))
     if obj["type"] != "fixed":
         raise ConfigError("message_selection object form is only for {'type': 'fixed', 'm': <int>}")
-    return MessageSelection("fixed", _config_int(obj["m"], "m"))
+    return MessageSelection("fixed", obj["m"])
 
 
 # ---------------------------------------------------------------------------
