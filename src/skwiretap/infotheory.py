@@ -107,12 +107,17 @@ def g_entropy(x: float) -> float:
     """Entropy of a thermal state with mean photon number ``x``, in bits.
 
     g(x) = (x+1) log2(x+1) - x log2(x), with g(0) = 0 by the x log x -> 0
-    convention.
+    convention. Above x = 1 the two terms have one sign and the size of
+    x log2 x, so their difference of about log2(e x) loses their leading
+    digits (it reads 56.0 for 50.27 at x = 5e14, and 0.0 at x = 1e20); there
+    g(x) is summed instead as log2(x+1) + x log2(1 + 1/x), two positive terms.
     """
     _require(x >= 0, "x", x, ">= 0")
     if x == 0:
         return 0.0
-    return (x + 1.0) * math.log1p(x) / _LN2 - x * math.log2(x)
+    if x <= 1.0:
+        return (x + 1.0) * math.log1p(x) / _LN2 - x * math.log2(x)
+    return math.log1p(x) / _LN2 + x * math.log1p(1.0 / x) / _LN2
 
 
 def awgn_capacity(power: float, noise: float) -> float:
@@ -147,7 +152,13 @@ def rate_squeezed_homodyne(eta: float, n_s: float) -> float:
     f = (math.sqrt(1.0 + 4.0 * n_s * eta * (1.0 - eta)) - eta) / (1.0 - eta)
     num = 4.0 * n_s + 2.0 - f + 1.0 / f
     # num / ((1 - eta)/eta + 1/f), multiplied through by eta so that no term overflows
-    return 0.5 * math.log1p(num * eta / ((1.0 - eta) + eta / f)) / _LN2
+    snr = num * eta / ((1.0 - eta) + eta / f)
+    if math.isfinite(snr):
+        return 0.5 * math.log1p(snr) / _LN2
+    # 4 n_s or the ratio leaves double range: the same terms over 4, and the ratio as a sum of logs
+    f = (2.0 * math.sqrt(0.25 + n_s * eta * (1.0 - eta)) - eta) / (1.0 - eta)
+    log2_snr = 2.0 + math.log2(n_s + (2.0 - f + 1.0 / f) / 4.0) + math.log2(eta / ((1.0 - eta) + eta / f))
+    return 0.5 * (log2_snr if log2_snr > 64.0 else math.log1p(2.0**log2_snr) / _LN2)
 
 
 def _pow2(x: float) -> float:

@@ -7,6 +7,7 @@ each displayed formula and are frozen here.
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
@@ -50,6 +51,15 @@ class TestGEntropy:
     def test_negative_rejected(self):
         with pytest.raises(ValueError, match="x="):
             g_entropy(-1e-9)
+
+    def test_matches_mpmath_over_the_double_range(self):
+        # (x+1) log2(x+1) - x log2(x) cancels in doubles above x = 1: 0.0 at 1e20, NaN from about 1e305
+        for x in np.geomspace(1e-6, 1e300, 500).tolist():
+            # the same difference in mpmath, with 30 digits beyond the ones it cancels
+            with mpmath.workdps(30 + max(0, int(math.log10(x)))):
+                big = mpmath.mpf(x)
+                exact = float(((big + 1) * mpmath.log(big + 1) - big * mpmath.log(big)) / mpmath.log(2))
+            assert abs(g_entropy(x) - exact) <= 1e-12 * exact, x
 
     def test_nonnegative_increasing_concave(self):
         grid = np.linspace(0.0, 30.0, 400)
@@ -133,6 +143,16 @@ class TestSqueezedRate:
         eta = 1e-310
         expected = 14 * eta / (2 * math.log(2))
         assert rate_squeezed_homodyne(eta, 3.0) == pytest.approx(expected, rel=1e-9, abs=0.0)
+
+    def test_beyond_a_quarter_of_double_range(self):
+        # 4 n_s overflows above n_s = 4.49e307; the rate read NaN there
+        for eta in (1e-300, 0.5, 0.9, 1.0 - 1e-9):
+            for n_s in (4.5e307, 1e308, 1.7976931348623157e308):
+                with mpmath.workdps(40):
+                    e, p = mpmath.mpf(eta), mpmath.mpf(n_s)
+                    f = (mpmath.sqrt(1 + 4 * p * e * (1 - e)) - e) / (1 - e)
+                    expected = float(mpmath.log(1 + (4 * p + 2 - f + 1 / f) * e / ((1 - e) + e / f), 2) / 2)
+                assert rate_squeezed_homodyne(eta, n_s) == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     def test_eta_domain(self):
         with pytest.raises(ValueError, match="eta="):
