@@ -24,6 +24,7 @@ from .harness import (
     ExperimentConfig,
     _fields,
     check_signal_to_noise,
+    check_tap_signal_to_noise,
     collect_transcripts,
     compare_bounds,
     report_flat_row,
@@ -215,10 +216,11 @@ def cmd_bounds(args) -> int:
     else:
         tet = {"order": order, "note": "not active: tower order below 1 at this n"}
     leak = None
-    if p.get("tap_variance") is not None:
-        leak = asdict(
-            leakage_budget(p["eta"], p["n_th"], query.n_s, query.sigma2, p["tap_variance"], query.n)
-        )
+    if "tap_variance" in p:
+        # leakage_budget range-checks the tap variance that the check divides by
+        budget = leakage_budget(p["eta"], p["n_th"], query.n_s, query.sigma2, p["tap_variance"], query.n)
+        check_tap_signal_to_noise(query.n_s, query.sigma2, p["tap_variance"])
+        leak = asdict(budget)
     def _finite(value: float):
         return value if math.isfinite(value) else None
 

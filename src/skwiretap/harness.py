@@ -50,6 +50,7 @@ __all__ = [
     "MessageSelection",
     "ExperimentConfig",
     "check_signal_to_noise",
+    "check_tap_signal_to_noise",
     "Diagnostics",
     "ExperimentReport",
     "VerdictRow",
@@ -127,6 +128,8 @@ class ExperimentConfig:
         if fixed_m is not None and fixed_m > message_count:
             raise ConfigError(f"fixed_m={fixed_m} exceeds message count {message_count}")
         check_signal_to_noise(self.n_s, self.channel.noise.variance)
+        if isinstance(self.channel, ThermalWiretapParams):  # the configs with a leakage budget
+            check_tap_signal_to_noise(self.n_s, self.channel.noise.variance, self.tap.variance)
         what, log2_peak = _largest_intermediate(self)
         if log2_peak >= _LOG2_LIMIT:
             raise ConfigError(f"the run would overflow: {what} reaches 2^{log2_peak:.0f}, above 2^{_LOG2_LIMIT}")
@@ -244,6 +247,13 @@ def check_signal_to_noise(n_s: float, sigma2: float) -> None:
     """The one check, for experiments and for ``rates`` and ``bounds``, that n_s/sigma2 is finite."""
     if not math.isfinite(n_s / sigma2):
         raise ConfigError(f"n_s/sigma2 = {n_s!r}/{sigma2!r} overflows")
+
+
+def check_tap_signal_to_noise(n_s: float, sigma2: float, tap_variance: float) -> None:
+    """The one check, for thermal experiments and ``bounds``, that the leakage budget's tap
+    signal-to-noise ratio (n_s + sigma2)/tap_variance is finite; tap_variance must be > 0."""
+    if not math.isfinite((n_s + sigma2) / tap_variance):
+        raise ConfigError(f"(n_s + sigma2)/tap variance = ({n_s!r} + {sigma2!r})/{tap_variance!r} overflows")
 
 
 # A lane uniform lies in [2^-54, 1 - 2^-54], so no noise family draws more than

@@ -12,6 +12,8 @@ settings.register_profile(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow],
 )
+# the fuzz tests at 1000 examples: pytest --hypothesis-profile=fuzz
+settings.register_profile("fuzz", parent=settings.get_profile("suite"), max_examples=1000)
 settings.load_profile("suite")
 
 

@@ -16,7 +16,7 @@ from pathlib import Path
 
 import jsonschema
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from skwiretap import cli
@@ -90,6 +90,9 @@ def _one_line_error(capsys) -> str:
 
 
 PHYSICS = ("--eta", 0.5, "--n-th", 1, "--n-s", 3, "--n", 10, "--rate", 0.5)
+
+# the one message of simulate and bounds for the thermal channel of THERMAL_CFG with a tap variance of 1e-320
+TINY_TAP_ERROR = "config error: (n_s + sigma2)/tap variance = (3.0 + 1.0)/1e-320 overflows\n"
 
 
 class TestRates:
@@ -197,6 +200,12 @@ class TestBounds:
         result = json.loads(capsys.readouterr().out)
         assert result["tetration"]["order"] == 4
         assert result["tetration"]["underflow"] is True
+
+    def test_tiny_tap_variance_is_rejected(self, capsys):
+        # (n_s + sigma2)/tap overflows, and the leakage budget with it; this printed total_bits inf
+        argv = ("--eta", 0.5, "--n-th", 1, "--n-s", 3, "--n", 10, "--rate", 0.5, "--tap-variance", 1e-320)
+        assert run_cli("bounds", *argv) == 1
+        assert _one_line_error(capsys) == TINY_TAP_ERROR
 
     @pytest.mark.parametrize("rate", [1e-300, 5e-324])
     def test_tower_at_rates_far_below_capacity(self, rate, capsys):
@@ -337,6 +346,25 @@ class TestInputBoundary:
         assert run_cli(command, "--config", path, "--out", tmp_path / "out") == 1
         assert message in _one_line_error(capsys)
 
+    def test_non_finite_n_s_has_one_message(self, tmp_path, capsys):
+        # a simulate config, a sweep config, a rates physics file and the --n-s flag go through one reader
+        experiment = _with(THERMAL_CFG, ("channel", "n_s"), _HUGE)
+        files = {
+            "simulate": experiment,
+            "sweep": dict(experiment, sweep={"axis": "n", "start": 2, "stop": 4, "steps": 2}),
+            "rates": {"eta": 0.5, "n_s": _HUGE, "n": 4, "rate": 0.5},
+        }
+        lines = set()
+        for command, obj in files.items():
+            path = tmp_path / f"{command}.json"
+            path.write_text(json.dumps(obj).replace(repr(_HUGE), "1e400"))
+            assert run_cli(command, "--config", path, "--out", tmp_path / "out") == 1
+            lines.add(_one_line_error(capsys))
+        assert run_cli("rates", "--eta", 0.5, "--n-s", "inf", "--n", 4, "--rate", 0.5) == 1
+        lines.add(_one_line_error(capsys))
+        assert lines == {"config error: n_s=inf must be a finite number\n"}
+        assert not (tmp_path / "out").exists()
+
 
 _FUZZ_VALUES = st.one_of(
     st.floats(min_value=0.01, max_value=10.0),
@@ -352,14 +380,20 @@ _FUZZ_VALUES = st.one_of(
 
 
 @pytest.mark.parametrize("command", ["rates", "bounds"])
-@given(data=st.data())
-def test_fuzz_physics_config(command, data):
-    # each command's own fields: rates rejects tap_variance before any other check
-    optional = ("n_th", "sigma2", "tap_variance") if command == "bounds" else ("n_th", "sigma2")
-    params = data.draw(st.fixed_dictionaries(
+@given(
+    params=st.fixed_dictionaries(
         {field: _FUZZ_VALUES for field in ("eta", "n_s", "n", "rate")},
-        optional={field: _FUZZ_VALUES for field in optional},
-    ))
+        optional={field: _FUZZ_VALUES for field in ("n_th", "sigma2", "tap_variance")},
+    )
+)
+# the thermal-entropy bound read NaN at n_s 1e306, the tap capacity overflowed at tap variance 1e-320,
+# and the squeezed-state rate read NaN once 4 n_s overflowed
+@example(params={"eta": 0.5, "n_s": 1e306, "n": 1, "rate": 0.5, "tap_variance": 1.0})
+@example(params={"eta": 0.5, "n_th": 1.0, "n_s": 3.0, "n": 10, "rate": 0.5, "tap_variance": 1e-320})
+@example(params={"eta": 0.5, "n_s": 4.49423283715579e307, "n": 1, "rate": 1.0})
+def test_fuzz_physics_config(command, params):
+    # each command's own fields: rates rejects tap_variance before any other check
+    params = {k: v for k, v in params.items() if command == "bounds" or k != "tap_variance"}
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "phys.json"
         path.write_text(json.dumps(params))
@@ -372,6 +406,8 @@ def test_fuzz_physics_config(command, data):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+        # a result the serializer refuses is a fault of the command, not a rejected input
+        assert "Out of range float values are not JSON compliant" not in err.getvalue()
 
 
 # every field of the thermal and affine experiment configs, nested fields included
@@ -510,6 +546,15 @@ class TestSimulate:
         )
         assert not (tmp_path / "out").exists()
 
+    def test_tiny_tap_variance_runs_nothing(self, tmp_path, monkeypatch, capsys):
+        # it ran every trial, then failed to write the infinite tap capacity into report.json
+        path = tmp_path / "tap.json"
+        path.write_text(json.dumps(_with(THERMAL_CFG, ("tap", "variance"), 1e-320)))
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("a trial ran"))
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 1
+        assert _one_line_error(capsys) == TINY_TAP_ERROR
+        assert not (tmp_path / "out").exists()
+
     def test_run_too_large_to_allocate_is_one_line(self, tmp_path, capsys):
         # it passes every config check; its forward lane draws are (n + 1) x 8192
         # doubles, 5.8 PiB, which no 2^47-byte address space holds, so numpy
@@ -611,6 +656,21 @@ class TestSweep:
         out = tmp_path / "rows.csv"
         assert run_cli("sweep", "--config", path, "--out", out) == 1
         assert "trials * x^4 of the power sums reaches 2^1363, above 2^1020" in _one_line_error(capsys)
+        assert runs == [] and not out.exists()
+
+    def test_tiny_tap_variance_point_runs_nothing(self, tmp_path, monkeypatch, capsys):
+        # the tap variance suits the first point, but (n_s + sigma2)/tap overflows at the second
+        runs = []
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: runs.append(args))
+        sweep = {"axis": "n_s", "start": 3, "stop": 1e10, "steps": 2}
+        obj = dict(_with(THERMAL_CFG, ("tap", "variance"), 1e-300), sweep=sweep)
+        path = tmp_path / "sweep.json"
+        path.write_text(json.dumps(obj))
+        out = tmp_path / "rows.csv"
+        assert run_cli("sweep", "--config", path, "--out", out) == 1
+        assert _one_line_error(capsys) == (
+            "config error: (n_s + sigma2)/tap variance = (10000000000.0 + 1.0)/1e-300 overflows\n"
+        )
         assert runs == [] and not out.exists()
 
     def test_too_many_steps_to_allocate_is_one_line(self, tmp_path, capsys):
