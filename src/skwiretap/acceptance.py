@@ -50,6 +50,26 @@ class CriterionResult:
     details: str
 
 
+# the name of criterion i is CRITERIA[i - 1]
+CRITERIA = (
+    "conditional-variance identity",
+    "recursion vs full-solve oracle",
+    "decoder-statistic variance",
+    "decoding-error bound",
+    "per-round power constraint",
+    "non-Gaussian affine channels",
+    "feedback independence and Gaussianity",
+    "leakage budget",
+    "tetration machinery",
+    "determinism across worker counts",
+)
+
+
+def _result(index: int, passed: bool, details: str) -> CriterionResult:
+    """The result of criterion ``index``, under its name in ``CRITERIA``."""
+    return CriterionResult(index, CRITERIA[index - 1], passed, details)
+
+
 def _cfg_gaussian(n: int, rate: float) -> ExperimentConfig:
     return ExperimentConfig(
         channel=_THERMAL, n_s=3.0, tap=_TAP, n=n, rate=rate, trials=TRIALS, root_seed=ROOT_SEED
@@ -106,8 +126,8 @@ def criterion_variance_identity() -> CriterionResult:
                     sched = make_schedule(n, n_s, sigma2)
                     closed = sigma2 * 2.0 ** (-2.0 * n * p_h)
                     worst = max(worst, abs(sched.v[n] / closed - 1.0))
-    return CriterionResult(
-        1, "conditional-variance identity", worst <= 1e-12,
+    return _result(
+        1, worst <= 1e-12,
         f"max relative deviation {worst:.3e} (tolerance 1e-12) over the 135-point grid",
     )
 
@@ -127,8 +147,8 @@ def criterion_oracle_equivalence() -> CriterionResult:
             bob_round(bob, float(y))
         oracle = mmse_oracle(ys, sched)
         worst = max(worst, abs(bob.nhat - oracle) / (1.0 + abs(bob.nhat)))
-    return CriterionResult(
-        2, "recursion vs full-solve oracle", worst <= 1e-9,
+    return _result(
+        2, worst <= 1e-9,
         f"max relative disagreement {worst:.3e} (tolerance 1e-9) over 100 transcripts, n <= 20",
     )
 
@@ -150,8 +170,8 @@ def _rows(report: ExperimentReport, *quantities: str) -> List[VerdictRow]:
 def criterion_variance_of_theta(reports: Dict[str, ExperimentReport]) -> CriterionResult:
     """3: empirical variance of the decoder statistic matches the closed form."""
     (row,) = _rows(reports["main"], "var_theta_ratio")
-    return CriterionResult(
-        3, "decoder-statistic variance", row.passed,
+    return _result(
+        3, row.passed,
         f"empirical/predicted = {_number(row.empirical, 4)} at n=10, {TRIALS} trials "
         f"(|ratio - 1| <= {row.tolerance:.4g})",
     )
@@ -162,8 +182,8 @@ def criterion_error_bound(reports: Dict[str, ExperimentReport]) -> CriterionResu
     (main,) = _rows(reports["main"], "error_rate_vs_bound")
     (edge,) = _rows(reports["edge"], "error_rate_vs_bound")
     ok_main = main.empirical == 0.0 and main.predicted < 1e-300
-    return CriterionResult(
-        4, "decoding-error bound", ok_main and edge.passed,
+    return _result(
+        4, ok_main and edge.passed,
         f"(a) n=10: rate={main.empirical:.5f}, bound={main.predicted:.3g}; "
         f"(b) n=2, R=0.95: rate={edge.empirical:.5f} <= {edge.tolerance:.5f}",
     )
@@ -172,8 +192,8 @@ def criterion_error_bound(reports: Dict[str, ExperimentReport]) -> CriterionResu
 def criterion_power_constraint(reports: Dict[str, ExperimentReport]) -> CriterionResult:
     """5: per-round mean power sits on n_s; round 0 under it by construction."""
     round0, worst = _rows(reports["main"], "power_round0_leq_ns", "power_round*_within_5se")
-    return CriterionResult(
-        5, "per-round power constraint", round0.passed and worst.passed,
+    return _result(
+        5, round0.passed and worst.passed,
         f"{worst.quantity}: mean {worst.empirical:.4f}, |mean - n_s| <= {worst.tolerance:.3g} "
         f"(worst of rounds 1..{reports['main'].config.n}); "
         f"round-0 mean {round0.empirical:.4f} <= {round0.predicted}",
@@ -193,14 +213,14 @@ def criterion_non_gaussian(reports: Dict[str, ExperimentReport]) -> CriterionRes
         # against the Chebyshev bound itself, not the row's sampling slack
         ok &= row.empirical <= row.predicted
         details.append(f"{key}: rate={row.empirical:.5f} <= {row.predicted:.5f}")
-    return CriterionResult(6, "non-Gaussian affine channels", ok, "; ".join(details))
+    return _result(6, ok, "; ".join(details))
 
 
 def criterion_independence(reports: Dict[str, ExperimentReport]) -> CriterionResult:
     """7: feedback observations uncorrelated; decoder statistic Gaussian-shaped."""
     rows = _rows(reports["independence"], "max_feedback_corr", "theta_skewness", "theta_excess_kurtosis")
-    return CriterionResult(
-        7, "feedback independence and Gaussianity", all(r.passed for r in rows),
+    return _result(
+        7, all(r.passed for r in rows),
         ", ".join(f"{r.quantity}={_number(r.empirical)} (|.| <= {r.tolerance:.5f})" for r in rows) + " at n=6",
     )
 
@@ -215,8 +235,8 @@ def criterion_leakage_budget() -> CriterionResult:
         abs(b.per_mode_bits * (n + 1) - b.total_bits) <= 1e-12 * b.total_bits
         for n, b in budgets.items()
     )
-    return CriterionResult(
-        8, "leakage budget", ok_value and ok_totals and ok_scaling,
+    return _result(
+        8, ok_value and ok_totals and ok_scaling,
         f"per_mode_bits(n=99) = {budgets[99].per_mode_bits:.9f} (target 0.029037 +/- 1e-6); "
         f"numerator n-independent: {ok_totals}; (n+1)-scaling exact: {ok_scaling}",
     )
@@ -245,8 +265,8 @@ def criterion_tetration() -> CriterionResult:
     if 4 in first:
         b4 = tetration_error_bound(BoundQuery(n_s=n_s, sigma2=sigma2, n=first[4], rate=0.5))
         ok_deep = b4.underflow and b4.value == 0.0 and b4.order == 4
-    return CriterionResult(
-        9, "tetration machinery", ok_round and ok_monotone and ok_unit and ok_deep,
+    return _result(
+        9, ok_round and ok_monotone and ok_unit and ok_deep,
         f"max round-trip residual {worst:.3e} (<1e-10); order nondecreasing: {ok_monotone}; "
         f"order-1 bound = 1/e: {ok_unit}; order-4 underflow marker: {ok_deep}",
     )
@@ -257,24 +277,10 @@ def criterion_determinism() -> CriterionResult:
     serial = shared_reports(threads=1)
     parallel = shared_reports(threads=_POOL_WORKERS)
     mismatched = [k for k in serial if serial[k].to_json() != parallel[k].to_json()]
-    return CriterionResult(
-        10, "determinism across worker counts", not mismatched,
+    return _result(
+        10, not mismatched,
         "all reports byte-identical" if not mismatched else f"mismatched: {mismatched}",
     )
-
-
-CRITERIA = (
-    "conditional-variance identity",
-    "recursion vs full-solve oracle",
-    "decoder-statistic variance",
-    "decoding-error bound",
-    "per-round power constraint",
-    "non-Gaussian affine channels",
-    "feedback independence and Gaussianity",
-    "leakage budget",
-    "tetration machinery",
-    "determinism across worker counts",
-)
 
 
 def run_all() -> List[CriterionResult]:
