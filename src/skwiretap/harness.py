@@ -223,7 +223,7 @@ def _config_float(value, name: str) -> float:
     return number
 
 
-# The type of each numeric field of a config object or physics flag; ``_fields`` reads any other field as it is.
+# The reader of each numeric field of a config object or physics flag; ``_fields`` keeps any other field as it is.
 _FIELD_READERS = dict.fromkeys(("n", "trials", "root_seed", "m", "steps"), _config_int) | dict.fromkeys(
     ("eta", "n_th", "n_s", "sigma2", "rate", "gain", "variance", "mean", "tap_variance", "start", "stop"), _config_float
 )
