@@ -95,12 +95,10 @@ class ThermalWiretapParams:
     gain = 1.0
 
     def __post_init__(self) -> None:
-        if not 0 < self.eta <= 1:
-            raise ValueError(f"eta={self.eta!r} must be in (0, 1]")
-        if self.n_th < 0:
-            raise ValueError(f"n_th={self.n_th!r} must be >= 0")
-        # built once; it also rejects an eta whose sigma2 overflows
-        object.__setattr__(self, "noise", NoiseModel("gaussian", induced_sigma2(self.eta, self.n_th), 0.0))
+        sigma2 = induced_sigma2(self.eta, self.n_th)  # it range-checks eta and n_th
+        if not math.isfinite(sigma2):
+            raise ValueError(f"eta={self.eta!r} makes the induced sigma2 overflow")
+        object.__setattr__(self, "noise", NoiseModel("gaussian", sigma2, 0.0))
 
 
 @dataclass(frozen=True)

@@ -10,7 +10,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -19,6 +18,7 @@ from typing import Mapping, Optional, Sequence, Tuple
 import numpy as np
 
 from .acceptance import run_all
+from .channels import EveTap, ThermalWiretapParams
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -50,35 +50,18 @@ EXIT_CONFIG = 1
 EXIT_IO = 2
 EXIT_VERDICT = 3
 
-THREADS_ENV_VAR = "SKWIRETAP_THREADS"
-
-
-class CliError(Exception):
-    def __init__(self, code: int, message: str) -> None:
-        super().__init__(message)
-        self.code = code
-
 
 class _Parser(argparse.ArgumentParser):
     # argparse exits 2 on usage errors by default; 2 is reserved for I/O here
     def error(self, message: str):
-        raise CliError(EXIT_CONFIG, message)
+        raise ConfigError(message)
 
 
 def _threads(args) -> int:
-    """Worker count for simulate/sweep: --threads, then $SKWIRETAP_THREADS, then 1; each must be >= 1."""
-    if args.threads is not None:
-        threads, source = args.threads, f"--threads {args.threads}"
-    else:
-        raw = os.environ.get(THREADS_ENV_VAR, "1")
-        source = f"{THREADS_ENV_VAR}={raw!r}"
-        try:
-            threads = int(raw)
-        except ValueError as exc:
-            raise CliError(EXIT_CONFIG, f"{source} is not an integer") from exc
-    if threads < 1:
-        raise CliError(EXIT_CONFIG, f"{source} must be >= 1")
-    return threads
+    """Worker count for simulate/sweep, from --threads (default 1)."""
+    if args.threads < 1:
+        raise ConfigError(f"--threads {args.threads} must be >= 1")
+    return args.threads
 
 
 def _reject_constant(name: str):
@@ -90,18 +73,16 @@ def _load_json(path: str) -> dict:
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot read {path}: {exc}") from exc
+        raise OSError(f"cannot read {path}: {exc}") from exc
     try:
         # a UnicodeDecodeError is a ValueError: malformed JSON like any other
         obj = json.loads(raw.decode("utf-8"), parse_constant=_reject_constant)
     except json.JSONDecodeError as exc:
-        raise CliError(
-            EXIT_CONFIG, f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
-    except ValueError as exc:
-        raise CliError(EXIT_CONFIG, f"malformed JSON in {path}: {exc}") from exc
+        raise ConfigError(f"malformed JSON in {path} at line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except (ValueError, RecursionError) as exc:  # RecursionError: nesting deeper than the parser goes
+        raise ConfigError(f"malformed JSON in {path}: {exc}") from exc
     if not isinstance(obj, dict):
-        raise CliError(EXIT_CONFIG, f"{path} must hold a JSON object, not {type(obj).__name__}")
+        raise ConfigError(f"{path} must hold a JSON object, not {type(obj).__name__}")
     return obj
 
 
@@ -142,7 +123,7 @@ def _emit(result: dict, fmt: str, out: Optional[str]) -> None:
         try:
             Path(out).write_text(text + "\n")
         except OSError as exc:
-            raise CliError(EXIT_IO, f"cannot write {out}: {exc}") from exc
+            raise OSError(f"cannot write {out}: {exc}") from exc
     else:
         print(text)
 
@@ -164,14 +145,19 @@ def _physics_params(args) -> Tuple[dict, BoundQuery]:
     # a required parameter may come from the file or a flag, so this check names the flag
     for field in ("eta", "n_s", "n", "rate"):
         if field not in params:
-            raise CliError(EXIT_CONFIG, f"missing required parameter --{field.replace('_', '-')}")
+            raise ConfigError(f"missing required parameter --{field.replace('_', '-')}")
     params.setdefault("n_th", 0.0)
-    # range-checks eta and n_th even where a given sigma2 replaces the result
-    induced = induced_sigma2(params["eta"], params["n_th"])
-    if "sigma2" not in params and not math.isfinite(induced):
-        raise CliError(EXIT_CONFIG, f"eta={params['eta']!r} makes the induced sigma2 overflow")
-    params.setdefault("sigma2", induced)
-    query = BoundQuery(n_s=params["n_s"], sigma2=params["sigma2"], n=params["n"], rate=params["rate"])
+    # the range checks of an experiment config, in its order, so each rule has one message
+    try:
+        if "sigma2" in params:  # eta and n_th are range-checked even where a given sigma2 replaces theirs
+            induced_sigma2(params["eta"], params["n_th"])
+        else:
+            params["sigma2"] = ThermalWiretapParams(params["eta"], params["n_th"]).noise.variance
+        if "tap_variance" in params:
+            EveTap(params["tap_variance"])
+        query = BoundQuery(n_s=params["n_s"], sigma2=params["sigma2"], n=params["n"], rate=params["rate"])
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     check_signal_to_noise(query.n_s, query.sigma2)
     return params, query
 
@@ -217,10 +203,8 @@ def cmd_bounds(args) -> int:
         tet = {"order": order, "note": "not active: tower order below 1 at this n"}
     leak = None
     if "tap_variance" in p:
-        # leakage_budget range-checks the tap variance that the check divides by
-        budget = leakage_budget(p["eta"], p["n_th"], query.n_s, query.sigma2, p["tap_variance"], query.n)
         check_tap_signal_to_noise(query.n_s, query.sigma2, p["tap_variance"])
-        leak = asdict(budget)
+        leak = asdict(leakage_budget(p["eta"], p["n_th"], query.n_s, query.sigma2, p["tap_variance"], query.n))
     def _finite(value: float):
         return value if math.isfinite(value) else None
 
@@ -253,7 +237,7 @@ def cmd_simulate(args) -> int:
             with open(out_dir / "transcripts.csv", "w") as fh:
                 write_transcripts_csv(collect_transcripts(cfg), fh)
     except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write outputs under {out_dir}: {exc}") from exc
+        raise OSError(f"cannot write outputs under {out_dir}: {exc}") from exc
 
     if args.format == "json":
         _emit({"report": report.to_dict(), "verdict": verdict.to_dict()}, "json", None)
@@ -270,26 +254,28 @@ _SWEEP_AXES = ("n", "rate", "n_s", "eta", "trials")
 def _sweep_values(spec: Mapping) -> Tuple[str, list]:
     """The axis of the 'sweep' object and the config values along it."""
     spec = _fields(spec, "sweep", ("axis", "start", "stop", "steps"))
-    axis, steps = spec["axis"], spec["steps"]
+    axis, start, stop, steps = spec["axis"], spec["start"], spec["stop"], spec["steps"]
     if axis not in _SWEEP_AXES:
-        raise CliError(EXIT_CONFIG, f"sweep axis must be one of {_SWEEP_AXES}")
+        raise ConfigError(f"sweep axis must be one of {_SWEEP_AXES}")
     if steps < 1:
-        raise CliError(EXIT_CONFIG, f"sweep steps={steps} must be >= 1")
-    values = np.linspace(spec["start"], spec["stop"], steps).tolist()
+        raise ConfigError(f"sweep steps={steps} must be >= 1")
+    if not math.isfinite(stop - start):  # np.linspace steps by (stop - start)/(steps - 1)
+        raise ConfigError(f"sweep range from start={start!r} to stop={stop!r} overflows")
+    values = np.linspace(start, stop, steps).tolist()
     if axis in ("n", "trials"):
         values = [round(v) for v in values]
         if len(set(values)) != len(values):
-            raise CliError(EXIT_CONFIG, f"sweep over {axis} produced duplicate integer points")
+            raise ConfigError(f"sweep over {axis} produced duplicate integer points")
     return axis, values
 
 
 def _apply_axis(base: dict, axis: str, value) -> dict:
-    obj = json.loads(json.dumps(base))  # deep copy
+    obj = dict(base)  # a copy of each object it edits; a deep copy recurses as deep as the file nests
     chan = obj.get("channel")
     if axis in ("eta", "n_s") and isinstance(chan, Mapping) and chan.get("type") == "thermal":
-        chan[axis] = value
+        obj["channel"] = dict(chan, **{axis: value})
     elif axis == "eta":
-        raise CliError(EXIT_CONFIG, "sweeping eta requires a thermal channel config")
+        raise ConfigError("sweeping eta requires a thermal channel config")
     else:
         obj[axis] = value
     return obj
@@ -299,7 +285,7 @@ def cmd_sweep(args) -> int:
     obj = _load_json(args.config)
     sweep_spec = obj.pop("sweep", None)
     if not isinstance(sweep_spec, Mapping):
-        raise CliError(EXIT_CONFIG, "sweep config requires a 'sweep' object")
+        raise ConfigError("sweep config requires a 'sweep' object")
     axis, values = _sweep_values(sweep_spec)
     if args.seed is not None:
         obj["root_seed"] = args.seed
@@ -316,7 +302,7 @@ def cmd_sweep(args) -> int:
             writer.writeheader()
             writer.writerows(rows)
     except OSError as exc:
-        raise CliError(EXIT_IO, f"cannot write {out_path}: {exc}") from exc
+        raise OSError(f"cannot write {out_path}: {exc}") from exc
     print(f"wrote {len(rows)} sweep rows to {out_path}")
     return EXIT_OK
 
@@ -340,7 +326,7 @@ def _add_io(parser: argparse.ArgumentParser, config_required: bool, formats: boo
 
 def _add_run(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=None, help="override root seed")
-    parser.add_argument("--threads", type=int, default=None, help="worker process count")
+    parser.add_argument("--threads", type=int, default=1, help="worker process count")
 
 
 def _add_physics(parser: argparse.ArgumentParser) -> None:
@@ -389,9 +375,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         return args.func(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -120,7 +120,8 @@ class ExperimentConfig:
         if not 0 <= self.root_seed < 1 << 64:
             raise ConfigError(f"root_seed={self.root_seed} must be a 64-bit unsigned integer")
         try:
-            # make_codebook range-checks n, rate and n_s, and rejects too many bits
+            # the range checks of rates and bounds; then make_codebook rejects too many bits
+            BoundQuery(n_s=self.n_s, sigma2=self.channel.noise.variance, n=self.n, rate=self.rate)
             message_count = self.codebook().message_count
         except (ValueError, OverflowError) as exc:  # OverflowError: n*rate beyond double range
             raise ConfigError(str(exc)) from exc

@@ -66,7 +66,7 @@ class TestTypes:
             ThermalWiretapParams(eta=0.0, n_th=0.0)
         with pytest.raises(ValueError, match="n_th"):
             ThermalWiretapParams(eta=0.5, n_th=-1.0)
-        with pytest.raises(ValueError, match="variance=inf must be finite and > 0"):
+        with pytest.raises(ValueError, match=r"^eta=1e-320 makes the induced sigma2 overflow$"):
             ThermalWiretapParams(eta=1e-320, n_th=0.0)  # sigma2 = 1/(4 eta) overflows
 
     def test_tap_rejects_noiseless(self):

@@ -140,7 +140,7 @@ class TestRates:
         bad = tmp_path / "phys.json"
         bad.write_bytes(b"\xff" + json.dumps({"eta": 0.5, "n_th": 1.0, "n_s": 3.0, "n": 4, "rate": 0.5}).encode())
         assert run_cli("rates", "--config", bad) == 1
-        assert _one_line_error(capsys).startswith(f"error: malformed JSON in {bad}: 'utf-8' codec")
+        assert _one_line_error(capsys).startswith(f"config error: malformed JSON in {bad}: 'utf-8' codec")
 
     def test_config_file_with_flag_override(self, tmp_path, capsys):
         path = tmp_path / "phys.json"
@@ -365,6 +365,51 @@ class TestInputBoundary:
         assert lines == {"config error: n_s=inf must be a finite number\n"}
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("eta", 0), ("eta", 1.5), ("eta", 1e-320), ("n_th", -1), ("n_s", -3), ("n", 0), ("rate", -0.5),
+         ("tap_variance", -1), ("tap_variance", 0)],
+    )
+    def test_out_of_range_value_has_one_message(self, field, value, tmp_path, monkeypatch, capsys):
+        # a simulate config, a sweep config, a physics flag and a physics file go through one range check
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("a trial ran"))
+        path = {"eta": ("channel", "eta"), "n_th": ("channel", "n_th"), "n_s": ("channel", "n_s"),
+                "tap_variance": ("tap", "variance")}.get(field, (field,))
+        experiment = _with(THERMAL_CFG, path, value)
+        argvs = []
+        for command, obj in (
+            ("simulate", experiment),
+            ("sweep", dict(experiment, sweep={"axis": "trials", "start": 300, "stop": 400, "steps": 2})),
+        ):
+            config = tmp_path / f"{command}.json"
+            config.write_text(json.dumps(obj))
+            argvs.append((command, "--config", config, "--out", tmp_path / "out"))
+        physics = {"eta": 0.5, "n_th": 1.0, "n_s": 3.0, "n": 10, "rate": 0.5, field: value}
+        config = tmp_path / "phys.json"
+        config.write_text(json.dumps(physics))
+        flags = [x for k, v in physics.items() for x in (f"--{k.replace('_', '-')}", v)]
+        for command in ("bounds",) if field == "tap_variance" else ("rates", "bounds"):
+            argvs += [(command, *flags), (command, "--config", config)]
+        lines = set()
+        for argv in argvs:
+            assert run_cli(*argv) == 1, argv
+            lines.add(_one_line_error(capsys))
+        assert len(lines) == 1 and lines.pop().startswith("config error: ")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "text", ["[" * 100_000 + "]" * 100_000, '{"eta": ' + "[" * 100_000 + "]" * 100_000 + "}"], ids=["array", "field"]
+    )
+    @pytest.mark.parametrize("command", ["simulate", "rates"])
+    def test_deeply_nested_config_is_malformed_json(self, command, text, tmp_path, capsys):
+        path = self._physics_config(tmp_path, text)
+        assert run_cli(command, "--config", path, "--out", tmp_path / "out") == 1
+        assert _one_line_error(capsys).startswith(f"config error: malformed JSON in {path}: maximum recursion depth")
+        assert not (tmp_path / "out").exists()
+
+
+# the prefixes of an input that a command refuses (exit 1)
+_INPUT_FAULTS = ("config error: ", "domain error: ", "memory error: ")
 
 _FUZZ_VALUES = st.one_of(
     st.floats(min_value=0.01, max_value=10.0),
@@ -406,8 +451,41 @@ def test_fuzz_physics_config(command, params):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+        assert err.getvalue().startswith(_INPUT_FAULTS), err.getvalue()
         # a result the serializer refuses is a fault of the command, not a rejected input
         assert "Out of range float values are not JSON compliant" not in err.getvalue()
+
+
+def _or_fuzz(strategy):
+    """A draw of ``strategy`` or, as often, of ``_FUZZ_VALUES`` (``|`` would give ``strategy`` one branch in ten)."""
+    return st.booleans().flatmap(lambda fuzz: _FUZZ_VALUES if fuzz else strategy)
+
+
+@given(
+    axis=_or_fuzz(st.sampled_from(["n", "rate", "n_s", "eta", "trials"])),
+    bounds=st.fixed_dictionaries(
+        {"start": _FUZZ_VALUES, "stop": _FUZZ_VALUES, "steps": _or_fuzz(st.integers(min_value=1, max_value=4))}
+    ),
+)
+# np.linspace overflowed on stop - start and warned twice, then a NaN point was the error
+@example(axis="rate", bounds={"start": -1.7e308, "stop": 1.7e308, "steps": 3})
+def test_fuzz_sweep_config(axis, bounds):
+    obj = dict(THERMAL_CFG, sweep={"axis": axis, **bounds})
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        # every point is checked and none runs
+        patch.setattr(cli, "run_experiment", lambda cfgs, threads: cfgs)
+        patch.setattr(cli, "report_flat_row", lambda cfg: {"n": cfg.n})
+        path = Path(tmp) / "sweep.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code = run_cli("sweep", "--config", path, "--out", Path(tmp) / "rows.csv")
+    assert code in (0, 1), err.getvalue()
+    assert "Traceback" not in err.getvalue()
+    if code == 1:
+        assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
+        assert err.getvalue().startswith(_INPUT_FAULTS), err.getvalue()
 
 
 # every field of the thermal and affine experiment configs, nested fields included
@@ -482,7 +560,7 @@ class TestSimulate:
         bad = tmp_path / "latin1.json"
         bad.write_bytes(b"\xff" + json.dumps(THERMAL_CFG).encode())
         assert run_cli("simulate", "--config", bad, "--out", tmp_path / "out") == 1
-        assert _one_line_error(capsys).startswith(f"error: malformed JSON in {bad}: 'utf-8' codec")
+        assert _one_line_error(capsys).startswith(f"config error: malformed JSON in {bad}: 'utf-8' codec")
         assert not (tmp_path / "out").exists()
 
     def test_unknown_field_rejected(self, tmp_path, capsys):
@@ -497,7 +575,7 @@ class TestSimulate:
         clash.write_text("a file, not a directory")
         assert run_cli("simulate", "--config", cfg_path, "--out", clash) == 2
         err = capsys.readouterr().err
-        assert err.startswith(f"error: cannot write outputs under {clash}: [Errno 17] File exists")
+        assert err.startswith(f"io error: cannot write outputs under {clash}: [Errno 17] File exists")
         assert err.count("\n") == 1
 
     def test_verdict_failure_exit_code(self, cfg_path, tmp_path, monkeypatch, capsys):
@@ -673,6 +751,29 @@ class TestSweep:
         )
         assert runs == [] and not out.exists()
 
+    @pytest.mark.parametrize("axis", ["rate", "n"])
+    def test_range_beyond_double_range(self, axis, tmp_path, capsys):
+        # stop - start overflowed inside np.linspace: numpy warnings, then a NaN point
+        path = self._write(tmp_path, {"axis": axis, "start": -1.7e308, "stop": 1.7e308, "steps": 3})
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("sweep", "--config", path, "--out", tmp_path / "rows.csv") == 1
+        assert _one_line_error(capsys) == (
+            "config error: sweep range from start=-1.7e+308 to stop=1.7e+308 overflows\n"
+        )
+        assert not (tmp_path / "rows.csv").exists()
+
+    def test_nesting_the_parser_reads_is_one_line(self, tmp_path, capsys):
+        # a field nested just within the parser's depth made the copy of each point recurse too deep
+        limit = sys.getrecursionlimit()
+        path = tmp_path / "sweep.json"
+        for depth in range(limit - 200, limit + 1, 2):
+            text = json.dumps(dict(THERMAL_CFG, sweep={"axis": "n", "start": 2, "stop": 3, "steps": 2}))
+            path.write_text(text[:-1] + ', "junk": ' + "[" * depth + "]" * depth + "}")
+            assert run_cli("sweep", "--config", path, "--out", tmp_path / "rows.csv") == 1
+            assert _one_line_error(capsys).startswith("config error: ")
+        assert not (tmp_path / "rows.csv").exists()
+
     def test_too_many_steps_to_allocate_is_one_line(self, tmp_path, capsys):
         # 10^15 points are 8e15 bytes, beyond any 2^47-byte address space
         path = self._write(tmp_path, {"axis": "n", "start": 1, "stop": 9, "steps": 10**15})
@@ -773,19 +874,15 @@ class TestPlumbing:
     def test_unknown_command(self):
         assert run_cli("frobnicate") == 1
 
-    def test_threads_env_var_default(self, cfg_path, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "2")
-        out = tmp_path / "env"
-        assert run_cli("simulate", "--config", cfg_path, "--out", out) == 0
-        for raw in ("not-a-number", "0", "-2"):  # the same rule as --threads
-            monkeypatch.setenv(cli.THREADS_ENV_VAR, raw)
-            assert run_cli("simulate", "--config", cfg_path, "--out", out) == 1
-            assert f"{cli.THREADS_ENV_VAR}={raw!r}" in _one_line_error(capsys)
-
-    def test_threads_env_var_ignored_where_unused(self, monkeypatch, capsys):
-        monkeypatch.setenv(cli.THREADS_ENV_VAR, "x")
-        assert run_cli("rates", *PHYSICS) == 0
-        assert run_cli("bounds", *PHYSICS) == 0
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_threads_below_one(self, command, threads, tmp_path, forked_pools, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(THERMAL_CFG, sweep={"axis": "n", "start": 2, "stop": 3, "steps": 2})
+                                   if command == "sweep" else THERMAL_CFG))
+        assert run_cli(command, "--config", path, "--out", tmp_path / "out", "--threads", threads) == 1
+        assert _one_line_error(capsys) == f"config error: --threads {threads} must be >= 1\n"
+        assert forked_pools == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(
         "command,flag",
