@@ -156,6 +156,7 @@ def _physics_params(args) -> Tuple[dict, BoundQuery]:
         if "tap_variance" in params:
             EveTap(params["tap_variance"])
         query = BoundQuery(n_s=params["n_s"], sigma2=params["sigma2"], n=params["n"], rate=params["rate"])
+        codebook_bits(query.n, query.rate)  # a config's codebook check, short of its size limit
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     check_signal_to_noise(query.n_s, query.sigma2)
@@ -249,6 +250,8 @@ def cmd_simulate(args) -> int:
 
 
 _SWEEP_AXES = ("n", "rate", "n_s", "eta", "trials")
+# an array's size in bytes must fit in a signed machine word
+_MAX_STEPS = sys.maxsize // 8
 
 
 def _sweep_values(spec: Mapping) -> Tuple[str, list]:
@@ -259,6 +262,8 @@ def _sweep_values(spec: Mapping) -> Tuple[str, list]:
         raise ConfigError(f"sweep axis must be one of {_SWEEP_AXES}")
     if steps < 1:
         raise ConfigError(f"sweep steps={steps} must be >= 1")
+    if steps > _MAX_STEPS:  # numpy fails past it with a message that names no field, or an IndexError
+        raise ConfigError(f"sweep steps must be <= {_MAX_STEPS}, the most float64 values numpy can hold")
     if not math.isfinite(stop - start):  # np.linspace steps by (stop - start)/(steps - 1)
         raise ConfigError(f"sweep range from start={start!r} to stop={stop!r} overflows")
     values = np.linspace(start, stop, steps).tolist()

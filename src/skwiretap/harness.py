@@ -123,7 +123,7 @@ class ExperimentConfig:
             # the range checks of rates and bounds; then make_codebook rejects too many bits
             BoundQuery(n_s=self.n_s, sigma2=self.channel.noise.variance, n=self.n, rate=self.rate)
             message_count = self.codebook().message_count
-        except (ValueError, OverflowError) as exc:  # OverflowError: n*rate beyond double range
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         fixed_m = self.message_selection.fixed_m
         if fixed_m is not None and fixed_m > message_count:
@@ -343,7 +343,9 @@ def _messages(
     return np.full(stop - start, sel.fixed_m, dtype=np.int64)
 
 
-def _simulate_chunk(cfg: ExperimentConfig, start: int, noise: np.ndarray, u: Optional[np.ndarray]) -> dict:
+def _simulate_chunk(
+    cfg: ExperimentConfig, start: int, noise: np.ndarray, u: Optional[np.ndarray], x: Optional[np.ndarray] = None
+) -> dict:
     """Vectorized execution of one chunk of trials from ``start`` on; every simulation path runs through here.
 
     ``noise`` holds the noise of rounds 0..n, one row per round and one
@@ -354,11 +356,14 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, noise: np.ndarray, u: Opt
     Every arithmetic expression mirrors the scalar protocol path
     (``protocol.run_protocol`` on ``TrialLanes``) exactly, so the two produce
     bit-identical results (asserted in the test suite). Returns the messages,
-    decisions and decoder statistics, and the x and raw y of rounds 0..n as
-    round-major (n + 1, trials) arrays: row i holds round i of every trial.
+    decisions and decoder statistics, each round's power sums, ``x``, and the
+    raw y of rounds 0..n as a round-major (n + 1, trials) array.
 
-    The kernel works on contiguous rows and in place: round i writes its x
-    into row i of the one new array, x, and its y over noise row i.
+    The kernel works on contiguous rows and in place: round i writes its y
+    over noise row i, and its x into row i of ``x`` if the caller passes an
+    (n + 1, trials) buffer, numpy ``out=`` style, or else into a scratch row.
+    As it forms x_i it reduces x_i^2 to its mean and central sum of squares
+    the way numpy reduces row i of a round-major array, so the bits match.
     """
     n = cfg.n
     codebook = cfg.codebook()
@@ -371,9 +376,17 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, noise: np.ndarray, u: Opt
     count = y.shape[1]
     m = _messages(cfg, start, start + count, codebook.message_count, u)
     theta_m = codebook.midpoints(m)
+    power_mean, power_m2, sq = np.empty(n + 1), np.empty(n + 1), np.empty(count)
 
-    x = np.empty((n + 1, count))
-    x[0] = theta_m
+    def reduce_power(i: int, x_i: np.ndarray) -> None:
+        np.multiply(x_i, x_i, out=sq)
+        power_mean[i] = sq.mean()
+        np.subtract(sq, power_mean[i], out=sq)
+        power_m2[i] = np.multiply(sq, sq, out=sq).sum()
+
+    if x is not None:
+        x[0] = theta_m
+    reduce_power(0, theta_m)
     np.add(theta_m, y[0], out=y[0])
     y[0] *= gain
     y0_reduced = y[0] / gain
@@ -381,9 +394,11 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, noise: np.ndarray, u: Opt
     nhat = np.full(count, mean)
     step = np.empty(count)
     for i in range(1, n + 1):
-        x_i, y_i = x[i], y[i]
+        # x_i is dead once it is added to y_i, so without an x buffer it lives in step
+        x_i, y_i = step if x is None else x[i], y[i]
         np.subtract(n0, nhat, out=x_i)
         x_i *= schedule.gamma[i]
+        reduce_power(i, x_i)
         np.add(x_i, y_i, out=y_i)
         y_i *= gain
         np.divide(y_i, gain, out=step)
@@ -392,13 +407,14 @@ def _simulate_chunk(cfg: ExperimentConfig, start: int, noise: np.ndarray, u: Opt
         nhat += step
     theta_n = np.subtract(y0_reduced, nhat, out=nhat)
     m_hat = codebook.decode_value(theta_n)
-    return {"m": m, "m_hat": m_hat, "theta_m": theta_m, "theta_n": theta_n, "x": x, "y": y}
+    return {"m": m, "m_hat": m_hat, "theta_m": theta_m, "theta_n": theta_n, "x": x, "y": y,
+            "power_mean": power_mean, "power_m2": power_m2}
 
 
 def _chunk(cfg: ExperimentConfig, start: int, stop: int) -> dict:
-    """The batch kernel on trials [start, stop) of ``cfg`` alone: draw, map the noise, simulate."""
+    """The batch kernel on trials [start, stop) of ``cfg`` alone: draw, map the noise, simulate, keep every x."""
     forward, u = _chunk_draws((cfg,), start, stop)
-    return _simulate_chunk(cfg, start, _noise_in_place(cfg.channel.noise, forward), u)
+    return _simulate_chunk(cfg, start, _noise_in_place(cfg.channel.noise, forward), u, np.empty(forward.shape))
 
 
 def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "_Moments"]:
@@ -413,8 +429,8 @@ def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "
     are mapped in place, once, with the last config's noise model, over as
     many rows as the configs of that model need; each of those configs copies
     its own rows and columns of the noise, which become its y. The noise map
-    is elementwise, so every config gets the bits it gets alone, and a span
-    holds no more arrays at once than one copy beside the draws.
+    is elementwise, so every config gets the bits it gets alone. A span holds
+    the draws and at most one copy, and passes the kernel's power sums on.
     """
     stop = start + CHUNK_TRIALS
     active = (j for j, c in enumerate(cfgs) if c.trials > start)
@@ -431,7 +447,8 @@ def _span_moments(cfgs: Tuple[ExperimentConfig, ...], start: int) -> Dict[int, "
         """Config j's chunk reduced to its sums; ``noise`` becomes the kernel's y."""
         out = _simulate_chunk(cfgs[j], start, noise, u)
         theta_dev = cfgs[j].channel.gain * (out["theta_n"] - out["theta_m"])
-        return _Moments.of(int(np.count_nonzero(out["m"] != out["m_hat"])), theta_dev, out["x"], out["y"][1:])
+        errors = int(np.count_nonzero(out["m"] != out["m_hat"]))
+        return _Moments.of(errors, theta_dev, out["power_mean"], out["power_m2"], out["y"][1:])
 
     sums: Dict[int, _Moments] = {}
     for j in copied:
@@ -528,15 +545,13 @@ class _Moments:
     y_comoment: np.ndarray
 
     @classmethod
-    def of(cls, errors: int, theta_dev: np.ndarray, x: np.ndarray, y: np.ndarray) -> "_Moments":
-        """One chunk's sums from the round-major ``x`` (rounds 0..n) and ``y`` (rounds 1..n), both overwritten."""
+    def of(
+        cls, errors: int, theta_dev: np.ndarray, power_mean: np.ndarray, power_m2: np.ndarray, y: np.ndarray
+    ) -> "_Moments":
+        """One chunk's sums from the kernel's power sums and the round-major ``y`` (rounds 1..n, overwritten)."""
         theta_mean = theta_dev.mean()
         c = theta_dev - theta_mean
         c2 = c * c
-        np.multiply(x, x, out=x)
-        power_mean = x.mean(axis=1)
-        x -= power_mean[:, None]
-        np.multiply(x, x, out=x)
         y_mean = y.mean(axis=1)
         y -= y_mean[:, None]
         return cls(
@@ -547,7 +562,7 @@ class _Moments:
             theta_m3=float((c2 * c).sum()),
             theta_m4=float((c2 * c2).sum()),
             power_mean=power_mean,
-            power_m2=x.sum(axis=1),
+            power_m2=power_m2,
             y_mean=y_mean,
             y_comoment=_comoment(y),
         )

@@ -78,7 +78,12 @@ class Codebook:
 
 def codebook_bits(n: int, rate: float) -> int:
     """Bits of the message index, ceil(n rate) but at least 1; the realized rate is bits / n."""
-    exact = n * rate
+    try:
+        exact = n * rate
+    except OverflowError:  # an integer n beyond double range
+        exact = math.inf
+    if not math.isfinite(exact):
+        raise ValueError("n*rate is beyond double range")
     nearest = round(exact)
     # snap binary dust (e.g. 0.07 * 300 = 21.000000000000004) before the ceiling
     bits = nearest if abs(exact - nearest) <= 1e-9 * max(1.0, abs(exact)) else math.ceil(exact)

@@ -279,10 +279,20 @@ class TestInputBoundary:
         assert field in _one_line_error(capsys)
 
     def test_codebook_size_beyond_double_range(self, tmp_path, capsys):
-        # n * rate leaves double range inside make_codebook: a one-line domain error
-        path = self._physics_config(tmp_path, '{"eta": 0.5, "n_s": 3, "n": 1e300, "rate": 1e10}')
-        assert run_cli("rates", "--config", path) == 1
-        assert "domain error" in _one_line_error(capsys)
+        # n * rate leaves double range in codebook_bits, for a float n and for an integer n
+        # beyond double range: one config error, the same from every command
+        lines = []
+        for n in (1e300, 10**400):
+            path = self._physics_config(tmp_path, json.dumps({"eta": 0.5, "n_s": 3, "n": n, "rate": 1e10}))
+            config = tmp_path / "config.json"
+            config.write_text(json.dumps(dict(THERMAL_CFG, n=n, rate=1e10)))
+            assert run_cli("simulate", "--config", config, "--out", tmp_path / "out") == 1
+            lines.append(_one_line_error(capsys))
+            for command in ("rates", "bounds"):
+                assert run_cli(command, "--config", path) == 1
+                lines.append(_one_line_error(capsys))
+        assert lines == ["config error: n*rate is beyond double range\n"] * 6
+        assert not (tmp_path / "out").exists()
 
     def test_signal_to_noise_overflow_has_one_message(self, tmp_path, capsys):
         # simulate and rates/bounds reject the same n_s/sigma2 through the same check
@@ -472,6 +482,8 @@ def _or_fuzz(strategy):
 )
 # np.linspace overflowed on stop - start and warned twice, then a NaN point was the error
 @example(axis="rate", bounds={"start": -1.7e308, "stop": 1.7e308, "steps": 3})
+# more steps than numpy can hold: its message named no field
+@example(axis="n", bounds={"start": 1, "stop": 9, "steps": 1e300})
 def test_fuzz_sweep_config(axis, bounds):
     obj = dict(THERMAL_CFG, sweep={"axis": axis, **bounds})
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
@@ -764,6 +776,17 @@ class TestSweep:
             assert run_cli("sweep", "--config", path, "--out", tmp_path / "rows.csv") == 1
             assert _one_line_error(capsys).startswith("config error: ")
         assert not (tmp_path / "rows.csv").exists()
+
+    @pytest.mark.parametrize("steps", [1e300, sys.maxsize, sys.maxsize // 8 + 1])
+    def test_more_steps_than_numpy_can_hold_names_steps(self, steps, tmp_path, capsys):
+        # numpy said "Maximum allowed size exceeded", or "array is too big", or raised an IndexError
+        path = self._write(tmp_path, {"axis": "n", "start": 1, "stop": 9, "steps": steps})
+        out = tmp_path / "rows.csv"
+        assert run_cli("sweep", "--config", path, "--out", out) == 1
+        assert _one_line_error(capsys) == (
+            f"config error: sweep steps must be <= {sys.maxsize // 8}, the most float64 values numpy can hold\n"
+        )
+        assert not out.exists()
 
     def test_too_many_steps_to_allocate_is_one_line(self, tmp_path, capsys):
         # 10^15 points are 8e15 bytes, beyond any 2^47-byte address space

@@ -307,14 +307,17 @@ class TestBatchEqualsScalar:
 
     @pytest.mark.parametrize("factory", [_thermal_cfg, lambda: _affine_cfg("uniform", 2.0)])
     def test_kernel_writes_y_over_noise(self, factory):
-        # which buffer a caller may reuse: y is the noise buffer itself, x the kernel's one new array
+        # which buffer a caller may reuse: y is the noise buffer itself, and x the
+        # caller's own buffer if it passes one; else the kernel keeps no x at all
         cfg = factory()
         forward, u = harness._chunk_draws((cfg,), 0, 300)
         noise = harness._noise_in_place(cfg.channel.noise, forward)
+        kept = harness._simulate_chunk(cfg, 0, noise.copy(), u, x := np.empty(noise.shape))
         out = harness._simulate_chunk(cfg, 0, noise, u)
-        assert out["y"] is noise
-        assert out["x"].shape == noise.shape and out["x"].flags.c_contiguous
-        assert not np.shares_memory(out["x"], noise)
+        assert out["y"] is noise and out["x"] is None
+        assert kept["x"] is x and not np.shares_memory(x, kept["y"])
+        for key in ("m_hat", "theta_n", "y", "power_mean", "power_m2"):
+            assert np.array_equal(out[key], kept[key]), key
 
     def test_largest_codebook(self):
         # 2^40 messages: the batch path must not build the full midpoint table

@@ -28,9 +28,12 @@ from skwiretap.harness import (
     Diagnostics,
     ExperimentConfig,
     MessageSelection,
-    _fold,
     _chunk,
+    _chunk_draws,
+    _fold,
     _Moments,
+    _noise_in_place,
+    _simulate_chunk,
     _span_moments,
     compare_bounds,
     report_flat_row,
@@ -142,26 +145,61 @@ def test_offset_stress_defeats_the_naive_comoment():
     assert run_experiment(cfg).diag.max_abs_offdiag_corr == pytest.approx(oracle, rel=1e-9, abs=0.0)
 
 
+def _power_sums(x: np.ndarray):
+    """numpy's round-major reductions of x^2: each round's mean and central sum of squares."""
+    x2 = x * x
+    mean = x2.mean(axis=1)
+    return mean, ((x2 - mean[:, None]) ** 2).sum(axis=1)
+
+
 @pytest.mark.parametrize("count,rounds", [(1, 2), (2, 3), (9, 2), (CHUNK_TRIALS + 1, 41)])
 def test_chunk_sums_equal_the_round_major_reductions(count, rounds):
-    # each sum is numpy's own reduction of the round-major rows, so the bits
-    # are those of the plain expressions below
+    # each y sum is numpy's own reduction of the round-major rows, so the bits
+    # are those of the plain expressions below; the kernel's power sums pass through
     rng = np.random.default_rng(count)
     x = rng.normal(3.0, 2.0, size=(rounds, count))
     y = rng.normal(-1.0, 2.0, size=(rounds - 1, count))
-    x2 = x * x
-    mean = x2.mean(axis=1)
+    power_mean, power_m2 = _power_sums(x)
     yc = y - y.mean(axis=1)[:, None]
-    stats = _Moments.of(0, np.zeros(count), x.copy(), y.copy())
-    assert np.array_equal(stats.power_mean, mean)
-    assert np.array_equal(stats.power_m2, ((x2 - mean[:, None]) ** 2).sum(axis=1))
+    stats = _Moments.of(0, np.zeros(count), power_mean.copy(), power_m2.copy(), y.copy())
+    assert np.array_equal(stats.power_mean, power_mean)
+    assert np.array_equal(stats.power_m2, power_m2)
     assert np.array_equal(stats.y_mean, y.mean(axis=1))
     assert np.array_equal(stats.y_comoment, np.einsum("ik,jk->ij", yc, yc))
     assert np.array_equal(stats.y_comoment, stats.y_comoment.T)
 
 
+_KERNEL_CHANNELS = {
+    "thermal": ThermalWiretapParams(eta=0.5, n_th=1.0),
+    **{family: AffineChannel(1.5, NoiseModel(family, 0.7, 0.25))
+       for family in ("gaussian", "uniform", "two-point", "shifted-exponential")},
+}
+
+
+@pytest.mark.parametrize("n", [1, 40])
+@pytest.mark.parametrize("count", [1, 2, 9, CHUNK_TRIALS + 1])
+@pytest.mark.parametrize("channel", sorted(_KERNEL_CHANNELS))
+def test_kernel_power_sums_equal_the_round_major_reductions(channel, count, n):
+    # the kernel reduces each round's x^2 as it forms x_i, one row at a time; the
+    # bits must be numpy's reductions of the whole round-major x that _chunk keeps,
+    # and the same when the kernel keeps no x, as in every experiment span
+    cfg = ExperimentConfig(
+        channel=_KERNEL_CHANNELS[channel], n_s=3.0, tap=EveTap(1.0), n=n, rate=0.5, trials=count, root_seed=17
+    )
+    kept = _chunk(cfg, 0, count)
+    power_mean, power_m2 = _power_sums(kept["x"])
+    assert np.array_equal(kept["power_mean"], power_mean)
+    assert np.array_equal(kept["power_m2"], power_m2)
+    forward, u = _chunk_draws((cfg,), 0, count)
+    out = _simulate_chunk(cfg, 0, _noise_in_place(cfg.channel.noise, forward), u)
+    assert out["x"] is None
+    assert np.array_equal(out["power_mean"], power_mean)
+    assert np.array_equal(out["power_m2"], power_m2)
+    assert np.array_equal(out["y"], kept["y"])
+
+
 def _chunk_of(data: np.ndarray) -> _Moments:
-    return _Moments.of(0, data[:, 0], data[:, 1:3].T.copy(), data[:, 3:].T.copy())
+    return _Moments.of(0, data[:, 0], *_power_sums(data[:, 1:3].T), data[:, 3:].T.copy())
 
 
 @given(
@@ -216,7 +254,7 @@ def _peak_traced_bytes(trials: int) -> int:
 
 def test_memory_flat_in_trials():
     # numpy reports its buffers to tracemalloc; 8x the trials must not raise the
-    # peak by more than one chunk's x and y arrays
+    # peak by more than two (n + 1)-round arrays of one chunk
     n = 20
     one_chunk = 2 * CHUNK_TRIALS * (n + 1) * 8
     small = _peak_traced_bytes(2 * CHUNK_TRIALS)
@@ -240,20 +278,21 @@ def _span_peak(rounds) -> int:
 
 
 def test_chunk_peak_memory():
-    # round-major and in place: the draws, the noise and y share one buffer and
-    # x has one more, so a chunk peaks near two arrays of (n + 1) rounds, not four
+    # round-major and in place: the draws, the noise and y share one buffer, and
+    # the kernel reduces each round's power as it forms x_i, in one scratch row,
+    # so a chunk peaks near one array of (n + 1) rounds; a kept x would be a second
     n = 40
     peak = _span_peak((n,))
-    assert peak <= 3 * CHUNK_TRIALS * (n + 1) * 8, peak
+    assert peak <= 1.5 * CHUNK_TRIALS * (n + 1) * 8, peak
 
 
 @pytest.mark.parametrize("rounds", [(2, 40), (40, 2)])
 def test_span_maps_the_largest_config_in_place(rounds):
     # the n = 40 config maps the shared draws themselves, in either order; a
-    # copy of its rows beside the draws would be a third array of 41 rounds
+    # copy of its rows beside the draws would be a second array of 41 rounds
     n = max(rounds)
     peak = _span_peak(rounds)
-    assert peak <= 3 * CHUNK_TRIALS * (n + 1) * 8, peak
+    assert peak <= 1.5 * CHUNK_TRIALS * (n + 1) * 8, peak
 
 
 def test_acceptance_span_peak_memory():
@@ -263,7 +302,7 @@ def test_acceptance_span_peak_memory():
     cfgs = tuple(acceptance._shared_configs().values())
     rows = 1 + max(c.n for c in cfgs)
     peak = _traced_span_peak(cfgs)
-    assert peak <= 4 * CHUNK_TRIALS * rows * 8, peak
+    assert peak <= 3.25 * CHUNK_TRIALS * rows * 8, peak
 
 
 class TestUndefinedStatistics:
@@ -305,7 +344,7 @@ class TestUndefinedStatistics:
         count = 50
         y = np.random.default_rng(3).normal(size=(count, 3))
         y[:, 1] = 7.25
-        stats = _Moments.of(0, np.full(count, 0.1), np.ones((2, count)), y.T.copy())
+        stats = _Moments.of(0, np.full(count, 0.1), *_power_sums(np.ones((2, count))), y.T.copy())
         diag = stats.diagnostics()
         assert diag.max_abs_offdiag_corr is None and diag.theta_skewness is None
         assert diag.null_reasons == {
