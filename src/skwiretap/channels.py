@@ -103,7 +103,7 @@ class ThermalWiretapParams:
 
 @dataclass(frozen=True)
 class EveTap:
-    """AWGN tap on the round-0 feedback: W = Y + S, S ~ Normal(0, variance)."""
+    """AWGN tap on the round-0 feedback: W = Y + S, S drawn by its ``noise``, NoiseModel("gaussian", variance)."""
 
     variance: float
 
@@ -113,6 +113,7 @@ class EveTap:
                 f"tap variance={self.variance!r} must be finite and > 0 "
                 "(a noiseless tap has infinite capacity)"
             )
+        object.__setattr__(self, "noise", NoiseModel("gaussian", self.variance))
 
 
 # ---------------------------------------------------------------------------

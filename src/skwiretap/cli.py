@@ -250,8 +250,6 @@ def cmd_simulate(args) -> int:
 
 
 _SWEEP_AXES = ("n", "rate", "n_s", "eta", "trials")
-# an array's size in bytes must fit in a signed machine word
-_MAX_STEPS = sys.maxsize // 8
 
 
 def _sweep_values(spec: Mapping) -> Tuple[str, list]:
@@ -262,11 +260,12 @@ def _sweep_values(spec: Mapping) -> Tuple[str, list]:
         raise ConfigError(f"sweep axis must be one of {_SWEEP_AXES}")
     if steps < 1:
         raise ConfigError(f"sweep steps={steps} must be >= 1")
-    if steps > _MAX_STEPS:  # numpy fails past it with a message that names no field, or an IndexError
-        raise ConfigError(f"sweep steps must be <= {_MAX_STEPS}, the most float64 values numpy can hold")
     if not math.isfinite(stop - start):  # np.linspace steps by (stop - start)/(steps - 1)
         raise ConfigError(f"sweep range from start={start!r} to stop={stop!r} overflows")
-    values = np.linspace(start, stop, steps).tolist()
+    try:
+        values = np.linspace(start, stop, steps).tolist()
+    except (ValueError, IndexError) as exc:  # a size numpy cannot lay out; from 2^63 - 512 arange is empty
+        raise ConfigError("sweep steps are more float64 values than numpy can hold") from exc
     if axis in ("n", "trials"):
         values = [round(v) for v in values]
         if len(set(values)) != len(values):

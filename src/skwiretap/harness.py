@@ -22,7 +22,6 @@ from itertools import repeat
 from typing import IO, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .channels import (
     ROLE_FORWARD,
@@ -705,9 +704,11 @@ _pool: Optional[ProcessPoolExecutor] = None
 def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
     """A ``workers``-process pool, forked now, on the calling thread, and joined when the block exits.
 
-    A fork pool starts all its workers at its first submit, so a no-op task
-    forks them here, before the caller starts any thread of its own. While
-    the block is open, pooled ``run_experiment`` calls run on this pool.
+    A fork pool forks all its workers at its first submit, before it starts
+    its manager thread, so a no-op task forks them here, before the caller
+    starts any thread. Nothing waits on it: ``int()`` cannot fail, and a
+    worker that dies breaks the pool for the first real task. While the block
+    is open, pooled ``run_experiment`` calls run on this pool.
 
     Each worker lowers its own CPU priority to nice 19 as it starts, and the
     parent keeps its own. ``simulate`` and ``sweep`` only wait on the pool,
@@ -719,7 +720,7 @@ def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
     global _pool
     _pool = pool = ProcessPoolExecutor(max_workers=workers, initializer=os.nice, initargs=(19,))
     try:
-        pool.submit(int).result()
+        pool.submit(int)
         yield pool
     finally:
         _pool = None
@@ -821,8 +822,7 @@ def collect_transcripts(cfg: ExperimentConfig) -> List[Transcript]:
         out = _chunk(cfg, start, stop)
         x, y = out["x"], out["y"]
         noise = y / cfg.channel.gain - x
-        tap_u = lane_uniforms(cfg.root_seed, ROLE_TAP, start, stop, 1)[0]
-        w0 = y[0] + math.sqrt(cfg.tap.variance) * ndtri(tap_u)
+        w0 = y[0] + _noise_in_place(cfg.tap.noise, lane_uniforms(cfg.root_seed, ROLE_TAP, start, stop, 1)[0])
         x, noise, y = x.T, noise.T, y.T  # one row per trial
         transcripts += (
             Transcript(

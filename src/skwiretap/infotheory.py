@@ -177,12 +177,12 @@ def _sk_exponent(b: BoundQuery) -> float:
 def sk_error_bound(b: BoundQuery) -> float:
     """Doubly-exponential decoding-error bound for the feedback protocol.
 
-    sqrt(2/pi) * exp(-2^(2 n (P_H - R) - 1) * n_s / sigma2), clamped to its
-    sqrt(2/pi) prefactor. Vanishes super-exponentially in n for R < P_H and
-    underflows to exactly 0.0 well inside double range; use
-    :func:`sk_error_bound_log10` for reporting in that regime.
+    sqrt(2/pi) * exp(-2^(2 n (P_H - R) - 1) * n_s / sigma2), at most its
+    sqrt(2/pi) prefactor (the exponent is >= 0). Vanishes super-exponentially
+    in n for R < P_H and underflows to exactly 0.0 well inside double range;
+    use :func:`sk_error_bound_log10` for reporting in that regime.
     """
-    return min(_SQRT_2_OVER_PI * math.exp(-_sk_exponent(b)), _SQRT_2_OVER_PI)
+    return _SQRT_2_OVER_PI * math.exp(-_sk_exponent(b))
 
 
 def sk_error_bound_log10(b: BoundQuery) -> float:

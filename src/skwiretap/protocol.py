@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Optional, Sequence, Union
 
 import numpy as np
-from scipy.special import ndtri
 
 from .channels import AffineChannel, EveTap, ThermalWiretapParams, TrialLanes, noise_from_uniforms
 
@@ -327,7 +326,7 @@ def run_protocol(
     theta_m = codebook.midpoint(m)
     x[0] = theta_m
     y[0] = gain * (x[0] + draws[0])
-    w0 = y[0] + math.sqrt(tap.variance) * ndtri(lanes.tap.uniforms(1)[0])
+    w0 = y[0] + noise_from_uniforms(tap.noise, lanes.tap.uniforms(1))[0]
 
     alice = AliceState(schedule, first_round_noise=y[0] / gain - x[0], noise_mean=mean)
     bob = BobState(schedule, first_round_observation=y[0] / gain, noise_mean=mean)

@@ -484,6 +484,9 @@ def _or_fuzz(strategy):
 @example(axis="rate", bounds={"start": -1.7e308, "stop": 1.7e308, "steps": 3})
 # more steps than numpy can hold: its message named no field
 @example(axis="n", bounds={"start": 1, "stop": 9, "steps": 1e300})
+# the first and last step counts below 2^60 that numpy cannot lay out: its message named no field
+@example(axis="n", bounds={"start": 1, "stop": 9, "steps": 2**60 - 64})
+@example(axis="n", bounds={"start": 1, "stop": 9, "steps": 2**60 - 1})
 def test_fuzz_sweep_config(axis, bounds):
     obj = dict(THERMAL_CFG, sweep={"axis": axis, **bounds})
     with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
@@ -501,6 +504,15 @@ def test_fuzz_sweep_config(axis, bounds):
     if code == 1:
         assert len(err.getvalue().strip().splitlines()) == 1, err.getvalue()
         assert err.getvalue().startswith(_INPUT_FAULTS), err.getvalue()
+    # a valid axis and range with more steps than numpy can lay out (every fuzzed step
+    # count this large is): the step count is refused, by name
+    if (
+        axis in cli._SWEEP_AXES
+        and all(type(bounds[k]) in (int, float) and abs(bounds[k]) <= 1e300 for k in ("start", "stop"))
+        and type(bounds["steps"]) in (int, float)
+        and bounds["steps"] >= 2**60 - 64
+    ):
+        assert code == 1 and "steps" in err.getvalue(), err.getvalue()
 
 
 # every field of the thermal and affine experiment configs, nested fields included
@@ -777,14 +789,14 @@ class TestSweep:
             assert _one_line_error(capsys).startswith("config error: ")
         assert not (tmp_path / "rows.csv").exists()
 
-    @pytest.mark.parametrize("steps", [1e300, sys.maxsize, sys.maxsize // 8 + 1])
+    @pytest.mark.parametrize("steps", [1e300, sys.maxsize, sys.maxsize // 8 + 1, 2**60 - 64])
     def test_more_steps_than_numpy_can_hold_names_steps(self, steps, tmp_path, capsys):
         # numpy said "Maximum allowed size exceeded", or "array is too big", or raised an IndexError
         path = self._write(tmp_path, {"axis": "n", "start": 1, "stop": 9, "steps": steps})
         out = tmp_path / "rows.csv"
         assert run_cli("sweep", "--config", path, "--out", out) == 1
         assert _one_line_error(capsys) == (
-            f"config error: sweep steps must be <= {sys.maxsize // 8}, the most float64 values numpy can hold\n"
+            "config error: sweep steps are more float64 values than numpy can hold\n"
         )
         assert not out.exists()
 

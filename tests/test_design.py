@@ -10,6 +10,7 @@ breaks the traced run. A deletion that leaves its name in a module's
 """
 
 import ast
+import dataclasses
 import importlib
 import sys
 from pathlib import Path
@@ -18,6 +19,7 @@ import pytest
 
 import skwiretap
 from skwiretap import acceptance, cli
+from skwiretap.channels import EveTap, NoiseModel
 from skwiretap.harness import ExperimentConfig, ExperimentReport
 
 REPO = Path(__file__).resolve().parents[1]
@@ -58,6 +60,28 @@ def test_reference_scan_sees_imports_attributes_and_names():
 def test_production_modules_reference_no_oracle(module):
     source = (Path(skwiretap.__file__).parent / f"{module}.py").read_text()
     assert not ORACLE_NAMES & _referenced_names(source)
+
+
+def _imported_modules(source: str) -> set:
+    """Every module the source imports, and every name imported from a module as ``module.name``."""
+    modules = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            modules.add(node.module)
+            modules.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return modules
+
+
+def test_channels_alone_maps_uniforms_to_noise():
+    # the tap lane too: its draws go through the tap's noise model, not a map of their own
+    package = Path(skwiretap.__file__).parent
+    importers = [p.stem for p in sorted(package.glob("*.py")) if "scipy.special" in _imported_modules(p.read_text())]
+    assert importers == ["channels"]
+    assert EveTap(0.37).noise == NoiseModel("gaussian", 0.37)
+    # a derived attribute, not a field: the config echo and equality see the variance alone
+    assert [f.name for f in dataclasses.fields(EveTap)] == ["variance"]
 
 
 def test_benchmark_tracer_patch_targets_exist(monkeypatch):

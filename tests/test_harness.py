@@ -78,6 +78,11 @@ def _exponential_cfg() -> ExperimentConfig:
     return _affine_cfg("shifted-exponential", -0.75, variance=1.5, mean=-0.3)
 
 
+def _scaled_tap_cfg() -> ExperimentConfig:
+    # a tap variance other than 1, so the tap lane's scale shows in w0
+    return dataclasses.replace(_thermal_cfg(), tap=EveTap(0.37))
+
+
 def _high_seed_cfg() -> ExperimentConfig:
     # a root seed >= 2^63 does not fit a signed 64-bit word
     return _thermal_cfg(root_seed=2**63 + 12345)
@@ -280,7 +285,14 @@ class TestBatchEqualsScalar:
 
     @pytest.mark.parametrize(
         "factory",
-        [_thermal_cfg, lambda: _affine_cfg("uniform", 2.0), _high_seed_cfg, _two_point_mean_cfg, _exponential_cfg],
+        [
+            _thermal_cfg,
+            lambda: _affine_cfg("uniform", 2.0),
+            _high_seed_cfg,
+            _two_point_mean_cfg,
+            _exponential_cfg,
+            _scaled_tap_cfg,
+        ],
     )
     def test_scalar_path_bitwise(self, factory):
         # oracle: the round-by-round state machines on per-trial Philox lanes; every
