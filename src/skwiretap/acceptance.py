@@ -181,7 +181,7 @@ def criterion_error_bound(reports: Dict[str, ExperimentReport]) -> CriterionResu
     """4: zero errors deep in the reliable regime; bound respected near capacity."""
     (main,) = _rows(reports["main"], "error_rate_vs_bound")
     (edge,) = _rows(reports["edge"], "error_rate_vs_bound")
-    ok_main = main.empirical == 0.0 and main.predicted < 1e-300
+    ok_main = main.passed and main.predicted < 1e-300
     return _result(
         4, ok_main and edge.passed,
         f"(a) n=10: rate={main.empirical:.5f}, bound={main.predicted:.3g}; "

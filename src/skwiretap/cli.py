@@ -10,6 +10,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from dataclasses import asdict
 from pathlib import Path
@@ -58,9 +59,16 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(args) -> int:
-    """Worker count for simulate/sweep, from --threads (default 1)."""
+    """Worker count for simulate/sweep, from --threads (default 1), at most one per CPU this process may use.
+
+    A pool forks every worker at once, and the report does not depend on the
+    worker count, so a count above the CPUs would only fork idle processes.
+    """
     if args.threads < 1:
         raise ConfigError(f"--threads {args.threads} must be >= 1")
+    cpus = len(os.sched_getaffinity(0))
+    if args.threads > cpus:
+        raise ConfigError(f"--threads {args.threads} exceeds {cpus}, the number of CPUs this process may run on")
     return args.threads
 
 

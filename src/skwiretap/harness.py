@@ -31,6 +31,7 @@ from .channels import (
     EveTap,
     NoiseModel,
     ThermalWiretapParams,
+    _TRIAL_LIMIT,
     _noise_in_place,
     lane_uniforms,
 )
@@ -116,6 +117,8 @@ class ExperimentConfig:
     def __post_init__(self) -> None:
         if self.trials < 1:
             raise ConfigError(f"trials={self.trials} must be >= 1")
+        if self.trials > _TRIAL_LIMIT:
+            raise ConfigError(f"trials={self.trials} must be <= 2^56, the most trials the lanes can address")
         if not 0 <= self.root_seed < 1 << 64:
             raise ConfigError(f"root_seed={self.root_seed} must be a 64-bit unsigned integer")
         try:
@@ -292,7 +295,8 @@ def _largest_intermediate(cfg: ExperimentConfig) -> Tuple[str, float]:
              log2_trials + 2.0 * (math.log2(gain) + math.log2(x + abs(noise.mean) + _NOISE_TAIL * sigma))),
             ("trials * (gain (theta_n - theta_m))^4 of the decoder sums",
              log2_trials + 4.0 * (math.log2(gain) + math.log2(spread * sigma))),
-            ("the schedule gain gamma_n", 0.5 * math.log2(cfg.n_s / noise.variance) + (cfg.n - 1) * capacity),
+            ("the schedule gain gamma_n",
+             0.5 * (math.log2(cfg.n_s) - math.log2(noise.variance)) + (cfg.n - 1) * capacity),
         ),
         key=lambda item: item[1],
     )

@@ -351,9 +351,16 @@ class TestInputBoundary:
             # stop - start overflowed inside np.linspace: numpy warnings, then a NaN point
             *[("sweep", dict(THERMAL_CFG, sweep={"axis": axis, "start": -1.7e308, "stop": 1.7e308, "steps": 3}),
                "config error: sweep range from start=-1.7e+308 to stop=1.7e+308 overflows\n") for axis in ("rate", "n")],
+            # the lanes address trials below 2^56; past it a run failed only after 2^56 trials,
+            # and with --threads 2 at 2^80 the worker count's range() named no field
+            *[("simulate", dict(THERMAL_CFG, trials=trials),
+               f"config error: trials={trials} must be <= 2^56, the most trials the lanes can address\n")
+              for trials in (2**56 + 1, 2**80)],
         ],
     )
-    def test_bad_experiment_config(self, command, obj, message, tmp_path, capsys):
+    def test_bad_experiment_config(self, command, obj, message, tmp_path, monkeypatch, capsys):
+        # a refused config runs no trial: at 2^56 + 1 trials one would not end
+        monkeypatch.setattr(cli, "run_experiment", lambda *args, **kwargs: pytest.fail("a trial ran"))
         path = tmp_path / "config.json"
         path.write_text(json.dumps(obj).replace(repr(_HUGE), "1e400"))
         assert run_cli(command, "--config", path, "--out", tmp_path / "out") == 1
@@ -526,8 +533,16 @@ _CONFIG_FIELDS = [
 
 @given(
     base=st.sampled_from([THERMAL_CFG, dict(AFFINE_CFG, message_selection={"type": "fixed", "m": 2})]),
-    edits=st.lists(st.tuples(st.sampled_from(_CONFIG_FIELDS), _FUZZ_VALUES), min_size=1, max_size=3),
+    # _FUZZ_VALUES draws no integer between 61 and 10^300, so none near the trials limit 2^56
+    edits=st.lists(
+        st.tuples(st.sampled_from(_CONFIG_FIELDS), st.one_of(_FUZZ_VALUES, st.integers(2**56 - 2, 2**70))),
+        min_size=1, max_size=3,
+    ),
 )
+# one past the trials the lanes can address was accepted
+@example(base=THERMAL_CFG, edits=[(("trials",), 2**56 + 1)])
+# n_s/sigma2 underflowed to 0 in the overflow check's log2: a math domain error, not a config error
+@example(base=AFFINE_CFG, edits=[(("channel", "noise", "variance"), 10**300), (("n_s",), 2.225073858507e-311)])
 def test_fuzz_experiment_config(base, edits):
     obj = base
     for path, value in edits:
@@ -538,6 +553,7 @@ def test_fuzz_experiment_config(base, edits):
         cfg = ExperimentConfig.from_dict(obj)
     except ConfigError:
         return
+    assert cfg.trials <= 2**56
     assert ExperimentConfig.from_dict(cfg.to_dict()) == cfg
 
 
@@ -908,6 +924,18 @@ class TestPlumbing:
                                    if command == "sweep" else THERMAL_CFG))
         assert run_cli(command, "--config", path, "--out", tmp_path / "out", "--threads", threads) == 1
         assert _one_line_error(capsys) == f"config error: --threads {threads} must be >= 1\n"
+        assert forked_pools == [] and not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_threads_above_the_cpus(self, command, tmp_path, monkeypatch, forked_pools, capsys):
+        # a pool forks every worker at once; the count is checked against a mocked mask, never forked for real
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(dict(THERMAL_CFG, sweep={"axis": "n", "start": 2, "stop": 3, "steps": 2})
+                                   if command == "sweep" else THERMAL_CFG))
+        assert run_cli(command, "--config", path, "--out", tmp_path / "out", "--threads", 3) == 1
+        message = "config error: --threads 3 exceeds 2, the number of CPUs this process may run on\n"
+        assert _one_line_error(capsys) == message
         assert forked_pools == [] and not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize(

@@ -2,16 +2,20 @@
 and no stale export.
 
 The scalar protocol machinery stays an independent oracle for the batch
-kernel; the production modules must not call it, nor the package root
-re-export it. The benchmark's tracer (``perfbench/layers.py``) swaps package
-attributes for timing wrappers, so a refactor that drops one of those names
-breaks the traced run. A deletion that leaves its name in a module's
-``__all__`` breaks ``from module import *``.
+kernel; the production modules must not call it. The package root
+re-exports nothing, so each name has one import path and importing
+``skwiretap.infotheory`` loads neither numpy nor scipy. The benchmark's
+tracer (``perfbench/layers.py``) swaps package attributes for timing
+wrappers, so a refactor that drops one of those names breaks the traced run.
+A deletion that leaves its name in a module's ``__all__`` breaks
+``from module import *``.
 """
 
 import ast
 import dataclasses
 import importlib
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -82,6 +86,18 @@ def test_channels_alone_maps_uniforms_to_noise():
     assert EveTap(0.37).noise == NoiseModel("gaussian", 0.37)
     # a derived attribute, not a field: the config echo and equality see the variance alone
     assert [f.name for f in dataclasses.fields(EveTap)] == ["variance"]
+
+
+def test_infotheory_loads_without_numpy_or_scipy():
+    # the closed-form bounds import only math, and the package root imports none of the array modules
+    loaded = "sorted({m.partition('.')[0] for m in sys.modules} & {'numpy', 'scipy'})"
+    code = f"import sys, skwiretap.infotheory; print({loaded})"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout.strip() == "[]"
+    # one import path per name: the package root holds its docstring and __version__, nothing else
+    root = ast.parse(Path(skwiretap.__file__).read_text())
+    assert [ast.unparse(node) for node in root.body[1:]] == ["__version__ = '1.0.0'"]
 
 
 def test_benchmark_tracer_patch_targets_exist(monkeypatch):
