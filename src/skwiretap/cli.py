@@ -59,17 +59,18 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _threads(args) -> int:
-    """Worker count for simulate/sweep, from --threads (default 1), at most one per CPU this process may use.
+    """Worker count for simulate/sweep, from --threads (default 1), capped at the CPUs this process may use.
 
     A pool forks every worker at once, and the report does not depend on the
-    worker count, so a count above the CPUs would only fork idle processes.
+    worker count, so workers beyond the CPUs would only be idle forks. The
+    CPUs are the affinity mask where the platform has one, else ``os.cpu_count()``.
     """
     if args.threads < 1:
         raise ConfigError(f"--threads {args.threads} must be >= 1")
-    cpus = len(os.sched_getaffinity(0))
-    if args.threads > cpus:
-        raise ConfigError(f"--threads {args.threads} exceeds {cpus}, the number of CPUs this process may run on")
-    return args.threads
+    if args.threads == 1:
+        return 1
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    return min(args.threads, cpus)
 
 
 def _reject_constant(name: str):

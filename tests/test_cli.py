@@ -706,8 +706,9 @@ class TestSimulate:
         assert {"max_feedback_corr", "theta_skewness", "theta_excess_kurtosis"} <= failed
 
 
-    def test_workers_joined_before_main_returns(self, tmp_path, forked_pools, capsys):
-        # RUSAGE_CHILDREN only counts workers that were joined
+    def test_workers_joined_before_main_returns(self, tmp_path, monkeypatch, forked_pools, capsys):
+        # RUSAGE_CHILDREN only counts workers that were joined; two CPUs, so --threads 2 forks two on any host
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
         path = tmp_path / "two_chunks.json"
         path.write_text(json.dumps(dict(THERMAL_CFG, trials=CHUNK_TRIALS + 1)))
         assert run_cli("simulate", "--config", path, "--out", tmp_path / "out", "--threads", 2) == 0
@@ -926,17 +927,27 @@ class TestPlumbing:
         assert _one_line_error(capsys) == f"config error: --threads {threads} must be >= 1\n"
         assert forked_pools == [] and not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("mask", [True, False], ids=["affinity", "cpu_count"])
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
-    def test_threads_above_the_cpus(self, command, tmp_path, monkeypatch, forked_pools, capsys):
-        # a pool forks every worker at once; the count is checked against a mocked mask, never forked for real
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+    def test_threads_capped_at_the_cpus(self, command, mask, tmp_path, monkeypatch, forked_pools):
+        # a pool forks every worker at once; two CPUs are mocked, so no count above the host's is forked for real
+        if mask:
+            monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        else:
+            monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+            monkeypatch.setattr(cli.os, "cpu_count", lambda: 2)
+        # three spans, so the CPUs bound the pool and not the spans
+        obj = dict(THERMAL_CFG, trials=2 * CHUNK_TRIALS + 1)
+        if command == "sweep":
+            obj["sweep"] = {"axis": "n", "start": 2, "stop": 3, "steps": 2}
         path = tmp_path / "config.json"
-        path.write_text(json.dumps(dict(THERMAL_CFG, sweep={"axis": "n", "start": 2, "stop": 3, "steps": 2})
-                                   if command == "sweep" else THERMAL_CFG))
-        assert run_cli(command, "--config", path, "--out", tmp_path / "out", "--threads", 3) == 1
-        message = "config error: --threads 3 exceeds 2, the number of CPUs this process may run on\n"
-        assert _one_line_error(capsys) == message
-        assert forked_pools == [] and not (tmp_path / "out").exists()
+        path.write_text(json.dumps(obj))
+        outs = [tmp_path / f"out{threads}" for threads in (1, 3)]
+        for out, threads in zip(outs, (1, 3)):
+            assert run_cli(command, "--config", path, "--out", out, "--threads", threads) == 0
+        files = outs if command == "sweep" else [out / "report.json" for out in outs]
+        assert files[0].read_bytes() == files[1].read_bytes()
+        assert forked_pools == [(2, 0)]
 
     @pytest.mark.parametrize(
         "command,flag",
