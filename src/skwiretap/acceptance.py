@@ -13,12 +13,14 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fnmatch import fnmatchcase
 from functools import lru_cache
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from .channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams
-from .harness import ExperimentConfig, ExperimentReport, VerdictRow, compare_bounds, run_experiment, worker_pool
+from .harness import (
+    ExperimentConfig, ExperimentReport, VerdictRow, VerdictTable, compare_bounds, run_experiment, worker_pool
+)
 from .infotheory import (
     BoundQuery,
     awgn_capacity,
@@ -43,10 +45,11 @@ _TAP = EveTap(variance=1.0)
 
 
 @dataclass(frozen=True)
-class CriterionResult:
+class CriterionResult(VerdictTable):
+    """Criterion ``index`` of ``CRITERIA``: it passes when all its ``rows`` pass."""
+
     index: int
     name: str
-    passed: bool
     details: str
 
 
@@ -65,9 +68,9 @@ CRITERIA = (
 )
 
 
-def _result(index: int, passed: bool, details: str) -> CriterionResult:
+def _result(index: int, rows: Sequence[VerdictRow], details: str) -> CriterionResult:
     """The result of criterion ``index``, under its name in ``CRITERIA``."""
-    return CriterionResult(index, CRITERIA[index - 1], passed, details)
+    return CriterionResult(tuple(rows), index, CRITERIA[index - 1], details)
 
 
 def _cfg_gaussian(n: int, rate: float) -> ExperimentConfig:
@@ -127,7 +130,7 @@ def criterion_variance_identity() -> CriterionResult:
                     closed = sigma2 * 2.0 ** (-2.0 * n * p_h)
                     worst = max(worst, abs(sched.v[n] / closed - 1.0))
     return _result(
-        1, worst <= 1e-12,
+        1, [VerdictRow.within("max_relative_deviation", worst, 0.0, 1e-12)],
         f"max relative deviation {worst:.3e} (tolerance 1e-12) over the 135-point grid",
     )
 
@@ -148,7 +151,7 @@ def criterion_oracle_equivalence() -> CriterionResult:
         oracle = mmse_oracle(ys, sched)
         worst = max(worst, abs(bob.nhat - oracle) / (1.0 + abs(bob.nhat)))
     return _result(
-        2, worst <= 1e-9,
+        2, [VerdictRow.within("max_relative_disagreement", worst, 0.0, 1e-9)],
         f"max relative disagreement {worst:.3e} (tolerance 1e-9) over 100 transcripts, n <= 20",
     )
 
@@ -171,7 +174,7 @@ def criterion_variance_of_theta(reports: Dict[str, ExperimentReport]) -> Criteri
     """3: empirical variance of the decoder statistic matches the closed form."""
     (row,) = _rows(reports["main"], "var_theta_ratio")
     return _result(
-        3, row.passed,
+        3, [row],
         f"empirical/predicted = {_number(row.empirical, 4)} at n=10, {TRIALS} trials "
         f"(|ratio - 1| <= {row.tolerance:.4g})",
     )
@@ -181,9 +184,11 @@ def criterion_error_bound(reports: Dict[str, ExperimentReport]) -> CriterionResu
     """4: zero errors deep in the reliable regime; bound respected near capacity."""
     (main,) = _rows(reports["main"], "error_rate_vs_bound")
     (edge,) = _rows(reports["edge"], "error_rate_vs_bound")
-    ok_main = main.passed and main.predicted < 1e-300
+    # so deep in the reliable regime that the row's slack admits no error
+    bound = reports["main"].analytic_error_bound
+    regime = VerdictRow("error_bound_below_1e-300", bound, 0.0, 1e-300, bound < 1e-300)
     return _result(
-        4, ok_main and edge.passed,
+        4, [main, regime, edge],
         f"(a) n=10: rate={main.empirical:.5f}, bound={main.predicted:.3g}; "
         f"(b) n=2, R=0.95: rate={edge.empirical:.5f} <= {edge.tolerance:.5f}",
     )
@@ -193,7 +198,7 @@ def criterion_power_constraint(reports: Dict[str, ExperimentReport]) -> Criterio
     """5: per-round mean power sits on n_s; round 0 under it by construction."""
     round0, worst = _rows(reports["main"], "power_round0_leq_ns", "power_round*_within_5se")
     return _result(
-        5, round0.passed and worst.passed,
+        5, [round0, worst],
         f"{worst.quantity}: mean {worst.empirical:.4f}, |mean - n_s| <= {worst.tolerance:.3g} "
         f"(worst of rounds 1..{reports['main'].config.n}); "
         f"round-0 mean {round0.empirical:.4f} <= {round0.predicted}",
@@ -202,25 +207,24 @@ def criterion_power_constraint(reports: Dict[str, ExperimentReport]) -> Criterio
 
 def criterion_non_gaussian(reports: Dict[str, ExperimentReport]) -> CriterionResult:
     """6: affine-channel variance identity and second-moment error bound."""
-    details = []
-    ok = True
+    rows, details = [], []
     for key in ("two-point_a1", "two-point_a2", "uniform_a1", "uniform_a2"):
         (row,) = _rows(reports[key], "var_theta_ratio")
-        ok &= row.passed
+        rows.append(row)
         details.append(f"{key}: ratio={_number(row.empirical, 4)}")
     for key in ("two-point_cheb", "uniform_cheb"):
-        (row,) = _rows(reports[key], "error_rate_vs_bound")
-        # against the Chebyshev bound itself, not the row's sampling slack
-        ok &= row.empirical <= row.predicted
-        details.append(f"{key}: rate={row.empirical:.5f} <= {row.predicted:.5f}")
-    return _result(6, ok, "; ".join(details))
+        rate, bound = reports[key].error_rate, reports[key].analytic_error_bound
+        # against the Chebyshev bound itself, without the sampling slack of the compare_bounds row
+        rows.append(VerdictRow("error_rate_leq_bound", rate, bound, 0.0, rate <= bound))
+        details.append(f"{key}: rate={rate:.5f} <= {bound:.5f}")
+    return _result(6, rows, "; ".join(details))
 
 
 def criterion_independence(reports: Dict[str, ExperimentReport]) -> CriterionResult:
     """7: feedback observations uncorrelated; decoder statistic Gaussian-shaped."""
     rows = _rows(reports["independence"], "max_feedback_corr", "theta_skewness", "theta_excess_kurtosis")
     return _result(
-        7, all(r.passed for r in rows),
+        7, rows,
         ", ".join(f"{r.quantity}={_number(r.empirical)} (|.| <= {r.tolerance:.5f})" for r in rows) + " at n=6",
     )
 
@@ -228,17 +232,18 @@ def criterion_independence(reports: Dict[str, ExperimentReport]) -> CriterionRes
 def criterion_leakage_budget() -> CriterionResult:
     """8: leakage budget value and exact 1/(n+1) scaling."""
     budgets = {n: leakage_budget(0.5, 0.0, 2.0, 0.5, 1.0, n) for n in (9, 99, 999)}
-    ok_value = abs(budgets[99].per_mode_bits - 0.029037) <= 1e-6
-    totals = {n: b.total_bits for n, b in budgets.items()}
-    ok_totals = totals[9] == totals[99] == totals[999]
-    ok_scaling = all(
-        abs(b.per_mode_bits * (n + 1) - b.total_bits) <= 1e-12 * b.total_bits
+    value = VerdictRow.within("per_mode_bits_n99", budgets[99].per_mode_bits, 0.029037, 1e-6)
+    total = budgets[99].total_bits
+    totals = [VerdictRow.within(f"total_bits_n{n}", budgets[n].total_bits, total, 0.0) for n in (9, 999)]
+    scaled = [
+        VerdictRow.within(f"scaled_per_mode_bits_n{n}", b.per_mode_bits * (n + 1), b.total_bits, 1e-12 * b.total_bits)
         for n, b in budgets.items()
-    )
+    ]
     return _result(
-        8, ok_value and ok_totals and ok_scaling,
-        f"per_mode_bits(n=99) = {budgets[99].per_mode_bits:.9f} (target 0.029037 +/- 1e-6); "
-        f"numerator n-independent: {ok_totals}; (n+1)-scaling exact: {ok_scaling}",
+        8, [value, *totals, *scaled],
+        f"per_mode_bits(n=99) = {value.empirical:.9f} (target 0.029037 +/- 1e-6); "
+        f"numerator n-independent: {all(r.passed for r in totals)}; "
+        f"(n+1)-scaling exact: {all(r.passed for r in scaled)}",
     )
 
 
@@ -252,23 +257,25 @@ def criterion_tetration() -> CriterionResult:
         rate = float(rng.uniform(0.01, 0.999) * p_h)
         nu = phi_inverse(rate, n_s, sigma2)
         worst = max(worst, abs(phi(nu, n_s, sigma2) - rate))
-    ok_round = worst < 1e-10
 
     orders = [tetration_order(BoundQuery(n_s=n_s, sigma2=sigma2, n=n, rate=0.5)) for n in range(1, 201)]
-    ok_monotone = all(b >= a for a, b in zip(orders, orders[1:]))
-
-    first = {order: 1 + orders.index(order) for order in (1, 4) if order in orders}
-    ok_unit = ok_deep = False
-    if 1 in first:
-        b1 = tetration_error_bound(BoundQuery(n_s=n_s, sigma2=sigma2, n=first[1], rate=0.5))
-        ok_unit = abs(b1.value - 1.0 / math.e) <= 1e-15 and not b1.underflow
-    if 4 in first:
-        b4 = tetration_error_bound(BoundQuery(n_s=n_s, sigma2=sigma2, n=first[4], rate=0.5))
-        ok_deep = b4.underflow and b4.value == 0.0 and b4.order == 4
+    # the bound at the first n of each tower order, if n <= 200 reaches that order
+    first = {
+        order: tetration_error_bound(BoundQuery(n_s=n_s, sigma2=sigma2, n=1 + orders.index(order), rate=0.5))
+        for order in (1, 4) if order in orders
+    }
+    b1, b4 = first.get(1), first.get(4)
+    rows = [
+        VerdictRow("phi_round_trip_residual", worst, 0.0, 1e-10, worst < 1e-10),
+        VerdictRow.within("order_decreases", float(sum(b < a for a, b in zip(orders, orders[1:]))), 0.0, 0.0),
+        VerdictRow.within("order1_bound", b1.value if b1 and not b1.underflow else None, 1.0 / math.e, 1e-15),
+        VerdictRow.within("order4_bound", b4.value if b4 and b4.underflow and b4.order == 4 else None, 0.0, 0.0),
+    ]
+    _, monotone, unit, deep = rows
     return _result(
-        9, ok_round and ok_monotone and ok_unit and ok_deep,
-        f"max round-trip residual {worst:.3e} (<1e-10); order nondecreasing: {ok_monotone}; "
-        f"order-1 bound = 1/e: {ok_unit}; order-4 underflow marker: {ok_deep}",
+        9, rows,
+        f"max round-trip residual {worst:.3e} (<1e-10); order nondecreasing: {monotone.passed}; "
+        f"order-1 bound = 1/e: {unit.passed}; order-4 underflow marker: {deep.passed}",
     )
 
 
@@ -278,7 +285,7 @@ def criterion_determinism() -> CriterionResult:
     parallel = shared_reports(threads=_POOL_WORKERS)
     mismatched = [k for k in serial if serial[k].to_json() != parallel[k].to_json()]
     return _result(
-        10, not mismatched,
+        10, [VerdictRow.within("mismatched_reports", float(len(mismatched)), 0.0, 0.0)],
         "all reports byte-identical" if not mismatched else f"mismatched: {mismatched}",
     )
 

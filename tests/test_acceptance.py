@@ -70,6 +70,15 @@ def test_criterion_10_determinism(results):
     _check(results, 10)
 
 
+def test_every_criterion_passes_exactly_when_all_its_rows_pass(results):
+    assert sorted(results) == list(range(1, len(acceptance.CRITERIA) + 1))
+    for result in results.values():
+        assert result.rows, f"criterion {result.index} has no rows"
+        assert result.passed == all(r.passed for r in result.rows)
+        # a numpy bool would print and serialize differently from the others
+        assert all(type(r.passed) is bool for r in result.rows), result.rows
+
+
 def _row(report, quantity):
     (row,) = [r for r in compare_bounds(report).rows if fnmatchcase(r.quantity, quantity)]
     return row
@@ -144,6 +153,85 @@ def test_criterion_and_its_row_fail_on_a_perturbed_report(case):
     result = criterion(reports)
     assert not result.passed, result.details
     assert not _row(reports[key], quantity).passed
+
+
+def _scaled(factor):
+    return lambda func: lambda *args: func(*args) * factor
+
+
+def _fields(when=lambda *args: True, **changes):
+    """A perturbation of a function that returns a dataclass: each field in ``changes`` mapped
+    through its function, for the arguments ``when`` accepts."""
+
+    def perturb(func):
+        def perturbed(*args):
+            result = func(*args)
+            if not when(*args):
+                return result
+            return dataclasses.replace(result, **{k: change(getattr(result, k)) for k, change in changes.items()})
+
+        return perturbed
+
+    return perturb
+
+
+# (criterion, acceptance attribute it calls, perturbation of that attribute, the one row that must fail);
+# leakage_budget's last argument is the blocklength n
+INPUT_CONTROLS = {
+    "1-capacity": (
+        acceptance.criterion_variance_identity, "awgn_capacity", _scaled(1 + 1e-8), "max_relative_deviation",
+    ),
+    "2-oracle": (
+        acceptance.criterion_oracle_equivalence, "mmse_oracle", _scaled(1 + 1e-8), "max_relative_disagreement",
+    ),
+    "8-value": (
+        # both fields move together, so the scaling and the n-independence still hold
+        acceptance.criterion_leakage_budget, "leakage_budget",
+        _fields(per_mode_bits=lambda v: v * (1 + 1e-4), total_bits=lambda v: v * (1 + 1e-4)), "per_mode_bits_n99",
+    ),
+    "8-numerator": (
+        acceptance.criterion_leakage_budget, "leakage_budget",
+        _fields(lambda *args: args[-1] == 999, total_bits=lambda v: v * (1 + 1e-14)), "total_bits_n999",
+    ),
+    "8-scaling": (
+        acceptance.criterion_leakage_budget, "leakage_budget",
+        _fields(lambda *args: args[-1] == 9, per_mode_bits=lambda v: v * (1 + 1e-9)), "scaled_per_mode_bits_n9",
+    ),
+    "9-phi": (
+        acceptance.criterion_tetration, "phi",
+        lambda func: lambda *args: func(*args) + 1e-9, "phi_round_trip_residual",
+    ),
+    "9-order": (
+        acceptance.criterion_tetration, "tetration_order",
+        lambda func: lambda b: func(b) - 10 * (b.n == 200), "order_decreases",
+    ),
+    "9-order-1-bound": (
+        acceptance.criterion_tetration, "tetration_error_bound",
+        _fields(value=lambda v: v * (1 + 1e-14)), "order1_bound",
+    ),
+    "9-underflow-marker": (
+        acceptance.criterion_tetration, "tetration_error_bound",
+        _fields(underflow=lambda u: False), "order4_bound",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INPUT_CONTROLS))
+def test_criterion_and_only_its_row_fail_on_a_perturbed_input(monkeypatch, case):
+    criterion, attribute, perturb, quantity = INPUT_CONTROLS[case]
+    assert criterion().passed
+    monkeypatch.setattr(acceptance, attribute, perturb(getattr(acceptance, attribute)))
+    result = criterion()
+    assert not result.passed, result.details
+    assert [r.quantity for r in result.rows if not r.passed] == [quantity]
+
+
+def test_criterion_4_holds_the_deep_bound_strictly_below_1e_300():
+    # at the limit itself the row's slack still admits no error, but the regime row fails
+    reports = _perturbed("main", lambda r: {"analytic_error_bound": 1e-300})
+    result = acceptance.criterion_error_bound(reports)
+    assert _row(reports["main"], "error_rate_vs_bound").passed
+    assert [r.quantity for r in result.rows if not r.passed] == ["error_bound_below_1e-300"]
 
 
 def test_chebyshev_criterion_is_stricter_than_its_row():

@@ -703,7 +703,7 @@ class TestSimulate:
         assert report["diagnostics"]["theta_skewness"] is None
         assert report["diagnostics"]["null_reasons"]["theta_skewness"] == "fewer than 2 trials"
         failed = {row["quantity"] for row in result["verdict"]["rows"] if not row["pass"]}
-        assert {"max_feedback_corr", "theta_skewness", "theta_excess_kurtosis"} <= failed
+        assert {"var_theta_ratio", "max_feedback_corr", "theta_skewness", "theta_excess_kurtosis"} <= failed
 
 
     def test_workers_joined_before_main_returns(self, tmp_path, monkeypatch, forked_pools, capsys):
@@ -874,8 +874,11 @@ class TestVerifyPlumbing:
     def test_exit_codes_follow_results(self, monkeypatch, capsys):
         from skwiretap.acceptance import CriterionResult
 
-        good = [CriterionResult(1, "stub", True, "ok")]
-        bad = [CriterionResult(1, "stub", False, "broken")]
+        def stub(passed, details):
+            row = VerdictRow(quantity="stub", empirical=0.0, predicted=0.0, tolerance=0.0, passed=passed)
+            return [CriterionResult(rows=(row,), index=1, name="stub", details=details)]
+
+        good, bad = stub(True, "ok"), stub(False, "broken")
         monkeypatch.setattr(cli, "run_all", lambda: good)
         assert run_cli("verify") == 0
         monkeypatch.setattr(cli, "run_all", lambda: bad)

@@ -14,6 +14,7 @@ A deletion that leaves its name in a module's ``__all__`` breaks
 import ast
 import dataclasses
 import importlib
+import inspect
 import os
 import subprocess
 import sys
@@ -102,6 +103,13 @@ def test_infotheory_loads_without_numpy_or_scipy():
 
 
 def test_benchmark_tracer_patch_targets_exist(monkeypatch):
+    # the tracer wraps every acceptance attribute named criterion_* and names its span
+    # from the .index of the result: those must be one function per criterion, nothing else
+    criteria = {name: f for name, f in vars(acceptance).items() if name.startswith("criterion_")}
+    assert all(inspect.isfunction(f) for f in criteria.values()), criteria
+    indices = sorted(int(f.__doc__.split(":")[0]) for f in criteria.values())
+    assert indices == list(range(1, len(acceptance.CRITERIA) + 1))
+
     monkeypatch.syspath_prepend(str(REPO / "perfbench"))
     fresh = {"layers", "workloads"} - set(sys.modules)
     try:
