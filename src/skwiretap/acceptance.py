@@ -130,7 +130,7 @@ def criterion_variance_identity() -> CriterionResult:
                     closed = sigma2 * 2.0 ** (-2.0 * n * p_h)
                     worst = max(worst, abs(sched.v[n] / closed - 1.0))
     return _result(
-        1, [VerdictRow.within("max_relative_deviation", worst, 0.0, 1e-12)],
+        1, [VerdictRow("max_relative_deviation", worst, 0.0, 1e-12)],
         f"max relative deviation {worst:.3e} (tolerance 1e-12) over the 135-point grid",
     )
 
@@ -151,7 +151,7 @@ def criterion_oracle_equivalence() -> CriterionResult:
         oracle = mmse_oracle(ys, sched)
         worst = max(worst, abs(bob.nhat - oracle) / (1.0 + abs(bob.nhat)))
     return _result(
-        2, [VerdictRow.within("max_relative_disagreement", worst, 0.0, 1e-9)],
+        2, [VerdictRow("max_relative_disagreement", worst, 0.0, 1e-9)],
         f"max relative disagreement {worst:.3e} (tolerance 1e-9) over 100 transcripts, n <= 20",
     )
 
@@ -184,13 +184,12 @@ def criterion_error_bound(reports: Dict[str, ExperimentReport]) -> CriterionResu
     """4: zero errors deep in the reliable regime; bound respected near capacity."""
     (main,) = _rows(reports["main"], "error_rate_vs_bound")
     (edge,) = _rows(reports["edge"], "error_rate_vs_bound")
-    # so deep in the reliable regime that the row's slack admits no error
-    bound = reports["main"].analytic_error_bound
-    regime = VerdictRow("error_bound_below_1e-300", bound, 0.0, 1e-300, bound < 1e-300)
+    # so deep in the reliable regime that the row's slack admits no error; strictly below 1e-300
+    regime = VerdictRow("error_bound_below_1e-300", main.predicted, 0.0, math.nextafter(1e-300, 0.0), one_sided=True)
     return _result(
         4, [main, regime, edge],
         f"(a) n=10: rate={main.empirical:.5f}, bound={main.predicted:.3g}; "
-        f"(b) n=2, R=0.95: rate={edge.empirical:.5f} <= {edge.tolerance:.5f}",
+        f"(b) n=2, R=0.95: rate={edge.empirical:.5f} <= {edge.predicted + edge.tolerance:.5f}",
     )
 
 
@@ -215,7 +214,7 @@ def criterion_non_gaussian(reports: Dict[str, ExperimentReport]) -> CriterionRes
     for key in ("two-point_cheb", "uniform_cheb"):
         rate, bound = reports[key].error_rate, reports[key].analytic_error_bound
         # against the Chebyshev bound itself, without the sampling slack of the compare_bounds row
-        rows.append(VerdictRow("error_rate_leq_bound", rate, bound, 0.0, rate <= bound))
+        rows.append(VerdictRow("error_rate_leq_bound", rate, bound, 0.0, one_sided=True))
         details.append(f"{key}: rate={rate:.5f} <= {bound:.5f}")
     return _result(6, rows, "; ".join(details))
 
@@ -232,11 +231,11 @@ def criterion_independence(reports: Dict[str, ExperimentReport]) -> CriterionRes
 def criterion_leakage_budget() -> CriterionResult:
     """8: leakage budget value and exact 1/(n+1) scaling."""
     budgets = {n: leakage_budget(0.5, 0.0, 2.0, 0.5, 1.0, n) for n in (9, 99, 999)}
-    value = VerdictRow.within("per_mode_bits_n99", budgets[99].per_mode_bits, 0.029037, 1e-6)
+    value = VerdictRow("per_mode_bits_n99", budgets[99].per_mode_bits, 0.029037, 1e-6)
     total = budgets[99].total_bits
-    totals = [VerdictRow.within(f"total_bits_n{n}", budgets[n].total_bits, total, 0.0) for n in (9, 999)]
+    totals = [VerdictRow(f"total_bits_n{n}", budgets[n].total_bits, total, 0.0) for n in (9, 999)]
     scaled = [
-        VerdictRow.within(f"scaled_per_mode_bits_n{n}", b.per_mode_bits * (n + 1), b.total_bits, 1e-12 * b.total_bits)
+        VerdictRow(f"scaled_per_mode_bits_n{n}", b.per_mode_bits * (n + 1), b.total_bits, 1e-12 * b.total_bits)
         for n, b in budgets.items()
     ]
     return _result(
@@ -266,10 +265,10 @@ def criterion_tetration() -> CriterionResult:
     }
     b1, b4 = first.get(1), first.get(4)
     rows = [
-        VerdictRow("phi_round_trip_residual", worst, 0.0, 1e-10, worst < 1e-10),
-        VerdictRow.within("order_decreases", float(sum(b < a for a, b in zip(orders, orders[1:]))), 0.0, 0.0),
-        VerdictRow.within("order1_bound", b1.value if b1 and not b1.underflow else None, 1.0 / math.e, 1e-15),
-        VerdictRow.within("order4_bound", b4.value if b4 and b4.underflow and b4.order == 4 else None, 0.0, 0.0),
+        VerdictRow("phi_round_trip_residual", worst, 0.0, math.nextafter(1e-10, 0.0), one_sided=True),
+        VerdictRow("order_decreases", float(sum(b < a for a, b in zip(orders, orders[1:]))), 0.0, 0.0),
+        VerdictRow("order1_bound", b1.value if b1 and not b1.underflow else None, 1.0 / math.e, 1e-15),
+        VerdictRow("order4_bound", b4.value if b4 and b4.underflow and b4.order == 4 else None, 0.0, 0.0),
     ]
     _, monotone, unit, deep = rows
     return _result(
@@ -285,7 +284,7 @@ def criterion_determinism() -> CriterionResult:
     parallel = shared_reports(threads=_POOL_WORKERS)
     mismatched = [k for k in serial if serial[k].to_json() != parallel[k].to_json()]
     return _result(
-        10, [VerdictRow.within("mismatched_reports", float(len(mismatched)), 0.0, 0.0)],
+        10, [VerdictRow("mismatched_reports", float(len(mismatched)), 0.0, 0.0)],
         "all reports byte-identical" if not mismatched else f"mismatched: {mismatched}",
     )
 

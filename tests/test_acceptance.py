@@ -6,6 +6,7 @@ criteria 3..7 and 10 are shared across this module via a session fixture.
 import contextlib
 import dataclasses
 import functools
+import math
 import multiprocessing
 import os
 import signal
@@ -84,6 +85,12 @@ def _row(report, quantity):
     return row
 
 
+def _error_limit(report):
+    """The highest error rate that the ``error_rate_vs_bound`` row of ``report`` passes."""
+    row = _row(report, "error_rate_vs_bound")
+    return row.predicted + row.tolerance
+
+
 def _set_power(report, round_index, value):
     power = report.power_mean.copy()
     power[round_index] = value
@@ -106,7 +113,7 @@ NEGATIVE_CONTROLS = {
     ),
     "4-edge-above-tolerance": (
         acceptance.criterion_error_bound, "edge",
-        lambda r: {"error_rate": _row(r, "error_rate_vs_bound").tolerance + 0.01}, "error_rate_vs_bound",
+        lambda r: {"error_rate": _error_limit(r) + 0.01}, "error_rate_vs_bound",
     ),
     "5-round-shifted-10se": (
         acceptance.criterion_power_constraint, "main",
@@ -122,7 +129,7 @@ NEGATIVE_CONTROLS = {
     ),
     "6-chebyshev-above-tolerance": (
         acceptance.criterion_non_gaussian, "two-point_cheb",
-        lambda r: {"error_rate": _row(r, "error_rate_vs_bound").tolerance + 0.01}, "error_rate_vs_bound",
+        lambda r: {"error_rate": _error_limit(r) + 0.01}, "error_rate_vs_bound",
     ),
     "7-correlation": (
         acceptance.criterion_independence, "independence",
@@ -234,11 +241,31 @@ def test_criterion_4_holds_the_deep_bound_strictly_below_1e_300():
     assert [r.quantity for r in result.rows if not r.passed] == ["error_bound_below_1e-300"]
 
 
+def _absolute_limit(bound, trials):
+    """min(1, bound + 5 SE): the highest error rate the error row admits, written as an absolute limit."""
+    return min(1.0, bound + 5.0 * math.sqrt(max(bound * (1.0 - bound), 0.0) / trials))
+
+
+@pytest.mark.parametrize("key", sorted(acceptance._shared_configs()))
+def test_error_row_verdict_matches_the_absolute_limit(key):
+    # the row stores the 5-SE slack as a one-sided deviation from the bound; no verdict moves
+    report = acceptance.shared_reports(threads=1)[key]
+    trials = report.config.trials
+    assert _row(report, "error_rate_vs_bound").passed is True
+    assert report.error_rate <= _absolute_limit(report.analytic_error_bound, trials)
+    for bound in (0.0, 1e-300, 0.178, 0.5, 1.0, 1.7, math.inf):
+        limit = _absolute_limit(bound, trials)
+        for rate in (0.0, 1.0, limit - 1e-6, limit + 1e-6):
+            rate = min(max(rate, 0.0), 1.0)
+            changed = dataclasses.replace(report, analytic_error_bound=bound, error_rate=rate)
+            assert _row(changed, "error_rate_vs_bound").passed is (rate <= limit), (bound, rate)
+
+
 def test_chebyshev_criterion_is_stricter_than_its_row():
     # an error rate between the bound and the row's 5-SE slack fails criterion 6 only
     report = acceptance.shared_reports(threads=1)["uniform_cheb"]
     row = _row(report, "error_rate_vs_bound")
-    assert row.predicted < row.tolerance
+    assert row.tolerance > 0
     between = float(np.nextafter(row.predicted, 1.0))
     reports = _perturbed("uniform_cheb", lambda r: {"error_rate": between})
     assert _row(reports["uniform_cheb"], "error_rate_vs_bound").passed

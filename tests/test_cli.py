@@ -42,6 +42,16 @@ AFFINE_CFG = {
     "root_seed": 7,
 }
 
+# from_dict accepted it and every trial ran; then report.json could not hold its infinite Chebyshev bound
+CHEBYSHEV_OVERFLOW_CFG = {
+    "channel": {"type": "affine", "gain": 1e72, "noise": {"family": "uniform", "variance": 1.0}},
+    "n_s": 1e-300,
+    "tap": {"variance": 1.0},
+    "n": 4,
+    "rate": 0.5,
+    "trials": 64,
+}
+
 # stands for a JSON number beyond double range, which json.dumps cannot write
 _HUGE = 1.2345e300
 
@@ -356,6 +366,13 @@ class TestInputBoundary:
             *[("simulate", dict(THERMAL_CFG, trials=trials),
                f"config error: trials={trials} must be <= 2^56, the most trials the lanes can address\n")
               for trials in (2**56 + 1, 2**80)],
+            *[(command, obj, "config error: the Chebyshev error bound gain^2 2^(-2n(C - R)) sigma2/n_s leaves double"
+               " range at gain=1e+72, n_s=1e-300, sigma2=1.0, n=4, R=0.5\n")
+              for command, obj in (
+                  ("simulate", CHEBYSHEV_OVERFLOW_CFG),
+                  ("sweep",
+                   dict(CHEBYSHEV_OVERFLOW_CFG, sweep={"axis": "trials", "start": 64, "stop": 128, "steps": 2})),
+              )],
         ],
     )
     def test_bad_experiment_config(self, command, obj, message, tmp_path, monkeypatch, capsys):
@@ -580,6 +597,23 @@ class TestSimulate:
         report = json.loads((tmp_path / "report.json").read_text(), parse_constant=_reject_constant)
         assert result["report"] == report
 
+    @pytest.mark.parametrize("obj", [THERMAL_CFG, AFFINE_CFG], ids=["thermal", "affine"])
+    def test_json_reader_can_rejudge_every_row(self, obj, tmp_path, capsys):
+        # each row's verdict follows from its own fields: |empirical - predicted| <= tolerance,
+        # or empirical - predicted <= tolerance for a one-sided row
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(obj))
+        code = run_cli("simulate", "--config", path, "--out", tmp_path / "out", "--format", "json")
+        verdict = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)["verdict"]
+        for row in verdict["rows"]:
+            deviation = None if row["empirical"] is None else row["empirical"] - row["predicted"]
+            if deviation is not None and not row["one_sided"]:
+                deviation = abs(deviation)
+            assert row["pass"] is (deviation is not None and deviation <= row["tolerance"]), row
+        assert {row["one_sided"] for row in verdict["rows"]} == {False, True}
+        assert verdict["pass"] is all(row["pass"] for row in verdict["rows"])
+        assert code == (0 if verdict["pass"] else 3)
+
     def test_byte_identical_across_runs_and_threads(self, cfg_path, tmp_path):
         out1, out2 = tmp_path / "a", tmp_path / "b"
         assert run_cli("simulate", "--config", cfg_path, "--out", out1) == 0
@@ -623,7 +657,7 @@ class TestSimulate:
 
     def test_verdict_failure_exit_code(self, cfg_path, tmp_path, monkeypatch, capsys):
         failing = VerdictTable(
-            rows=(VerdictRow(quantity="forced", empirical=1.0, predicted=0.0, tolerance=0.0, passed=False),)
+            rows=(VerdictRow(quantity="forced", empirical=1.0, predicted=0.0, tolerance=0.0),)
         )
         monkeypatch.setattr(cli, "compare_bounds", lambda report: failing)
         assert run_cli("simulate", "--config", cfg_path, "--out", tmp_path / "v") == 3
@@ -875,7 +909,7 @@ class TestVerifyPlumbing:
         from skwiretap.acceptance import CriterionResult
 
         def stub(passed, details):
-            row = VerdictRow(quantity="stub", empirical=0.0, predicted=0.0, tolerance=0.0, passed=passed)
+            row = VerdictRow(quantity="stub", empirical=0.0 if passed else 1.0, predicted=0.0, tolerance=0.0)
             return [CriterionResult(rows=(row,), index=1, name="stub", details=details)]
 
         good, bad = stub(True, "ok"), stub(False, "broken")
