@@ -24,8 +24,6 @@ from .harness import (
     ConfigError,
     ExperimentConfig,
     _fields,
-    check_signal_to_noise,
-    check_tap_signal_to_noise,
     collect_transcripts,
     compare_bounds,
     report_flat_row,
@@ -168,7 +166,6 @@ def _physics_params(args) -> Tuple[dict, BoundQuery]:
         codebook_bits(query.n, query.rate)  # a config's codebook check, short of its size limit
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    check_signal_to_noise(query.n_s, query.sigma2)
     return params, query
 
 
@@ -213,8 +210,10 @@ def cmd_bounds(args) -> int:
         tet = {"order": order, "note": "not active: tower order below 1 at this n"}
     leak = None
     if "tap_variance" in p:
-        check_tap_signal_to_noise(query.n_s, query.sigma2, p["tap_variance"])
-        leak = asdict(leakage_budget(p["eta"], p["n_th"], query.n_s, query.sigma2, p["tap_variance"], query.n))
+        try:
+            leak = asdict(leakage_budget(p["eta"], p["n_th"], query.n_s, query.sigma2, p["tap_variance"], query.n))
+        except ValueError as exc:  # the tap's signal-to-noise ratio overflows
+            raise ConfigError(str(exc)) from exc
     def _finite(value: float):
         return value if math.isfinite(value) else None
 

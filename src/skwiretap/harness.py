@@ -49,8 +49,6 @@ __all__ = [
     "ConfigError",
     "MessageSelection",
     "ExperimentConfig",
-    "check_signal_to_noise",
-    "check_tap_signal_to_noise",
     "Diagnostics",
     "ExperimentReport",
     "VerdictRow",
@@ -122,17 +120,17 @@ class ExperimentConfig:
         if not 0 <= self.root_seed < 1 << 64:
             raise ConfigError(f"root_seed={self.root_seed} must be a 64-bit unsigned integer")
         try:
-            # the range checks of rates and bounds; then make_codebook rejects too many bits
+            # the range checks of rates and bounds: operating point, codebook size, thermal leakage budget
             BoundQuery(n_s=self.n_s, sigma2=self.channel.noise.variance, n=self.n, rate=self.rate)
             codebook = self.codebook()
+            if isinstance(self.channel, ThermalWiretapParams):
+                leakage_budget(self.channel.eta, self.channel.n_th, self.n_s, self.channel.noise.variance,
+                               self.tap.variance, self.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
         fixed_m = self.message_selection.fixed_m
         if fixed_m is not None and fixed_m > codebook.message_count:
             raise ConfigError(f"fixed_m={fixed_m} exceeds message count {codebook.message_count}")
-        check_signal_to_noise(self.n_s, self.channel.noise.variance)
-        if isinstance(self.channel, ThermalWiretapParams):  # the configs with a leakage budget
-            check_tap_signal_to_noise(self.n_s, self.channel.noise.variance, self.tap.variance)
         what, log2_peak = _largest_intermediate(self)
         if log2_peak >= _LOG2_LIMIT:
             raise ConfigError(f"the run would overflow: {what} reaches 2^{log2_peak:.0f}, above 2^{_LOG2_LIMIT}")
@@ -251,19 +249,6 @@ def _fields(obj, where: str, required: Sequence[str], optional: Sequence[str] = 
             raise ConfigError(f"{where} requires {field!r}")
     prefix = "tap " if where == "tap" else ""  # the noise and the tap both have a variance
     return {k: _FIELD_READERS[k](v, prefix + k) if k in _FIELD_READERS else v for k, v in obj.items()}
-
-
-def check_signal_to_noise(n_s: float, sigma2: float) -> None:
-    """The one check, for experiments and for ``rates`` and ``bounds``, that n_s/sigma2 is finite."""
-    if not math.isfinite(n_s / sigma2):
-        raise ConfigError(f"n_s/sigma2 = {n_s!r}/{sigma2!r} overflows")
-
-
-def check_tap_signal_to_noise(n_s: float, sigma2: float, tap_variance: float) -> None:
-    """The one check, for thermal experiments and ``bounds``, that the leakage budget's tap
-    signal-to-noise ratio (n_s + sigma2)/tap_variance is finite; tap_variance must be > 0."""
-    if not math.isfinite((n_s + sigma2) / tap_variance):
-        raise ConfigError(f"(n_s + sigma2)/tap variance = ({n_s!r} + {sigma2!r})/{tap_variance!r} overflows")
 
 
 # A lane uniform lies in [2^-54, 1 - 2^-54], so no noise family draws more than
@@ -724,8 +709,9 @@ def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
     Each worker lowers its own CPU priority to nice 19 as it starts, and the
     parent keeps its own. ``simulate`` and ``sweep`` only wait on the pool,
     but ``verify`` runs its serial report set on the parent while the
-    workers run the pooled one: that set is the command's critical path, so
-    it gets a whole core instead of a fair share among three busy processes.
+    workers run the pooled one, so the parent gets a whole core instead of a
+    fair share among three busy processes; on 2 CPUs the worker that shares
+    it then lags, and the pooled set can finish last (see ``run_all``).
     The priority moves no byte and no work, only who waits.
     """
     global _pool

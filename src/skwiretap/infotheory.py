@@ -55,8 +55,8 @@ class BoundQuery:
     n_s : float
         Mean photon number per mode, > 0.
     sigma2 : float
-        Noise variance of the induced additive channel (quadrature units), > 0.
-        Use :func:`induced_sigma2` to derive it from (eta, n_th).
+        Noise variance of the induced additive channel (quadrature units), > 0
+        with n_s/sigma2 finite. :func:`induced_sigma2` derives it from (eta, n_th).
     n : int
         Estimation rounds after the message-bearing round 0, >= 1.
     rate : float
@@ -75,6 +75,8 @@ class BoundQuery:
         _require(self.sigma2 > 0, "sigma2", self.sigma2, "> 0")
         _require(isinstance(self.n, int) and self.n >= 1, "n", self.n, "integer >= 1")
         _require(self.rate > 0, "rate", self.rate, "> 0")
+        if not math.isfinite(self.n_s / self.sigma2):
+            raise ValueError(f"n_s/sigma2 = {self.n_s!r}/{self.sigma2!r} overflows")
 
 
 @dataclass(frozen=True)
@@ -318,7 +320,7 @@ def leakage_budget(
     n_s + sigma2 plus the thermal-entropy bound g((1-eta) n_s + eta n_th) on
     the eavesdropper's optical port. The per-mode figure divides by the n+1
     channel uses; the numerator does not grow with n, which is the entire
-    privacy argument.
+    privacy argument. The tap ratio (n_s + sigma2)/tap_variance must be finite.
     """
     _require(0 < eta <= 1, "eta", eta, "(0, 1]")
     _require(n_th >= 0, "n_th", n_th, ">= 0")
@@ -329,6 +331,8 @@ def leakage_budget(
         "> 0; a noiseless tap has infinite capacity",
     )
     _require(isinstance(n, int) and n >= 1, "n", n, "integer >= 1")
+    if not math.isfinite((n_s + sigma2) / tap_variance):
+        raise ValueError(f"(n_s + sigma2)/tap variance = ({n_s!r} + {sigma2!r})/{tap_variance!r} overflows")
     tap_capacity = awgn_capacity(n_s + sigma2, tap_variance)
     eve_entropy_bound = g_entropy((1.0 - eta) * n_s + eta * n_th)
     total = tap_capacity + eve_entropy_bound

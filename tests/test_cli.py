@@ -316,6 +316,23 @@ class TestInputBoundary:
         assert lines == {"config error: n_s/sigma2 = 1e+300/1e-300 overflows\n"}
         assert not (tmp_path / "out").exists()
 
+    def test_signal_to_noise_is_checked_before_the_codebook(self, tmp_path, capsys):
+        # n * rate also leaves double range here; BoundQuery refuses n_s/sigma2 before the codebook is sized
+        obj = _with(_with(AFFINE_CFG, ("channel", "noise", "variance"), 1e-300), ("n_s",), 1e300)
+        obj["rate"] = 1e308
+        config, sweep = tmp_path / "config.json", tmp_path / "sweep.json"
+        config.write_text(json.dumps(obj))
+        sweep.write_text(json.dumps(dict(obj, sweep={"axis": "trials", "start": 10, "stop": 20, "steps": 2})))
+        assert run_cli("simulate", "--config", config, "--out", tmp_path / "out") == 1
+        lines = [_one_line_error(capsys)]
+        assert run_cli("sweep", "--config", sweep, "--out", tmp_path / "rows.csv") == 1
+        lines.append(_one_line_error(capsys))
+        for command in ("rates", "bounds"):
+            assert run_cli(command, "--eta", 0.5, "--n-s", 1e300, "--sigma2", 1e-300, "--n", 4, "--rate", 1e308) == 1
+            lines.append(_one_line_error(capsys))
+        assert lines == ["config error: n_s/sigma2 = 1e+300/1e-300 overflows\n"] * 4
+        assert not (tmp_path / "out").exists() and not (tmp_path / "rows.csv").exists()
+
     def test_tiny_sigma2_tower(self, capsys):
         argv = ("--eta", 1, "--n-s", 1, "--sigma2", 1e-300, "--n", 50, "--rate", 100, "--format", "json")
         assert run_cli("bounds", *argv) == 0
@@ -709,6 +726,30 @@ class TestSimulate:
         assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 1
         assert _one_line_error(capsys) == TINY_TAP_ERROR
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize(
+        "n_s,n,rate",
+        [
+            pytest.param(1e140, 4, 0.5, marks=pytest.mark.xfail(
+                strict=True, raises=RuntimeWarning,
+                reason="ROADMAP item 12: y0/gain - theta_m loses the round-0 noise once ulp(theta_m) >> sigma",
+            )),
+            pytest.param(0.5, 1500, 0.01, marks=pytest.mark.xfail(
+                strict=True, raises=RuntimeWarning,
+                reason="ROADMAP item 12: the one-ulp stick of item 5 at n_s < sigma2 and large n",
+            )),
+        ],
+    )
+    def test_accepted_config_writes_a_strict_json_report(self, n_s, n, rate, tmp_path, capsys):
+        # from_dict accepts both; numpy overflow warnings, then report.json cannot hold an inf
+        obj = {"channel": {"type": "affine", "noise": {"family": "gaussian", "variance": 1.0}},
+               "n_s": n_s, "tap": {"variance": 1.0}, "n": n, "rate": rate, "trials": 200}
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(obj))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") in (0, 3)
+        json.loads((tmp_path / "out" / "report.json").read_text(), parse_constant=_reject_constant)
 
     def test_run_too_large_to_allocate_is_one_line(self, tmp_path, capsys):
         # it passes every config check; its forward lane draws are (n + 1) x 8192

@@ -390,6 +390,10 @@ class TestLeakageBudget:
     def test_noiseless_tap_rejected(self):
         with pytest.raises(ValueError, match="tap_variance="):
             leakage_budget(0.5, 0.0, 2.0, 0.5, 0.0, 9)
+        # a tap this quiet has a finite capacity only in exact arithmetic; total_bits read inf
+        with pytest.raises(ValueError) as exc:
+            leakage_budget(0.5, 1.0, 3.0, 1.0, 1e-320, 10)
+        assert str(exc.value) == "(n_s + sigma2)/tap variance = (3.0 + 1.0)/1e-320 overflows"
 
     def test_numerator_independent_of_n(self):
         budgets = [leakage_budget(0.5, 0.0, 2.0, 0.5, 1.0, n) for n in (1, 9, 99, 999)]
@@ -414,6 +418,10 @@ class TestQueryValidation:
             BoundQuery(n_s=1.0, sigma2=1.0, n=0, rate=0.5)
         with pytest.raises(ValueError, match="rate="):
             BoundQuery(n_s=1.0, sigma2=1.0, n=1, rate=0.0)
+        # each field is in range, but n_s/sigma2 overflows; awgn_capacity read inf
+        with pytest.raises(ValueError) as exc:
+            BoundQuery(n_s=1e300, sigma2=1e-300, n=4, rate=0.5)
+        assert str(exc.value) == "n_s/sigma2 = 1e+300/1e-300 overflows"
 
     def test_rate_above_capacity_is_allowed(self):
         b = BoundQuery(n_s=3.0, sigma2=1.0, n=5, rate=7.0)
