@@ -740,7 +740,7 @@ class TestSimulate:
             )),
         ],
     )
-    def test_accepted_config_writes_a_strict_json_report(self, n_s, n, rate, tmp_path, capsys):
+    def test_accepted_config_writes_a_strict_json_report(self, n_s, n, rate, tmp_path):
         # from_dict accepts both; numpy overflow warnings, then report.json cannot hold an inf
         obj = {"channel": {"type": "affine", "noise": {"family": "gaussian", "variance": 1.0}},
                "n_s": n_s, "tap": {"variance": 1.0}, "n": n, "rate": rate, "trials": 200}
