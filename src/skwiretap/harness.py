@@ -350,9 +350,11 @@ def _simulate_chunk(
 
     Every arithmetic expression mirrors the scalar protocol path
     (``protocol.run_protocol`` on ``TrialLanes``) exactly, so the two produce
-    bit-identical results (asserted in the test suite). Returns the messages,
-    decisions and decoder statistics, each round's power sums, ``x``, and the
-    raw y of rounds 0..n as a round-major (n + 1, trials) array.
+    bit-identical results (asserted in the test suite); acceptance criterion 2
+    holds Bob's estimate, y_0/gain - theta_n, to ``protocol.mmse_oracle``.
+    Returns the messages, decisions and decoder statistics, each round's power
+    sums, ``x``, and the raw y of rounds 0..n as a round-major (n + 1, trials)
+    array.
 
     The kernel works on contiguous rows and in place: round i writes its y
     over noise row i, and its x into row i of ``x`` if the caller passes an

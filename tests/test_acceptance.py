@@ -182,6 +182,19 @@ def _fields(when=lambda *args: True, **changes):
     return perturb
 
 
+def _theta_n_scaled(factor):
+    """A perturbation of the batch kernel: every theta_n it returns scaled by ``factor``, a defect in Bob's estimate."""
+
+    def perturb(kernel):
+        def perturbed(*args):
+            out = kernel(*args)
+            return dict(out, theta_n=out["theta_n"] * factor)
+
+        return perturbed
+
+    return perturb
+
+
 # (criterion, acceptance attribute it calls, perturbation of that attribute, the one row that must fail);
 # leakage_budget's last argument is the blocklength n
 INPUT_CONTROLS = {
@@ -190,6 +203,10 @@ INPUT_CONTROLS = {
     ),
     "2-oracle": (
         acceptance.criterion_oracle_equivalence, "mmse_oracle", _scaled(1 + 1e-8), "max_relative_disagreement",
+    ),
+    "2-kernel": (
+        acceptance.criterion_oracle_equivalence, "_simulate_chunk", _theta_n_scaled(1 + 1e-6),
+        "max_relative_disagreement",
     ),
     "8-value": (
         # both fields move together, so the scaling and the n-independence still hold
@@ -231,6 +248,23 @@ def test_criterion_and_only_its_row_fail_on_a_perturbed_input(monkeypatch, case)
     result = criterion()
     assert not result.passed, result.details
     assert [r.quantity for r in result.rows if not r.passed] == [quantity]
+
+
+def test_criterion_2_runs_the_kernel_on_every_n_gain_and_mean(monkeypatch):
+    # the draw of configs cannot shrink unnoticed: 100 kernel transcripts, n = 1..20, all gains and means
+    kernel = acceptance._simulate_chunk
+    runs = []
+
+    def recording(cfg, start, noise, u, x=None):
+        runs.append((cfg.n, cfg.channel.gain, cfg.channel.noise.mean, cfg.channel.noise.family, noise.shape[1]))
+        return kernel(cfg, start, noise, u, x)
+
+    monkeypatch.setattr(acceptance, "_simulate_chunk", recording)
+    assert acceptance.criterion_oracle_equivalence().passed
+    ns, gains, means, families, trials = zip(*runs)
+    assert sorted(ns) == list(range(1, 21))
+    assert set(gains) == {1.0, -1.5, 2.0} and set(means) == {0.0, 0.25} and set(families) == {"gaussian"}
+    assert sum(trials) == 100
 
 
 def test_criterion_4_holds_the_deep_bound_strictly_below_1e_300():

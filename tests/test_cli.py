@@ -74,7 +74,7 @@ def cfg_path(tmp_path):
 
 
 # SHA-256 of the stdout of ``skwiretap verify``
-VERIFY_STDOUT_DIGEST = "405b7e41b5bc108161f5fbe23a41531d7751935161cb386628ec6d3f211b11af"
+VERIFY_STDOUT_DIGEST = "5b87da317d1ccbcb51c10b82724748bee96b4f32de277e17af89de36469409a9"
 
 
 def run_cli(*argv):

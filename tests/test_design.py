@@ -39,6 +39,8 @@ ORACLE_NAMES = frozenset(
         "AliceState",
         "alice_round",
         "alice_finish",
+        "BobState",
+        "bob_round",
     }
 )
 
