@@ -268,6 +268,8 @@ def _sweep_values(spec: Mapping) -> Tuple[str, list]:
         raise ConfigError(f"sweep axis must be one of {_SWEEP_AXES}")
     if steps < 1:
         raise ConfigError(f"sweep steps={steps} must be >= 1")
+    if steps == 1 and stop != start:  # np.linspace(start, stop, 1) is [start] alone
+        raise ConfigError(f"sweep steps=1 runs start={start!r} alone: stop={stop!r} must equal it")
     if not math.isfinite(stop - start):  # np.linspace steps by (stop - start)/(steps - 1)
         raise ConfigError(f"sweep range from start={start!r} to stop={stop!r} overflows")
     try:

@@ -299,9 +299,11 @@ def _selection_from_config(obj) -> MessageSelection:
         if obj == "fixed":
             raise ConfigError("fixed message selection needs {'type': 'fixed', 'm': <int>}")
         return MessageSelection(obj)
-    obj = _fields(obj, "message_selection", ("type", "m"))
+    obj = _fields(obj, "message_selection", ("type",), ("m",))
     if obj["type"] != "fixed":
         raise ConfigError("message_selection object form is only for {'type': 'fixed', 'm': <int>}")
+    if "m" not in obj:
+        raise ConfigError("message_selection requires 'm'")
     return MessageSelection("fixed", obj["m"])
 
 

@@ -18,27 +18,17 @@ import numpy as np
 from .channels import AffineChannel, EveTap, ThermalWiretapParams, TrialLanes, noise_from_uniforms
 
 __all__ = [
-    "ProtocolOrderError",
     "Codebook",
     "SkSchedule",
-    "AliceState",
-    "BobState",
     "Transcript",
     "codebook_bits",
     "make_codebook",
     "make_schedule",
-    "alice_round",
-    "alice_finish",
-    "bob_round",
     "mmse_oracle",
     "run_protocol",
 ]
 
 _MAX_CODEBOOK_BITS = 40
-
-
-class ProtocolOrderError(RuntimeError):
-    """A round method was called outside the strict round order."""
 
 
 @dataclass(frozen=True)
@@ -170,84 +160,6 @@ def make_schedule(n: int, n_s: float, sigma2: float, gain: float = 1.0) -> SkSch
     )
 
 
-class AliceState:
-    """Sender side: knows the round-0 noise exactly and mirrors the receiver's estimate."""
-
-    __slots__ = ("schedule", "first_round_noise", "nhat", "i", "noise_mean")
-
-    def __init__(self, schedule: SkSchedule, first_round_noise: float, noise_mean: float = 0.0) -> None:
-        self.schedule = schedule
-        self.first_round_noise = first_round_noise
-        # E[N0 | nothing] is the declared noise mean
-        self.nhat = noise_mean
-        self.noise_mean = noise_mean
-        self.i = 1
-
-
-class BobState:
-    """Receiver side: accumulates the linear MMSE estimate round by round."""
-
-    __slots__ = ("schedule", "first_round_observation", "nhat", "i", "noise_mean")
-
-    def __init__(self, schedule: SkSchedule, first_round_observation: float, noise_mean: float = 0.0) -> None:
-        self.schedule = schedule
-        # stored in reduced units (already divided by the channel gain)
-        self.first_round_observation = first_round_observation
-        self.nhat = noise_mean
-        self.noise_mean = noise_mean
-        self.i = 1
-
-    @property
-    def theta(self) -> float:
-        """Decoder statistic after all rounds: round-0 observation minus the estimate."""
-        if self.i != self.schedule.blocklength + 1:
-            raise ProtocolOrderError(
-                f"theta requested after round {self.i - 1} of {self.schedule.blocklength}"
-            )
-        return float(self.first_round_observation - self.nhat)
-
-
-def _absorb(nhat: float, k: float, y_raw: float, gain: float, mean: float) -> float:
-    # shared estimator update so both parties stay bit-identical
-    return nhat + k * (y_raw / gain - mean)
-
-
-def alice_round(state: AliceState, y_prev: float) -> float:
-    """Absorb the previous feedback and emit round i's transmission.
-
-    At i = 1 the feedback is the round-0 observation, which carries no
-    estimator update (the prior estimate is the declared noise mean); it is
-    the value the sender already used to compute the round-0 noise.
-    """
-    sched = state.schedule
-    if state.i > sched.blocklength:
-        raise ProtocolOrderError(f"alice_round called past round n={sched.blocklength}")
-    i = state.i
-    if i > 1:
-        state.nhat = _absorb(state.nhat, sched.k_gain[i - 1], y_prev, sched.gain, state.noise_mean)
-    x = sched.gamma[i] * (state.first_round_noise - state.nhat)
-    state.i = i + 1
-    return x
-
-
-def alice_finish(state: AliceState, y_last: float) -> None:
-    """Absorb the final-round feedback so the sender's estimate matches the receiver's."""
-    sched = state.schedule
-    if state.i != sched.blocklength + 1:
-        raise ProtocolOrderError("alice_finish called before all rounds were transmitted")
-    state.nhat = _absorb(state.nhat, sched.k_gain[sched.blocklength], y_last, sched.gain, state.noise_mean)
-    state.i += 1
-
-
-def bob_round(state: BobState, y: float) -> None:
-    """Fold the round-i measurement into the receiver's estimate."""
-    sched = state.schedule
-    if state.i > sched.blocklength:
-        raise ProtocolOrderError(f"bob_round called past round n={sched.blocklength}")
-    state.nhat = _absorb(state.nhat, sched.k_gain[state.i], y, sched.gain, state.noise_mean)
-    state.i += 1
-
-
 def mmse_oracle(
     observations: Sequence[float],
     schedule: SkSchedule,
@@ -328,14 +240,15 @@ def run_protocol(
     y[0] = gain * (x[0] + draws[0])
     w0 = y[0] + noise_from_uniforms(tap.noise, lanes.tap.uniforms(1))[0]
 
-    alice = AliceState(schedule, first_round_noise=y[0] / gain - x[0], noise_mean=mean)
-    bob = BobState(schedule, first_round_observation=y[0] / gain, noise_mean=mean)
+    # The feedback is noiseless, so Alice's estimate of the round-0 noise is
+    # Bob's: one running estimate, started at the declared noise mean.
+    first_round_noise = y[0] / gain - x[0]
+    nhat = mean
     for i in range(1, n + 1):
-        x[i] = alice_round(alice, y[i - 1])
+        x[i] = schedule.gamma[i] * (first_round_noise - nhat)
         y[i] = gain * (x[i] + draws[i])
-        bob_round(bob, y[i])
-    alice_finish(alice, y[n])
+        nhat = nhat + schedule.k_gain[i] * (y[i] / gain - mean)
 
-    theta_n = bob.theta
+    theta_n = float(y[0] / gain - nhat)
     m_hat = int(codebook.decode_value(theta_n))
     return Transcript(m=m, m_hat=m_hat, theta_m=theta_m, theta_n=theta_n, w0=w0, x=x, noise=y / gain - x, y=y)

@@ -390,6 +390,14 @@ class TestInputBoundary:
                   ("sweep",
                    dict(CHEBYSHEV_OVERFLOW_CFG, sweep={"axis": "trials", "start": 64, "stop": 128, "steps": 2})),
               )],
+            # one step ran start alone and dropped stop without a word
+            ("sweep", dict(THERMAL_CFG, sweep={"axis": "eta", "start": 0.3, "stop": 0.9, "steps": 1}),
+             "config error: sweep steps=1 runs start=0.3 alone: stop=0.9 must equal it\n"),
+            # the type is checked before 'm': a missing 'm' was the first message, the wrong type the next
+            ("simulate", dict(THERMAL_CFG, message_selection={"type": "round-robin"}),
+             "config error: message_selection object form is only for {'type': 'fixed', 'm': <int>}\n"),
+            ("simulate", dict(THERMAL_CFG, message_selection={"type": "fixed"}),
+             "config error: message_selection requires 'm'\n"),
         ],
     )
     def test_bad_experiment_config(self, command, obj, message, tmp_path, monkeypatch, capsys):
@@ -810,6 +818,13 @@ class TestSweep:
             rows = list(csv.DictReader(fh))
         assert [int(r["n"]) for r in rows] == [2, 4, 6]
         assert all(r["error_rate"] != "" for r in rows)
+
+    def test_one_step_sweep_at_start(self, tmp_path):
+        path = self._write(tmp_path, {"axis": "eta", "start": 0.3, "stop": 0.3, "steps": 1})
+        out = tmp_path / "rows.csv"
+        assert run_cli("sweep", "--config", path, "--out", out) == 0
+        with open(out) as fh:
+            assert [float(r["eta"]) for r in csv.DictReader(fh)] == [0.3]
 
     @pytest.mark.parametrize(
         "sweep,trials,digest",

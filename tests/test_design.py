@@ -1,8 +1,10 @@
 """Design guards: one production path, the names the benchmark tracer patches,
 and no stale export.
 
-The scalar protocol machinery stays an independent oracle for the batch
-kernel; the production modules must not call it. The package root
+The scalar reference ``run_protocol``, its per-trial lanes and the allocating
+noise map ``noise_from_uniforms`` are test references for the batch kernel;
+the production modules call none of them. They draw with ``lane_uniforms``
+and map noise only through ``channels._noise_in_place``. The package root
 re-exports nothing, so each name has one import path and importing
 ``skwiretap.infotheory`` loads neither numpy nor scipy. The benchmark's
 tracer (``perfbench/layers.py``) swaps package attributes for timing
@@ -31,18 +33,7 @@ REPO = Path(__file__).resolve().parents[1]
 
 PRODUCTION_MODULES = ("__init__", "harness", "cli", "acceptance")
 
-ORACLE_NAMES = frozenset(
-    {
-        "run_protocol",
-        "TrialLanes",
-        "RngLane",
-        "AliceState",
-        "alice_round",
-        "alice_finish",
-        "BobState",
-        "bob_round",
-    }
-)
+ORACLE_NAMES = frozenset({"run_protocol", "TrialLanes", "RngLane", "noise_from_uniforms"})
 
 
 def _referenced_names(source: str) -> set:
@@ -59,8 +50,8 @@ def _referenced_names(source: str) -> set:
 
 
 def test_reference_scan_sees_imports_attributes_and_names():
-    source = "from .protocol import run_protocol as rp\nimport skwiretap.channels\nchannels.RngLane\nalice_round()\n"
-    assert ORACLE_NAMES & _referenced_names(source) == {"run_protocol", "RngLane", "alice_round"}
+    source = "from .protocol import run_protocol as rp\nimport skwiretap.channels\nchannels.RngLane\nnoise_from_uniforms()\n"
+    assert ORACLE_NAMES & _referenced_names(source) == {"run_protocol", "RngLane", "noise_from_uniforms"}
 
 
 @pytest.mark.parametrize("module", PRODUCTION_MODULES)

@@ -1,7 +1,8 @@
-"""Codebook, MMSE schedule, round state machines, oracle, and full executions."""
+"""Codebook, MMSE schedule, the rounds of ``run_protocol``, the oracle, and full executions."""
 
 import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,18 +11,8 @@ from hypothesis import strategies as st
 
 from skwiretap.channels import AffineChannel, EveTap, NoiseModel, ThermalWiretapParams, TrialLanes
 from skwiretap.infotheory import awgn_capacity, induced_sigma2
-from skwiretap.protocol import (
-    AliceState,
-    BobState,
-    ProtocolOrderError,
-    alice_finish,
-    alice_round,
-    bob_round,
-    make_codebook,
-    make_schedule,
-    mmse_oracle,
-    run_protocol,
-)
+from skwiretap.protocol import make_codebook, make_schedule, mmse_oracle, run_protocol
+from test_channels import StubLane, _run
 
 SEED = 271828
 
@@ -130,71 +121,51 @@ class TestSchedule:
             make_schedule(1, 1.0, -1.0)
 
 
+def _stub_lanes(u):
+    """Lanes whose every uniform is ``u``, so every noise draw is the same value."""
+    return SimpleNamespace(forward=StubLane(u), tap=StubLane(0.5))
+
+
+def _bob_estimate(t, gain=1.0):
+    """Bob's final estimate of the round-0 noise: round-0 observation minus the decoder statistic."""
+    return t.y[0] / gain - t.theta_n
+
+
+# StubLane(0.75) on unit-variance two-point noise draws +1 in every round
+UNIT_DRAWS = NoiseModel("two-point", 1.0)
+
+
 class TestRounds:
     def test_first_transmission(self):
-        sched = make_schedule(3, 3.0, 1.0)
-        alice = AliceState(sched, first_round_noise=0.5)
-        x1 = alice_round(alice, y_prev=123.0)  # round-0 feedback carries no update
-        assert x1 == pytest.approx(math.sqrt(3.0) * 0.5, rel=1e-15, abs=0.0)
+        # the prior estimate is the declared mean: round 1 sends the scaled centered round-0 noise
+        channel = AffineChannel(2.0, NoiseModel("uniform", 1.0, 0.25))
+        t = _run(channel, TrialLanes(SEED, 3))
+        sched = make_schedule(4, 3.0, 1.0, 2.0)
+        assert t.x[1] == sched.gamma[1] * (t.noise[0] - 0.25)
 
     def test_perfect_knowledge_transmits_nothing(self):
-        sched = make_schedule(3, 3.0, 1.0)
-        alice = AliceState(sched, first_round_noise=0.7, noise_mean=0.7)
-        assert alice_round(alice, y_prev=0.0) == 0.0
+        t = _run(AffineChannel(2.0, NoiseModel("gaussian", 1.0)), _stub_lanes(0.5))
+        assert t.noise.tolist() == [0.0] * 5
+        assert t.x[1:].tolist() == [0.0] * 4
 
     def test_hand_recursion_round_two(self):
-        sched = make_schedule(3, 3.0, 1.0)
-        alice = AliceState(sched, first_round_noise=0.5)
-        alice_round(alice, y_prev=0.0)
-        x2 = alice_round(alice, y_prev=2.0)
-        assert alice.nhat == pytest.approx(0.8660254037844386, abs=1e-15)
-        assert x2 == pytest.approx(-1.2679491924311227, abs=1e-14)
+        # n_s = 3, sigma2 = 1: gamma = (sqrt 3, 2 sqrt 3), k[1] = sqrt(3) / 4
+        t = _run(AffineChannel(1.0, UNIT_DRAWS), _stub_lanes(0.75), n=3)
+        assert t.noise.tolist() == [1.0] * 4
+        assert t.x[1] == pytest.approx(math.sqrt(3.0), rel=1e-15, abs=0.0)
+        # estimate after round 1: k[1] (sqrt 3 + 1) = (3 + sqrt 3) / 4, so x[2] = 2 sqrt 3 (1 - that)
+        assert t.x[2] == pytest.approx((math.sqrt(3.0) - 3) / 2, rel=1e-14, abs=0.0)
 
     def test_bob_zero_observations(self):
-        sched = make_schedule(3, 3.0, 1.0)
-        bob = BobState(sched, first_round_observation=0.4)
-        for _ in range(3):
-            bob_round(bob, 0.0)
-        assert bob.nhat == 0.0
+        # zero refinement observations leave Bob's estimate at the noise mean
+        t = _run(AffineChannel(2.0, NoiseModel("gaussian", 1.0)), _stub_lanes(0.5))
+        assert t.y[1:].tolist() == [0.0] * 4
+        assert _bob_estimate(t, 2.0) == 0.0
 
     def test_bob_single_round(self):
-        sched = make_schedule(1, 3.0, 1.0)
-        bob = BobState(sched, first_round_observation=0.0)
-        bob_round(bob, 2.0)
-        assert bob.nhat == pytest.approx(0.8660254037844386, abs=1e-15)
-
-    def test_estimator_symmetry_bit_exact(self):
-        rng = np.random.default_rng(SEED)
-        sched = make_schedule(9, 2.0, 0.5)
-        ys = rng.normal(0.0, 1.5, size=9)
-        alice = AliceState(sched, first_round_noise=0.3)
-        bob = BobState(sched, first_round_observation=1.1)
-        alice_round(alice, y_prev=1.1)
-        for i, y in enumerate(ys):
-            bob_round(bob, y)
-            if i < 8:
-                alice_round(alice, y_prev=y)
-            else:
-                alice_finish(alice, y)
-            assert alice.nhat == bob.nhat  # bitwise, every round
-
-    def test_round_order_errors(self):
-        sched = make_schedule(2, 3.0, 1.0)
-        alice = AliceState(sched, first_round_noise=0.0)
-        alice_round(alice, 0.0)
-        alice_round(alice, 0.0)
-        with pytest.raises(ProtocolOrderError):
-            alice_round(alice, 0.0)
-        bob = BobState(sched, first_round_observation=0.0)
-        bob_round(bob, 0.0)
-        with pytest.raises(ProtocolOrderError):
-            bob.theta  # noqa: B018 - property access raises before all rounds
-        with pytest.raises(ProtocolOrderError):
-            alice2 = AliceState(sched, first_round_noise=0.0)
-            alice_finish(alice2, 0.0)
-        bob_round(bob, 0.0)
-        with pytest.raises(ProtocolOrderError):
-            bob_round(bob, 0.0)
+        t = _run(AffineChannel(1.0, UNIT_DRAWS), _stub_lanes(0.75), n=1)
+        assert t.y[1] == pytest.approx(math.sqrt(3.0) + 1, rel=1e-15, abs=0.0)
+        assert _bob_estimate(t) == pytest.approx((3 + math.sqrt(3.0)) / 4, rel=1e-14, abs=0.0)
 
 
 class TestMmseOracle:
@@ -215,31 +186,31 @@ class TestMmseOracle:
     @pytest.mark.parametrize("noise_mean", [0.0, 0.4])
     def test_matches_recursion_on_random_transcripts(self, noise_mean):
         rng = np.random.default_rng(SEED)
-        for _ in range(20):
+        for trial in range(20):
             n = int(rng.integers(1, 21))
             n_s = float(rng.uniform(0.5, 8.0))
             sigma2 = float(rng.uniform(0.3, 3.0))
-            sched = make_schedule(n, n_s, sigma2)
-            ys = rng.normal(noise_mean, math.sqrt(n_s + sigma2), size=n)
-            bob = BobState(sched, first_round_observation=0.0, noise_mean=noise_mean)
-            for y in ys:
-                bob_round(bob, float(y))
-            oracle = mmse_oracle(ys, sched, noise_mean=noise_mean)
-            assert abs(bob.nhat - oracle) <= 1e-9 * (1.0 + abs(bob.nhat))
+            gain = float(rng.choice([1.0, -1.5, 2.0]))
+            cb = make_codebook(n, 0.5, n_s)
+            sched = make_schedule(n, n_s, sigma2, gain)
+            channel = AffineChannel(gain, NoiseModel("gaussian", sigma2, noise_mean))
+            m = int(rng.integers(1, cb.message_count + 1))
+            t = run_protocol(m, cb, sched, channel, EveTap(1.0), TrialLanes(SEED, trial))
+            bob = _bob_estimate(t, gain)
+            oracle = mmse_oracle(t.y[1:], sched, noise_mean=noise_mean)
+            assert abs(bob - oracle) <= 1e-9 * (1.0 + abs(bob))
 
     def test_sensitive_to_schedule_perturbation(self):
         # negative control: a 1e-6 nudge to one estimator gain must be caught
-        rng = np.random.default_rng(SEED)
         sched = make_schedule(12, 3.0, 1.0)
         k_bad = sched.k_gain.copy()
         k_bad[7] *= 1.0 + 1e-6
         bad = dataclasses.replace(sched, k_gain=k_bad)
-        ys = rng.normal(0.0, 2.0, size=12)
-        bob = BobState(bad, first_round_observation=0.0)
-        for y in ys:
-            bob_round(bob, float(y))
-        oracle = mmse_oracle(ys, sched)
-        assert abs(bob.nhat - oracle) > 1e-9 * (1.0 + abs(bob.nhat))
+        channel = AffineChannel(1.0, NoiseModel("gaussian", 1.0))
+        t = run_protocol(1, make_codebook(12, 0.5, 3.0), bad, channel, EveTap(1.0), TrialLanes(SEED, 0))
+        bob = _bob_estimate(t)
+        oracle = mmse_oracle(t.y[1:], sched)
+        assert abs(bob - oracle) > 1e-9 * (1.0 + abs(bob))
 
 
 def _gaussian_setup(n=6, rate=0.5, n_s=3.0, trial=0):
