@@ -308,13 +308,14 @@ def run_all() -> List[CriterionResult]:
 
     A helper thread computes the pooled report set, mostly waiting on the
     workers, while this thread computes the serial set and criteria 1-9, so
-    both sets run at once. The workers run at nice 19 (see ``worker_pool``),
-    so this thread keeps a whole core, but on 2 CPUs one worker shares it:
-    that worker's spans took 123-297 ms of wall time for 16-89 ms of CPU, and
-    the pooled set finished last in 6 of 20 fresh runs. The workers are forked
-    first, before the helper starts, so no fork happens while a second thread
-    runs. The helper is joined, and its exception raised, before criterion 10
-    compares the sets; the workers are joined as the block exits, on failure too.
+    both sets run at once. The ``worker_pool`` block opens before the helper
+    starts, so no second Python thread runs while the workers start; that
+    function states how they start and why they run at nice 19. This thread
+    keeps a whole core, but on 2 CPUs one worker shares it: that worker's
+    spans took 123-297 ms of wall time for 16-89 ms of CPU, and the pooled set
+    finished last in 6 of 20 fresh runs. The helper is joined, and its
+    exception raised, before criterion 10 compares the sets; the workers are
+    joined as the block exits, on failure too.
     """
     with worker_pool(_POOL_WORKERS), ThreadPoolExecutor(max_workers=1) as helper:
         pooled = helper.submit(shared_reports, threads=_POOL_WORKERS)

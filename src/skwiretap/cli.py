@@ -59,9 +59,9 @@ class _Parser(argparse.ArgumentParser):
 def _threads(args) -> int:
     """Worker count for simulate/sweep, from --threads (default 1), capped at the CPUs this process may use.
 
-    A pool forks every worker at once, and the report does not depend on the
-    worker count, so workers beyond the CPUs would only be idle forks. The
-    CPUs are the affinity mask where the platform has one, else ``os.cpu_count()``.
+    The report does not depend on the worker count, so workers beyond the
+    CPUs would only idle (``harness.worker_pool`` states how workers start).
+    The CPUs are the affinity mask where the platform has one, else ``os.cpu_count()``.
     """
     if args.threads < 1:
         raise ConfigError(f"--threads {args.threads} must be >= 1")

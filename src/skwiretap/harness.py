@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import multiprocessing
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
@@ -702,24 +703,35 @@ _pool: Optional[ProcessPoolExecutor] = None
 
 @contextmanager
 def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
-    """A ``workers``-process pool, forked now, on the calling thread, and joined when the block exits.
+    """A ``workers``-process pool, started now, on the calling thread, and joined when the block exits.
 
-    A fork pool forks all its workers at its first submit, before it starts
-    its manager thread, so a no-op task forks them here, before the caller
-    starts any thread. Nothing waits on it: ``int()`` cannot fail, and a
-    worker that dies breaks the pool for the first real task. While the block
-    is open, pooled ``run_experiment`` calls run on this pool.
+    Every pool of the package is built here, under one policy:
 
-    Each worker lowers its own CPU priority to nice 19 as it starts, and the
-    parent keeps its own. ``simulate`` and ``sweep`` only wait on the pool,
-    but ``verify`` runs its serial report set on the parent while the
-    workers run the pooled one, so the parent gets a whole core instead of a
-    fair share among three busy processes; on 2 CPUs the worker that shares
-    it then lags, and the pooled set can finish last (see ``run_all``).
-    The priority moves no byte and no work, only who waits.
+    - Fork on Linux, whatever the interpreter's default (Python 3.14 made it
+      forkserver), so the workers inherit the parent's imports; forkserver
+      workers import numpy and scipy first, and ``verify`` took twice as
+      long. Elsewhere the platform default, spawn, stays: fork is unsafe on
+      macOS, and Windows has none. Spawn workers import the package and start
+      as tasks arrive: the same bytes, a longer run.
+    - A fork pool forks all its workers at its first submit, before it starts
+      its manager thread, so the no-op task here forks them before the caller
+      starts any Python thread. That is all the order guarantees: the native
+      threads of numpy's and scipy's OpenBLAS are joined by those libraries'
+      own fork handlers. Nothing waits on the task: ``int()`` cannot fail,
+      and a worker that dies breaks the pool for the first real task.
+    - Each worker lowers its own CPU priority to nice 19 as it starts, and
+      the parent keeps its own. ``simulate`` and ``sweep`` only wait on the
+      pool, but ``verify`` runs its serial report set on the parent while the
+      workers run the pooled one, so the parent gets a whole core instead of
+      a fair share among three busy processes; on 2 CPUs the worker that
+      shares it then lags, and the pooled set can finish last (see
+      ``run_all``). The priority moves no byte and no work, only who waits.
+
+    While the block is open, pooled ``run_experiment`` calls run on this pool.
     """
     global _pool
-    _pool = pool = ProcessPoolExecutor(max_workers=workers, initializer=os.nice, initargs=(19,))
+    context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    _pool = pool = ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=os.nice, initargs=(19,))
     try:
         pool.submit(int)
         yield pool

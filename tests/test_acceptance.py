@@ -332,7 +332,8 @@ def test_run_all_forks_once_before_its_helper_thread(monkeypatch, forked_pools):
     # one miss per report set: the helper thread filled the pooled entry, which criterion 10 then read
     assert acceptance.shared_reports.cache_info().misses - misses_before == 2
     assert forked_pools == [(2, 0)]
-    # both workers forked while the calling thread was the only thread
+    # both workers forked while the calling thread was the only Python thread; this
+    # counts no native threads, such as those of numpy's and scipy's OpenBLAS
     assert threads_at_fork == [1, 1]
 
 

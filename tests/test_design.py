@@ -10,7 +10,8 @@ re-exports nothing, so each name has one import path and importing
 tracer (``perfbench/layers.py``) swaps package attributes for timing
 wrappers, so a refactor that drops one of those names breaks the traced run.
 A deletion that leaves its name in a module's ``__all__`` breaks
-``from module import *``.
+``from module import *``. ``harness.worker_pool`` builds every worker pool,
+so no pool can skip its start method.
 """
 
 import ast
@@ -116,6 +117,37 @@ def test_benchmark_tracer_patch_targets_exist(monkeypatch):
     finally:
         for name in fresh:
             sys.modules.pop(name, None)
+
+
+def _pool_constructions(source: str) -> list:
+    """The innermost function around each ``ProcessPoolExecutor(...)`` call, ``None`` at module level."""
+    owners = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                func = child.func
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "ProcessPoolExecutor":
+                    owners.append(owner)
+            visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
+
+    visit(ast.parse(source), None)
+    return owners
+
+
+def test_pool_scan_sees_calls_in_functions_and_at_module_level():
+    source = (
+        "def f():\n    def g():\n        futures.ProcessPoolExecutor(2)\n    ProcessPoolExecutor()\n"
+        "ProcessPoolExecutor\nProcessPoolExecutor(1)\n"
+    )
+    assert _pool_constructions(source) == ["g", "f", None]
+
+
+def test_worker_pool_builds_every_pool():
+    # a pool built anywhere else would run on the interpreter's default start method
+    package = Path(skwiretap.__file__).parent
+    sites = [(p.stem, owner) for p in sorted(package.glob("*.py")) for owner in _pool_constructions(p.read_text())]
+    assert sites == [("harness", "worker_pool")]
 
 
 @pytest.mark.parametrize("module", ("channels", "protocol", "infotheory", "harness", "acceptance"))

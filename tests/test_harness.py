@@ -3,10 +3,12 @@
 import concurrent.futures
 import dataclasses
 import io
+import itertools
 import json
 import math
 import multiprocessing
 import os
+import sys
 import warnings
 from pathlib import Path
 
@@ -488,6 +490,32 @@ class TestRunExperiment:
         with harness.worker_pool(2) as pool:
             assert pool.submit(os.getpriority, os.PRIO_PROCESS, 0).result() == 19
         assert os.getpriority(os.PRIO_PROCESS, 0) == parent
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the pool keeps the platform's default start method")
+    def test_pool_forks_whatever_the_process_default(self):
+        # a forkserver worker is the fork server's child; a forked one is this process's
+        default = multiprocessing.get_start_method(allow_none=True)
+        multiprocessing.set_start_method("forkserver", force=True)
+        try:
+            with harness.worker_pool(2) as pool:
+                assert pool.submit(os.getppid).result() == os.getpid()
+        finally:
+            multiprocessing.set_start_method(default, force=True)
+
+    @pytest.mark.parametrize("method", multiprocessing.get_all_start_methods())
+    def test_report_bytes_do_not_depend_on_the_start_method(self, method):
+        # a spawn or forkserver worker imports the package afresh, a forked one inherits
+        # the parent's; 3 spans of two configs, one with a nonzero noise mean
+        cfgs = (
+            _thermal_cfg(n=3, trials=2 * CHUNK_TRIALS + 77),
+            dataclasses.replace(_exponential_cfg(), n=5, trials=CHUNK_TRIALS + 5),
+        )
+        serial = [run_experiment(cfg).to_json() for cfg in cfgs]
+        starts = range(0, 2 * CHUNK_TRIALS + 77, CHUNK_TRIALS)
+        context = multiprocessing.get_context(method)
+        with concurrent.futures.ProcessPoolExecutor(max_workers=2, mp_context=context) as pool:
+            sums = harness._fold(pool.map(harness._span_moments, itertools.repeat(cfgs), starts))
+        assert [harness._report(cfg, sums[j]).to_json() for j, cfg in enumerate(cfgs)] == serial
 
     def test_failed_pool_is_dropped(self, monkeypatch):
         closed = []
