@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fnmatch import fnmatchcase
 from functools import lru_cache
 from typing import Dict, List, Optional, Sequence
@@ -39,6 +39,8 @@ ROOT_SEED = 20260809
 TRIALS = 100_000
 # criterion 10 compares the serial reports with the reports of this many workers
 _POOL_WORKERS = 2
+# criterion 11 runs each shared config for at most this many trials, then scaled
+_SCALING_TRIALS = 1024
 
 # thermal channel with sigma2 exactly 1: eta=0.5, n_th=1 gives 0.5 + 0.5
 _THERMAL = ThermalWiretapParams(eta=0.5, n_th=1.0)
@@ -66,6 +68,7 @@ CRITERIA = (
     "leakage budget",
     "tetration machinery",
     "determinism across worker counts",
+    "exact scaling",
 )
 
 
@@ -99,9 +102,7 @@ def _shared_configs() -> Dict[str, ExperimentConfig]:
         "independence": _cfg_gaussian(n=6, rate=0.5),
         "edge": _cfg_gaussian(n=2, rate=0.95),
         "two-point_a1": _cfg_affine("two-point", 1.0, n=8, rate=0.5),
-        "two-point_a2": _cfg_affine("two-point", 2.0, n=8, rate=0.5),
         "uniform_a1": _cfg_affine("uniform", 1.0, n=8, rate=0.5),
-        "uniform_a2": _cfg_affine("uniform", 2.0, n=8, rate=0.5),
         "two-point_cheb": _cfg_affine("two-point", 1.0, n=2, rate=0.9),
         "uniform_cheb": _cfg_affine("uniform", 1.0, n=2, rate=0.9),
     }
@@ -111,7 +112,7 @@ def _shared_configs() -> Dict[str, ExperimentConfig]:
 def shared_reports(threads: int = 1) -> Dict[str, ExperimentReport]:
     """The reports of ``_shared_configs``, under the same names.
 
-    The nine configs share ``ROOT_SEED`` and the trial count, so one
+    The seven configs share ``ROOT_SEED`` and the trial count, so one
     ``run_experiment`` call over all of them draws each lane once per chunk.
     """
     configs = _shared_configs()
@@ -126,10 +127,11 @@ def criterion_variance_identity() -> CriterionResult:
             for n_s in (0.5, 3.0, 10.0):
                 sigma2 = ThermalWiretapParams(eta=eta, n_th=n_th).noise.variance
                 p_h = awgn_capacity(n_s, sigma2)
+                # v[n] does not depend on the blocklength: one 50-round walk serves n = 1, 10 and 50
+                v = make_schedule(50, n_s, sigma2).v
                 for n in (1, 10, 50):
-                    sched = make_schedule(n, n_s, sigma2)
                     closed = sigma2 * 2.0 ** (-2.0 * n * p_h)
-                    worst = max(worst, abs(sched.v[n] / closed - 1.0))
+                    worst = max(worst, abs(v[n] / closed - 1.0))
     return _result(
         1, [VerdictRow("max_relative_deviation", worst, 0.0, 1e-12)],
         f"max relative deviation {worst:.3e} (tolerance 1e-12) over the 135-point grid",
@@ -142,8 +144,10 @@ def criterion_oracle_equivalence() -> CriterionResult:
     For each n = 1..20 one Gaussian affine config is drawn (n_s, sigma2, a
     signed gain and a noise mean), and ``_simulate_chunk`` runs 5 trials
     of it on drawn noise. Bob's estimate of the round-0 noise, y_0/gain -
-    theta_n, must match ``mmse_oracle`` on the same trial's y_1..y_n. Every
-    report comes from this kernel, so this checks the estimator they rest on.
+    theta_n, must match ``mmse_oracle`` on the same trial's y_1..y_n; the
+    oracle takes the 5 trials as one stack, so each config is one solve.
+    Every report comes from this kernel, so this checks the estimator they
+    rest on.
     """
     rng = np.random.default_rng(ROOT_SEED)
     trials = 5
@@ -159,11 +163,9 @@ def criterion_oracle_equivalence() -> CriterionResult:
         )
         noise = rng.normal(mean, math.sqrt(sigma2), size=(n + 1, trials))
         out = _simulate_chunk(cfg, 0, noise, rng.random(trials))
-        estimates = (out["y"][0] / gain - out["theta_n"]).tolist()
-        schedule = cfg.schedule()
-        for estimate, ys in zip(estimates, out["y"][1:].T):
-            oracle = mmse_oracle(ys, schedule, mean)
-            worst = max(worst, abs(estimate - oracle) / (1.0 + abs(estimate)))
+        estimates = out["y"][0] / gain - out["theta_n"]
+        oracle = mmse_oracle(out["y"][1:].T, cfg.schedule(), mean)
+        worst = max(worst, float(np.max(np.abs(estimates - oracle) / (1.0 + np.abs(estimates)))))
     return _result(
         2, [VerdictRow("max_relative_disagreement", worst, 0.0, 1e-9)],
         f"max relative disagreement {worst:.3e} (tolerance 1e-9) over 100 kernel transcripts, n = 1..20",
@@ -221,7 +223,7 @@ def criterion_power_constraint(reports: Dict[str, ExperimentReport]) -> Criterio
 def criterion_non_gaussian(reports: Dict[str, ExperimentReport]) -> CriterionResult:
     """6: affine-channel variance identity and second-moment error bound."""
     rows, details = [], []
-    for key in ("two-point_a1", "two-point_a2", "uniform_a1", "uniform_a2"):
+    for key in ("two-point_a1", "uniform_a1"):
         (row,) = _rows(reports[key], "var_theta_ratio")
         rows.append(row)
         details.append(f"{key}: ratio={_number(row.empirical, 4)}")
@@ -303,14 +305,84 @@ def criterion_determinism() -> CriterionResult:
     )
 
 
+# each report field that (4 n_s, 4 sigma2, -2 gain) maps exactly, and the factor it maps it by;
+# analytic_error_bound is added per report, since only the Chebyshev bound scales
+_SCALING_FACTORS = {
+    "error_count": 1,
+    "max_abs_offdiag_corr": 1,
+    "theta_excess_kurtosis": 1,
+    "theta_skewness": -1,
+    "empirical_var_theta": 16,
+    "predicted_var_theta": 16,
+    "power_mean": 4,
+    "power_se": 4,
+}
+
+
+def _scaled(cfg: ExperimentConfig) -> ExperimentConfig:
+    """``cfg`` at (4 n_s, 4 sigma2, -2 gain): each x and noise doubles and each y is -4 times its own.
+
+    A thermal channel's copy is the affine Gaussian channel of its noise at
+    4 sigma2; the two run the same kernel.
+    """
+    noise = cfg.channel.noise
+    channel = AffineChannel(-2.0 * cfg.channel.gain, NoiseModel(noise.family, 4.0 * noise.variance, 2.0 * noise.mean))
+    return replace(cfg, channel=channel, n_s=4.0 * cfg.n_s)
+
+
+def _exact(value, factor: int) -> Optional[list]:
+    """``value`` times ``factor`` as a list of doubles, compared exactly; an undefined diagnostic stays None.
+
+    Values, not bytes: a skewness of exactly 0, negated, is -0.0.
+    """
+    return None if value is None else np.multiply(value, factor, dtype=float).tolist()
+
+
+def _field(report: ExperimentReport, name: str):
+    """The report field ``name``, or the diagnostic of that name."""
+    return getattr(report.diag if hasattr(report.diag, name) else report, name)
+
+
+def _unmapped_fields(report: ExperimentReport, scaled: ExperimentReport) -> List[str]:
+    """The fields of ``scaled`` that are not those of ``report`` mapped exactly."""
+    factors = dict(_SCALING_FACTORS, analytic_error_bound=4 if report.analytic_error_bound_kind == "chebyshev" else 1)
+    return [
+        name for name, factor in factors.items()
+        if _exact(_field(report, name), factor) != _exact(_field(scaled, name), 1)
+    ]
+
+
+def criterion_exact_scaling() -> CriterionResult:
+    """11: each shared config and its copy at (4 n_s, 4 sigma2, -2 gain) give reports that map exactly.
+
+    Powers of two and sign flips commute with every rounding the kernel
+    does, and n_s/sigma2 is unchanged, so the scaled run must give, exactly,
+    the same error count, correlation and kurtosis, the skewness negated,
+    both var_theta x16, the power means and their standard errors x4, and the
+    bound unchanged (SK) or x4 (Chebyshev). Every shared config has
+    sigma2 = 1 and n_s = 3; this checks the units at other values.
+    """
+    configs = {key: replace(cfg, trials=min(cfg.trials, _SCALING_TRIALS)) for key, cfg in _shared_configs().items()}
+    reports = run_experiment((*configs.values(), *map(_scaled, configs.values())))
+    mismatched = {
+        key: fields for key, report, scaled in zip(configs, reports, reports[len(configs):])
+        if (fields := _unmapped_fields(report, scaled))
+    }
+    return _result(
+        11, [VerdictRow("mismatched_configs", float(len(mismatched)), 0.0, 0.0)],
+        f"all {len(configs)} configs map exactly at {_SCALING_TRIALS} trials" if not mismatched
+        else "mismatched: " + "; ".join(f"{key} ({', '.join(fields)})" for key, fields in mismatched.items()),
+    )
+
+
 def run_all() -> List[CriterionResult]:
-    """Evaluate all ten criteria; shared experiments run once per process.
+    """Evaluate all eleven criteria; shared experiments run once per process.
 
     A helper thread computes the pooled report set, mostly waiting on the
-    workers, while this thread computes the serial set and criteria 1-9, so
-    both sets run at once. The ``worker_pool`` block opens before the helper
-    starts, so no second Python thread runs while the workers start; that
-    function states how they start and why they run at nice 19. This thread
+    workers, while this thread computes the serial set and criteria 1-9 and
+    11, so both sets run at once. The ``worker_pool`` block opens before the
+    helper starts, so no second Python thread runs while the workers start;
+    that function states how they start and why they run at nice 19. This thread
     keeps a whole core, but on 2 CPUs one worker shares it: that worker's
     spans took 123-297 ms of wall time for 16-89 ms of CPU, and the pooled set
     finished last in 6 of 20 fresh runs. The helper is joined, and its
@@ -331,6 +403,6 @@ def run_all() -> List[CriterionResult]:
             criterion_leakage_budget(),
             criterion_tetration(),
         ]
+        scaling = criterion_exact_scaling()
         pooled.result()
-    results.append(criterion_determinism())
-    return results
+    return [*results, criterion_determinism(), scaling]

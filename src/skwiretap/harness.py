@@ -727,13 +727,25 @@ def worker_pool(workers: int) -> Iterator[ProcessPoolExecutor]:
       shares it then lags, and the pooled set can finish last (see
       ``run_all``). The priority moves no byte and no work, only who waits.
 
+    - A pool that fails to start, say on a fork that raises, stops the
+      workers it did start before the error leaves: only the pool's manager
+      thread, which starts after the last fork, can tell them to exit, and
+      the interpreter waits for them at exit.
+
     While the block is open, pooled ``run_experiment`` calls run on this pool.
     """
     global _pool
     context = multiprocessing.get_context("fork" if sys.platform == "linux" else None)
+    running = set(multiprocessing.active_children())
     _pool = pool = ProcessPoolExecutor(max_workers=workers, mp_context=context, initializer=os.nice, initargs=(19,))
     try:
-        pool.submit(int)
+        try:
+            pool.submit(int)
+        except BaseException:
+            for worker in set(multiprocessing.active_children()) - running:
+                worker.terminate()
+                worker.join()
+            raise
         yield pool
     finally:
         _pool = None

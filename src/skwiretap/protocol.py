@@ -161,23 +161,28 @@ def make_schedule(n: int, n_s: float, sigma2: float, gain: float = 1.0) -> SkSch
 
 
 def mmse_oracle(
-    observations: Sequence[float],
+    observations: Union[Sequence[float], np.ndarray],
     schedule: SkSchedule,
     noise_mean: float = 0.0,
-) -> float:
+) -> Union[float, np.ndarray]:
     """Estimate the round-0 noise from raw observations by a full covariance solve.
 
-    Expands each observation linearly in (N0, N1, .., Nk) under the schedule,
-    builds the k x k observation covariance and the cross-covariance with N0
+    ``observations`` holds one trial's y_1..y_k, or a stack of trials, one
+    row each; a stack gives one estimate per row from one solve. Expands each
+    observation linearly in (N0, N1, .., Nk) under the schedule, builds the
+    k x k observation covariance and the cross-covariance with N0
     explicitly, and solves the dense linear system. No recursion is used, so
     this is an independent oracle for the recursive estimator.
+
+    The arithmetic is elementwise products and numpy's fixed-order sums, and
+    the solve is Gaussian elimination written in them: no BLAS or LAPACK
+    call, whose kernel the host CPU picks, so the estimate has the same bits
+    on every host.
     """
-    k = len(observations)
+    observations = np.asarray(observations, dtype=float)
+    k = observations.shape[-1]
     if k > schedule.blocklength:
         raise ValueError(f"{k} observations exceed blocklength {schedule.blocklength}")
-    if k == 0:
-        return noise_mean
-    sigma2 = schedule.sigma2
     # rows: centered observations; columns: basis (N0', N1', .., Nk')
     coeffs = np.zeros((k, k + 1))
     basis_n0 = np.zeros(k + 1)
@@ -187,11 +192,17 @@ def mmse_oracle(
         coeffs[i - 1] = schedule.gamma[i] * (basis_n0 - est)
         coeffs[i - 1, i] += 1.0
         est = est + schedule.k_gain[i] * coeffs[i - 1]
-    cov = sigma2 * (coeffs @ coeffs.T)
-    cross = sigma2 * coeffs[:, 0]
-    weights = np.linalg.solve(cov, cross)
-    centered = np.asarray(observations, dtype=float) / schedule.gain - noise_mean
-    return noise_mean + float(weights @ centered)
+    cov = (coeffs[:, None, :] * coeffs[None, :, :]).sum(axis=-1)  # coeffs @ coeffs.T
+    # the covariance beside its cross-covariance with N0; it is positive definite, so no pivoting
+    system = schedule.sigma2 * np.column_stack((cov, coeffs[:, 0]))
+    for j in range(k):
+        system[j + 1:] -= np.multiply.outer(system[j + 1:, j] / system[j, j], system[j])
+    weights = np.empty(k)
+    for j in reversed(range(k)):
+        weights[j] = (system[j, k] - (system[j, j + 1:k] * weights[j + 1:]).sum()) / system[j, j]
+    centered = observations / schedule.gain - noise_mean
+    estimates = noise_mean + (centered * weights).sum(axis=-1)
+    return float(estimates) if estimates.ndim == 0 else estimates
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,7 @@ from fnmatch import fnmatchcase
 import numpy as np
 import pytest
 
-from skwiretap import acceptance, cli, harness
+from skwiretap import acceptance, channels, cli, harness
 from skwiretap.harness import compare_bounds
 
 
@@ -69,6 +69,10 @@ def test_criterion_09_tetration_machinery(results):
 
 def test_criterion_10_determinism(results):
     _check(results, 10)
+
+
+def test_criterion_11_exact_scaling(results):
+    _check(results, 11)
 
 
 def test_every_criterion_passes_exactly_when_all_its_rows_pass(results):
@@ -124,7 +128,7 @@ NEGATIVE_CONTROLS = {
         lambda r: _set_power(r, 0, r.config.n_s * 1.01), "power_round0_leq_ns",
     ),
     "6-affine-variance": (
-        acceptance.criterion_non_gaussian, "uniform_a2",
+        acceptance.criterion_non_gaussian, "uniform_a1",
         lambda r: {"empirical_var_theta": r.empirical_var_theta * 1.2}, "var_theta_ratio",
     ),
     "6-chebyshev-above-tolerance": (
@@ -195,8 +199,19 @@ def _theta_n_scaled(factor):
     return perturb
 
 
-# (criterion, acceptance attribute it calls, perturbation of that attribute, the one row that must fail);
-# leakage_budget's last argument is the blocklength n
+def _gaussian_units(noise_map):
+    """A perturbation of the noise map: Gaussian noise scaled by sigma2 instead of sigma, a units defect."""
+
+    def perturbed(nm, u):
+        if nm.family == "gaussian":
+            nm = channels.NoiseModel("gaussian", nm.variance**2, nm.mean)
+        return noise_map(nm, u)
+
+    return perturbed
+
+
+# (criterion, attribute it calls, of acceptance unless the name says which module, perturbation of
+# that attribute, the one row that must fail); leakage_budget's last argument is the blocklength n
 INPUT_CONTROLS = {
     "1-capacity": (
         acceptance.criterion_variance_identity, "awgn_capacity", _scaled(1 + 1e-8), "max_relative_deviation",
@@ -237,14 +252,20 @@ INPUT_CONTROLS = {
         acceptance.criterion_tetration, "tetration_error_bound",
         _fields(underflow=lambda u: False), "order4_bound",
     ),
+    "11-units": (
+        # every acceptance config has sigma2 = 1, where sigma2 and sigma agree; the scaled copies have 4
+        acceptance.criterion_exact_scaling, "harness._noise_in_place", _gaussian_units, "mismatched_configs",
+    ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(INPUT_CONTROLS))
 def test_criterion_and_only_its_row_fail_on_a_perturbed_input(monkeypatch, case):
     criterion, attribute, perturb, quantity = INPUT_CONTROLS[case]
+    owner, _, attribute = attribute.rpartition(".")
+    owner = {"": acceptance, "harness": harness}[owner]
     assert criterion().passed
-    monkeypatch.setattr(acceptance, attribute, perturb(getattr(acceptance, attribute)))
+    monkeypatch.setattr(owner, attribute, perturb(getattr(owner, attribute)))
     result = criterion()
     assert not result.passed, result.details
     assert [r.quantity for r in result.rows if not r.passed] == [quantity]
@@ -307,9 +328,9 @@ def test_chebyshev_criterion_is_stricter_than_its_row():
 
 
 def test_shared_reports_fork_one_pool(forked_pools):
-    # past the cache, so the one 2-worker run of all nine configs happens
+    # past the cache, so the one 2-worker run of all seven configs happens
     reports = acceptance.shared_reports.__wrapped__(threads=2)
-    assert len(reports) == 9 and forked_pools == [(2, 0)]
+    assert len(reports) == 7 and forked_pools == [(2, 0)]
 
 
 def _fresh_run_all_state():
@@ -348,9 +369,9 @@ def test_criterion_10_fails_on_a_perturbed_pooled_report(monkeypatch):
         return reports
 
     monkeypatch.setattr(acceptance, "shared_reports", perturbed)
-    results = acceptance.run_all()
-    assert [r.index for r in results if not r.passed] == [10]
-    assert results[-1].details == "mismatched: ['edge']"
+    results = {r.index: r for r in acceptance.run_all()}
+    assert [k for k, r in results.items() if not r.passed] == [10]
+    assert results[10].details == "mismatched: ['edge']"
 
 
 _TEST_PID = os.getpid()

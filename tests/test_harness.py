@@ -8,7 +8,10 @@ import json
 import math
 import multiprocessing
 import os
+import signal
+import subprocess
 import sys
+import textwrap
 import warnings
 from pathlib import Path
 
@@ -536,6 +539,42 @@ class TestRunExperiment:
         with pytest.raises(RuntimeError, match="worker died"):
             run_experiment(_thermal_cfg(trials=CHUNK_TRIALS + 1, n=2), threads=2)
         assert harness._pool is None and closed == [True]
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="the pool forks its workers on Linux only")
+    def test_a_pool_that_fails_to_start_stops_the_workers_it_forked(self):
+        # the second fork raises: a worker left from the first would keep the interpreter from exiting
+        code = textwrap.dedent(
+            """
+            import multiprocessing, os
+            from skwiretap import harness
+
+            real_fork, forks = os.fork, []
+
+            def failing_fork():
+                forks.append(1)
+                if len(forks) == 2:
+                    raise BlockingIOError(11, "Resource temporarily unavailable")
+                return real_fork()
+
+            os.fork = failing_fork
+            try:
+                with harness.worker_pool(2):
+                    pass
+            except BlockingIOError:
+                print("raised", len(forks), multiprocessing.active_children())
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in sys.path if p))
+        # a session of its own, so a hung run and any worker it left are killed together
+        proc = subprocess.Popen([sys.executable, "-c", code], env=env, stdout=subprocess.PIPE, text=True,
+                                start_new_session=True)
+        try:
+            out, _ = proc.communicate(timeout=10)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail("the interpreter did not exit within 10 s of a pool that failed to start")
+        assert (proc.returncode, out) == (0, "raised 2 []\n")
 
     def test_reference_report_values(self):
         report = run_experiment(_thermal_cfg(trials=30_000, n=6))
