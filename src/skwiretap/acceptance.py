@@ -144,8 +144,8 @@ def criterion_oracle_equivalence() -> CriterionResult:
     For each n = 1..20 one Gaussian affine config is drawn (n_s, sigma2, a
     signed gain and a noise mean), and ``_simulate_chunk`` runs 5 trials
     of it on drawn noise. Bob's estimate of the round-0 noise, y_0/gain -
-    theta_n, must match ``mmse_oracle`` on the same trial's y_1..y_n; the
-    oracle takes the 5 trials as one stack, so each config is one solve.
+    theta_n, must match ``mmse_oracle`` on the same trial's y_1..y_n / gain;
+    the oracle takes the 5 trials as one stack, so each config is one solve.
     Every report comes from this kernel, so this checks the estimator they
     rest on.
     """
@@ -164,7 +164,7 @@ def criterion_oracle_equivalence() -> CriterionResult:
         noise = rng.normal(mean, math.sqrt(sigma2), size=(n + 1, trials))
         out = _simulate_chunk(cfg, 0, noise, rng.random(trials))
         estimates = out["y"][0] / gain - out["theta_n"]
-        oracle = mmse_oracle(out["y"][1:].T, cfg.schedule(), mean)
+        oracle = mmse_oracle(out["y"][1:].T / gain, cfg.schedule(), mean)
         worst = max(worst, float(np.max(np.abs(estimates - oracle) / (1.0 + np.abs(estimates)))))
     return _result(
         2, [VerdictRow("max_relative_disagreement", worst, 0.0, 1e-9)],
@@ -294,11 +294,9 @@ def criterion_tetration() -> CriterionResult:
     )
 
 
-def criterion_determinism() -> CriterionResult:
-    """10: byte-identical reports for the same seed under different worker counts."""
-    serial = shared_reports(threads=1)
-    parallel = shared_reports(threads=_POOL_WORKERS)
-    mismatched = [k for k in serial if serial[k].to_json() != parallel[k].to_json()]
+def criterion_determinism(serial: Dict[str, ExperimentReport], pooled: Dict[str, ExperimentReport]) -> CriterionResult:
+    """10: byte-identical reports for the same seed from ``run_all``'s serial and pooled report sets."""
+    mismatched = [k for k in serial if serial[k].to_json() != pooled[k].to_json()]
     return _result(
         10, [VerdictRow("mismatched_reports", float(len(mismatched)), 0.0, 0.0)],
         "all reports byte-identical" if not mismatched else f"mismatched: {mismatched}",
@@ -386,11 +384,12 @@ def run_all() -> List[CriterionResult]:
     keeps a whole core, but on 2 CPUs one worker shares it: that worker's
     spans took 123-297 ms of wall time for 16-89 ms of CPU, and the pooled set
     finished last in 6 of 20 fresh runs. The helper is joined, and its
-    exception raised, before criterion 10 compares the sets; the workers are
-    joined as the block exits, on failure too.
+    exception raised, before criterion 10 compares the two sets, which no
+    criterion fetches itself; the workers are joined as the block exits, on
+    failure too.
     """
     with worker_pool(_POOL_WORKERS), ThreadPoolExecutor(max_workers=1) as helper:
-        pooled = helper.submit(shared_reports, threads=_POOL_WORKERS)
+        pending = helper.submit(shared_reports, threads=_POOL_WORKERS)
         reports = shared_reports(threads=1)
         results = [
             criterion_variance_identity(),
@@ -404,5 +403,5 @@ def run_all() -> List[CriterionResult]:
             criterion_tetration(),
         ]
         scaling = criterion_exact_scaling()
-        pooled.result()
-    return [*results, criterion_determinism(), scaling]
+        pooled = pending.result()
+    return [*results, criterion_determinism(reports, pooled), scaling]

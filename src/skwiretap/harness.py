@@ -209,7 +209,7 @@ class ExperimentConfig:
         return make_codebook(self.n, self.rate, self.n_s)
 
     def schedule(self) -> SkSchedule:
-        return make_schedule(self.n, self.n_s, self.channel.noise.variance, self.channel.gain)
+        return make_schedule(self.n, self.n_s, self.channel.noise.variance)
 
 
 def _config_int(value, name: str) -> int:

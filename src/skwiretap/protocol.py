@@ -112,14 +112,13 @@ class SkSchedule:
 
     blocklength: int
     sigma2: float
-    gain: float
     gamma: np.ndarray
     k_gain: np.ndarray
     v: np.ndarray
     log2_v: np.ndarray
 
 
-def make_schedule(n: int, n_s: float, sigma2: float, gain: float = 1.0) -> SkSchedule:
+def make_schedule(n: int, n_s: float, sigma2: float) -> SkSchedule:
     """Run the scalar MMSE recursion for n rounds.
 
     v[i] = v[i-1] * sigma2 / (n_s + sigma2), gamma[i] = sqrt(n_s / v[i-1]),
@@ -130,8 +129,6 @@ def make_schedule(n: int, n_s: float, sigma2: float, gain: float = 1.0) -> SkSch
         raise ValueError(f"n={n} must be >= 1")
     if n_s <= 0 or sigma2 <= 0:
         raise ValueError(f"n_s={n_s!r} and sigma2={sigma2!r} must be > 0")
-    if gain == 0:
-        raise ValueError("gain must be nonzero")
     shrink = sigma2 / (n_s + sigma2)
     log2_shrink = math.log2(shrink)
     gamma = np.full(n + 1, math.nan)
@@ -154,10 +151,7 @@ def make_schedule(n: int, n_s: float, sigma2: float, gain: float = 1.0) -> SkSch
         log2_v[i] = l_prev + log2_shrink
     for arr in (gamma, k_gain, v, log2_v):
         arr.setflags(write=False)
-    return SkSchedule(
-        blocklength=n, sigma2=sigma2, gain=gain,
-        gamma=gamma, k_gain=k_gain, v=v, log2_v=log2_v,
-    )
+    return SkSchedule(blocklength=n, sigma2=sigma2, gamma=gamma, k_gain=k_gain, v=v, log2_v=log2_v)
 
 
 def mmse_oracle(
@@ -165,10 +159,12 @@ def mmse_oracle(
     schedule: SkSchedule,
     noise_mean: float = 0.0,
 ) -> Union[float, np.ndarray]:
-    """Estimate the round-0 noise from raw observations by a full covariance solve.
+    """Estimate the round-0 noise from observations in noise units by a full covariance solve.
 
-    ``observations`` holds one trial's y_1..y_k, or a stack of trials, one
-    row each; a stack gives one estimate per row from one solve. Expands each
+    ``observations`` holds one trial's y_1/gain..y_k/gain, or a stack of
+    trials, one row each; a stack gives one estimate per row from one solve.
+    The caller divides by its channel's gain, as the receiver does, so the
+    oracle reads only the schedule's (n, n_s, sigma2). Expands each
     observation linearly in (N0, N1, .., Nk) under the schedule, builds the
     k x k observation covariance and the cross-covariance with N0
     explicitly, and solves the dense linear system. No recursion is used, so
@@ -200,7 +196,7 @@ def mmse_oracle(
     weights = np.empty(k)
     for j in reversed(range(k)):
         weights[j] = (system[j, k] - (system[j, j + 1:k] * weights[j + 1:]).sum()) / system[j, j]
-    centered = observations / schedule.gain - noise_mean
+    centered = observations - noise_mean
     estimates = noise_mean + (centered * weights).sum(axis=-1)
     return float(estimates) if estimates.ndim == 0 else estimates
 

@@ -71,6 +71,7 @@ def test_criterion_10_determinism(results):
     _check(results, 10)
 
 
+@pytest.mark.byte_pinned
 def test_criterion_11_exact_scaling(results):
     _check(results, 11)
 
@@ -259,6 +260,7 @@ INPUT_CONTROLS = {
 }
 
 
+@pytest.mark.byte_pinned
 @pytest.mark.parametrize("case", sorted(INPUT_CONTROLS))
 def test_criterion_and_only_its_row_fail_on_a_perturbed_input(monkeypatch, case):
     criterion, attribute, perturb, quantity = INPUT_CONTROLS[case]
@@ -271,6 +273,7 @@ def test_criterion_and_only_its_row_fail_on_a_perturbed_input(monkeypatch, case)
     assert [r.quantity for r in result.rows if not r.passed] == [quantity]
 
 
+@pytest.mark.byte_pinned
 def test_criterion_2_runs_the_kernel_on_every_n_gain_and_mean(monkeypatch):
     # the draw of configs cannot shrink unnoticed: 100 kernel transcripts, n = 1..20, all gains and means
     kernel = acceptance._simulate_chunk
@@ -409,7 +412,7 @@ def test_verify_failure_reaches_the_caller_and_leaves_nothing_running(monkeypatc
     _fresh_run_all_state()
     with _time_limit(60), pytest.raises(RuntimeError, match=f"injected {side} failure"):
         cli.main(["verify"])
-    # raised as it happened: a lost pooled failure would have criterion 10 fork a second pool
+    # raised as it happened: no second pool ran the failed report set again
     assert forked_pools == [(2, 0)]
     assert set(threading.enumerate()) == threads_before
     assert multiprocessing.active_children() == []

@@ -40,7 +40,7 @@ class StubLane:
 def _run(channel, lanes, n=4, n_s=3.0):
     """One scalar-reference trial of message 1 on ``lanes``."""
     codebook = make_codebook(n, 0.5, n_s)
-    schedule = make_schedule(n, n_s, channel.noise.variance, channel.gain)
+    schedule = make_schedule(n, n_s, channel.noise.variance)
     return run_protocol(1, codebook, schedule, channel, EveTap(4.0), lanes)
 
 

@@ -826,6 +826,7 @@ class TestSweep:
         with open(out) as fh:
             assert [float(r["eta"]) for r in csv.DictReader(fh)] == [0.3]
 
+    @pytest.mark.byte_pinned
     @pytest.mark.parametrize(
         "sweep,trials,digest",
         [
@@ -986,6 +987,7 @@ class TestVerifyPlumbing:
             assert line.startswith(f"PASS  {k:>2}. {name}: ")
         assert lines[-1] == f"{len(CRITERIA)}/{len(CRITERIA)} criteria passed"
 
+    @pytest.mark.byte_pinned
     def test_stdout_pinned(self, capsys):
         # every report digest and criterion detail, in one hash. Criterion 2's
         # oracle makes no BLAS or LAPACK call, so no BLAS kernel moves its

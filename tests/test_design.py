@@ -61,6 +61,14 @@ def test_production_modules_reference_no_oracle(module):
     assert not ORACLE_NAMES & _referenced_names(source)
 
 
+def test_no_criterion_reads_the_report_cache():
+    # criteria 3-7 and 10 take their report sets from run_all, whose two calls are the cache's only readers
+    tree = ast.parse(Path(acceptance.__file__).read_text())
+    criteria = [f for f in tree.body if isinstance(f, ast.FunctionDef) and f.name.startswith("criterion_")]
+    assert len(criteria) == len(acceptance.CRITERIA)
+    assert [f.name for f in criteria if "shared_reports" in _referenced_names(ast.unparse(f))] == []
+
+
 def _imported_modules(source: str) -> set:
     """Every module the source imports, and every name imported from a module as ``module.name``."""
     modules = set()

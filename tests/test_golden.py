@@ -21,6 +21,8 @@ from skwiretap.harness import (
     write_transcripts_csv,
 )
 
+pytestmark = pytest.mark.byte_pinned
+
 GOLDEN = {
     # thermal channel, message drawn from the message lane
     "thermal_uniform_random": (

@@ -224,6 +224,18 @@ class TestConfig:
         # the config echo is asdict(channel): gain and noise must stay out of the dataclass fields
         assert [f.name for f in dataclasses.fields(ThermalWiretapParams)] == ["eta", "n_th"]
 
+    def test_schedule_holds_no_gain(self):
+        # the recursion reads (n, n_s, sigma2) alone; the kernel divides each y by its channel's gain
+        def fields(cfg):
+            schedule = cfg.schedule()
+            return {f.name: np.asarray(getattr(schedule, f.name)).tobytes() for f in dataclasses.fields(schedule)}
+
+        unit, *signed = (fields(_affine_cfg("gaussian", gain)) for gain in (1.0, -1.5, 2.0))
+        assert list(unit) == ["blocklength", "sigma2", "gamma", "k_gain", "v", "log2_v"]
+        assert signed == [unit, unit]
+        thermal = dataclasses.replace(_thermal_cfg(), channel=ThermalWiretapParams(eta=0.3, n_th=2.0))
+        assert fields(thermal) == fields(_affine_cfg("gaussian", variance=thermal.channel.noise.variance))
+
     def test_non_integer_counts_rejected(self):
         for field, value in (("n", 4.7), ("trials", "2000"), ("root_seed", True)):
             obj = json.loads(json.dumps(THERMAL_CFG_DICT))
@@ -278,6 +290,7 @@ class TestOneTrialSlice:
             dataclasses.replace(_thermal_cfg(), message_selection=MessageSelection("fixed", 1000))
 
 
+@pytest.mark.byte_pinned
 class TestBatchEqualsScalar:
     def test_chunk_rows_are_trial_pure(self):
         cfg = _thermal_cfg(trials=300)

@@ -42,6 +42,8 @@ from skwiretap.harness import (
 )
 from test_golden import GOLDEN
 
+pytestmark = pytest.mark.byte_pinned
+
 SCHEMA = json.loads((Path(__file__).resolve().parents[1] / "src" / "skwiretap" / "report_schema.json").read_text())
 
 ORACLE_CONFIGS = {

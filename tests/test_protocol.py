@@ -140,7 +140,7 @@ class TestRounds:
         # the prior estimate is the declared mean: round 1 sends the scaled centered round-0 noise
         channel = AffineChannel(2.0, NoiseModel("uniform", 1.0, 0.25))
         t = _run(channel, TrialLanes(SEED, 3))
-        sched = make_schedule(4, 3.0, 1.0, 2.0)
+        sched = make_schedule(4, 3.0, 1.0)
         assert t.x[1] == sched.gamma[1] * (t.noise[0] - 0.25)
 
     def test_perfect_knowledge_transmits_nothing(self):
@@ -192,12 +192,12 @@ class TestMmseOracle:
             sigma2 = float(rng.uniform(0.3, 3.0))
             gain = float(rng.choice([1.0, -1.5, 2.0]))
             cb = make_codebook(n, 0.5, n_s)
-            sched = make_schedule(n, n_s, sigma2, gain)
+            sched = make_schedule(n, n_s, sigma2)
             channel = AffineChannel(gain, NoiseModel("gaussian", sigma2, noise_mean))
             m = int(rng.integers(1, cb.message_count + 1))
             t = run_protocol(m, cb, sched, channel, EveTap(1.0), TrialLanes(SEED, trial))
             bob = _bob_estimate(t, gain)
-            oracle = mmse_oracle(t.y[1:], sched, noise_mean=noise_mean)
+            oracle = mmse_oracle(t.y[1:] / gain, sched, noise_mean=noise_mean)
             assert abs(bob - oracle) <= 1e-9 * (1.0 + abs(bob))
 
     def test_sensitive_to_schedule_perturbation(self):
@@ -216,7 +216,7 @@ class TestMmseOracle:
 def _gaussian_setup(n=6, rate=0.5, n_s=3.0, trial=0):
     channel = ThermalWiretapParams(eta=0.5, n_th=1.0)
     cb = make_codebook(n, rate, n_s)
-    sched = make_schedule(n, n_s, channel.noise.variance, channel.gain)
+    sched = make_schedule(n, n_s, channel.noise.variance)
     return cb, sched, channel, EveTap(1.0), TrialLanes(SEED, trial)
 
 
@@ -224,7 +224,7 @@ class TestRunProtocol:
     def test_noiseless_channel_decodes_every_message(self):
         channel = AffineChannel(1.0, NoiseModel("gaussian", 1e-30))
         cb = make_codebook(3, 1.0, 1.0)
-        sched = make_schedule(3, 1.0, 1e-30, 1.0)
+        sched = make_schedule(3, 1.0, 1e-30)
         for m in range(1, cb.message_count + 1):
             t = run_protocol(m, cb, sched, channel, EveTap(1.0), TrialLanes(SEED, m))
             assert t.m_hat == m
@@ -265,15 +265,10 @@ class TestRunProtocol:
         # power-of-two gains divide exactly, so transcripts must match bit for bit
         noise = NoiseModel("two-point", 1.0)
         cb = make_codebook(5, 0.5, 3.0)
+        sched = make_schedule(5, 3.0, 1.0)
         for trial in range(50):
-            t_scaled = run_protocol(
-                2, cb, make_schedule(5, 3.0, 1.0, gain), AffineChannel(gain, noise),
-                EveTap(1.0), TrialLanes(SEED, trial),
-            )
-            t_unit = run_protocol(
-                2, cb, make_schedule(5, 3.0, 1.0, 1.0), AffineChannel(1.0, noise),
-                EveTap(1.0), TrialLanes(SEED, trial),
-            )
+            t_scaled = run_protocol(2, cb, sched, AffineChannel(gain, noise), EveTap(1.0), TrialLanes(SEED, trial))
+            t_unit = run_protocol(2, cb, sched, AffineChannel(1.0, noise), EveTap(1.0), TrialLanes(SEED, trial))
             assert t_scaled.theta_n == t_unit.theta_n
             assert t_scaled.m_hat == t_unit.m_hat
             assert np.array_equal(t_scaled.x, t_unit.x)
@@ -284,7 +279,7 @@ class TestRunProtocol:
         noise = NoiseModel("uniform", 1.0, mean=0.8)
         channel = AffineChannel(1.0, noise)
         cb = make_codebook(6, 0.5, 3.0)
-        sched = make_schedule(6, 3.0, 1.0, 1.0)
+        sched = make_schedule(6, 3.0, 1.0)
         devs = []
         for trial in range(4000):
             t = run_protocol(3, cb, sched, channel, EveTap(1.0), TrialLanes(SEED, trial))

@@ -31,6 +31,8 @@ from skwiretap.channels import NOISE_FAMILIES, AffineChannel, EveTap, NoiseModel
 from skwiretap.harness import CHUNK_TRIALS, ConfigError, ExperimentConfig, run_experiment
 from skwiretap.infotheory import awgn_capacity
 
+pytestmark = pytest.mark.byte_pinned
+
 # the report fields and diagnostics that each relation maps
 _FIELDS = (
     "error_count", "max_abs_offdiag_corr", "theta_skewness", "theta_excess_kurtosis",
