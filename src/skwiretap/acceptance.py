@@ -328,7 +328,7 @@ def _scaled(cfg: ExperimentConfig) -> ExperimentConfig:
     return replace(cfg, channel=channel, n_s=4.0 * cfg.n_s)
 
 
-def _exact(value, factor: int) -> Optional[list]:
+def _exact(value, factor: float = 1.0) -> Optional[list]:
     """``value`` times ``factor`` as a list of doubles, compared exactly; an undefined diagnostic stays None.
 
     Values, not bytes: a skewness of exactly 0, negated, is -0.0.
@@ -346,7 +346,7 @@ def _unmapped_fields(report: ExperimentReport, scaled: ExperimentReport) -> List
     factors = dict(_SCALING_FACTORS, analytic_error_bound=4 if report.analytic_error_bound_kind == "chebyshev" else 1)
     return [
         name for name, factor in factors.items()
-        if _exact(_field(report, name), factor) != _exact(_field(scaled, name), 1)
+        if _exact(_field(report, name), factor) != _exact(_field(scaled, name))
     ]
 
 

@@ -10,16 +10,15 @@ Randomness is counter-based and splittable: every sample is addressed by
 (root_seed, trial, round, role) and is a pure function of that tuple, so
 trials can run on any thread in any order and still reproduce bit-identically.
 The Philox key is (root_seed, role) and the trial sits in the counter, so the
-trials of a chunk are consecutive counters of one numpy ``Philox`` stream:
-batch simulation draws them with ``lane_uniforms``, and ``RngLane`` reads the
-same positions one trial at a time.
+trials of a chunk are consecutive counters of one numpy ``Philox`` stream.
+``lane_uniforms`` is the one reader of that layout: batch simulation draws a
+chunk's trials with it, and ``RngLane`` is its view of one trial.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from numpy.random import Philox
@@ -125,53 +124,25 @@ ROLE_TAP = 1
 ROLE_MESSAGE = 2
 
 _TRIAL_LIMIT = 1 << 56  # keeps counter word 0 (trial + 1) from carrying into word 1
-_U53_SCALE = 2.0 ** -53
 
 
-def _philox_key(root_seed: int, role: int) -> np.ndarray:
-    if not 0 <= root_seed < 1 << 64:
-        raise ValueError(f"root_seed={root_seed!r} must be a 64-bit unsigned integer")
-    if not 0 <= role < 256:
-        raise ValueError(f"role={role!r} must be in [0, 256)")
-    # uint64, not a list: numpy turns a list holding a word >= 2^63 into float64
-    return np.array([root_seed, role], dtype=np.uint64)
-
-
-def _raw_to_uniform(raw: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    # Centered 53-bit mapping: strictly inside (0, 1), never exactly 1/2.
-    u = np.add(raw >> np.uint64(11), 0.5, out=out)
-    u *= _U53_SCALE
-    return u
-
-
+@dataclass(frozen=True)
 class RngLane:
-    """One independent stream addressed by (root_seed, trial, role).
+    """One trial's lane of one role: column 0 of ``lane_uniforms`` over trials [trial, trial + 1).
 
-    Sample position within the lane is the protocol round index: position p
-    is word p mod 4 of the ``numpy.random.Philox`` block with key
-    (root_seed, role) and counter (trial + 1, p // 4, 0, 0). Re-creating a
-    lane and re-reading a position always yields the same value. It reads one
-    block at a time, a generator per block, so it is the per-trial reference
-    the batch draws (``lane_uniforms``) are tested against.
+    Position p is round p. Construction refuses what ``lane_uniforms`` refuses.
     """
 
-    __slots__ = ("root_seed", "trial", "role", "_key")
+    root_seed: int
+    trial: int
+    role: int
 
-    def __init__(self, root_seed: int, trial: int, role: int) -> None:
-        self._key = _philox_key(root_seed, role)
-        if not 0 <= trial < _TRIAL_LIMIT:
-            raise ValueError(f"trial={trial!r} must be in [0, 2^56)")
-        self.root_seed = root_seed
-        self.trial = trial
-        self.role = role
+    def __post_init__(self) -> None:
+        lane_uniforms(self.root_seed, self.role, self.trial, self.trial + 1, 0)
 
     def uniforms(self, count: int) -> np.ndarray:
         """Uniform(0,1) draws at positions 0..count-1."""
-        raw = np.empty(4 * -(-count // 4), dtype=np.uint64)
-        for b in range(len(raw) // 4):
-            # numpy increments the counter before it generates: this is block (trial + 1, b)
-            raw[4 * b : 4 * b + 4] = Philox(counter=[self.trial, b, 0, 0], key=self._key).random_raw(4)
-        return _raw_to_uniform(raw[:count])
+        return lane_uniforms(self.root_seed, self.role, self.trial, self.trial + 1, count)[:, 0]
 
 
 @dataclass(frozen=True)
@@ -193,21 +164,30 @@ class TrialLanes:
 def lane_uniforms(root_seed: int, role: int, start: int, stop: int, count: int) -> np.ndarray:
     """Uniform(0,1) draws at positions 0..count-1 of trials start..stop-1, one row per position.
 
-    The result has shape (count, stop - start); column j equals
-    ``RngLane(root_seed, start + j, role).uniforms(count)``. The counters of
+    The result has shape (count, stop - start). Position p of trial t is word
+    p mod 4 of the ``numpy.random.Philox`` block with key (root_seed, role)
+    and counter (t + 1, p // 4, 0, 0), mapped to ``((raw >> 11) + 0.5) *
+    2^-53``: strictly inside (0, 1), never exactly 1/2. The counters of
     consecutive trials are consecutive, so one numpy ``Philox`` stream per
     position block yields that block's four positions of every trial.
     """
-    key = _philox_key(root_seed, role)
+    if not 0 <= root_seed < 1 << 64:
+        raise ValueError(f"root_seed={root_seed!r} must be a 64-bit unsigned integer")
+    if not 0 <= role < 256:
+        raise ValueError(f"role={role!r} must be in [0, 256)")
     if not 0 <= start <= stop <= _TRIAL_LIMIT:
         raise ValueError(f"trials [{start!r}, {stop!r}) must be an ordered range in [0, 2^56)")
     if count < 0:
         raise ValueError(f"count={count!r} must be >= 0")
+    # uint64, not a list: numpy turns a list holding a word >= 2^63 into float64
+    key = np.array([root_seed, role], dtype=np.uint64)
     out = np.empty((count, stop - start))
     for b in range(-(-count // 4)):
+        # numpy increments the counter before it generates: trial t reads block (t + 1, b)
         raw = Philox(counter=[start, b, 0, 0], key=key).random_raw(4 * (stop - start)).reshape(-1, 4)
         rows = out[4 * b : 4 * b + 4]
-        _raw_to_uniform(raw[:, : len(rows)].T, out=rows)
+        np.add(raw[:, : len(rows)].T >> np.uint64(11), 0.5, out=rows)
+    out *= 2.0**-53
     return out
 
 

@@ -837,32 +837,29 @@ def collect_transcripts(cfg: ExperimentConfig) -> List[Transcript]:
     """Full transcripts of the first min(trials, TRANSCRIPT_LIMIT) trials, with the tap output w0.
 
     ``run_experiment`` keeps only each chunk's sums; this re-executes the
-    leading trials through the batch computation, chunk by chunk, keeping
-    every round, so the transcripts match the report's trials bit for bit.
+    leading trials through the batch computation in one chunk, keeping every
+    round. The chunk is trial-pure, so the transcripts match the report's
+    trials bit for bit. Each transcript holds views into the chunk's arrays.
     """
     count = min(cfg.trials, TRANSCRIPT_LIMIT)
-    transcripts: List[Transcript] = []
-    for start in range(0, count, CHUNK_TRIALS):
-        stop = min(start + CHUNK_TRIALS, count)
-        out = _chunk(cfg, start, stop)
-        x, y = out["x"], out["y"]
-        noise = y / cfg.channel.gain - x
-        w0 = y[0] + _noise_in_place(cfg.tap.noise, lane_uniforms(cfg.root_seed, ROLE_TAP, start, stop, 1)[0])
-        x, noise, y = x.T, noise.T, y.T  # one row per trial
-        transcripts += (
-            Transcript(
-                m=int(out["m"][j]),
-                m_hat=int(out["m_hat"][j]),
-                theta_m=float(out["theta_m"][j]),
-                theta_n=float(out["theta_n"][j]),
-                w0=float(w0[j]),
-                x=x[j],
-                noise=noise[j],
-                y=y[j],
-            )
-            for j in range(stop - start)
+    out = _chunk(cfg, 0, count)
+    x, y = out["x"], out["y"]
+    noise = y / cfg.channel.gain - x
+    w0 = y[0] + _noise_in_place(cfg.tap.noise, lane_uniforms(cfg.root_seed, ROLE_TAP, 0, count, 1)[0])
+    x, noise, y = x.T, noise.T, y.T  # one row per trial
+    return [
+        Transcript(
+            m=int(out["m"][j]),
+            m_hat=int(out["m_hat"][j]),
+            theta_m=float(out["theta_m"][j]),
+            theta_n=float(out["theta_n"][j]),
+            w0=float(w0[j]),
+            x=x[j],
+            noise=noise[j],
+            y=y[j],
         )
-    return transcripts
+        for j in range(count)
+    ]
 
 
 def write_transcripts_csv(transcripts: Sequence[Transcript], fh: IO[str]) -> None:

@@ -353,7 +353,7 @@ def test_run_all_forks_once_before_its_helper_thread(monkeypatch, forked_pools):
     misses_before = _fresh_run_all_state()
     results = acceptance.run_all()
     assert all(r.passed for r in results)
-    # one miss per report set: the helper thread filled the pooled entry, which criterion 10 then read
+    # one miss per report set: run_all's two shared_reports calls, the helper thread's filling the pooled entry
     assert acceptance.shared_reports.cache_info().misses - misses_before == 2
     assert forked_pools == [(2, 0)]
     # both workers forked while the calling thread was the only Python thread; this

@@ -134,13 +134,13 @@ class TestRngLanes:
                 batch = lane_uniforms(SEED, role, start, stop, count)
                 assert batch.shape == (count, stop - start) and batch.flags.c_contiguous
                 for column, trial in zip(batch.T, range(start, stop)):
-                    assert np.array_equal(column, RngLane(SEED, trial, role).uniforms(count))
+                    assert np.array_equal(column, _pinned_lane(SEED, role, trial, count))
 
     def test_high_seeds_do_not_alias(self):
         # a list key with a word >= 2^63 would be rounded through float64,
         # merging seeds in blocks of 2048 and message lanes in blocks of 32 trials
         high = 2**63 + 12345
-        assert not np.array_equal(RngLane(high, 0, 0).uniforms(4), RngLane(high + 7, 0, 0).uniforms(4))
+        assert not np.array_equal(_pinned_lane(high, 0, 0, 4), _pinned_lane(high + 7, 0, 0, 4))
         batch = lane_uniforms(high, ROLE_FORWARD, 0, 1, 4)[:, 0]
         assert not np.array_equal(batch, lane_uniforms(high + 7, ROLE_FORWARD, 0, 1, 4)[:, 0])
         a, b = lane_uniforms(high, ROLE_MESSAGE, 0, 2, 1)[0]
@@ -179,12 +179,17 @@ class TestRngLanes:
 
 
 def _pinned_lane(seed, role, trial, count):
-    """Positions 0..count-1 of a lane, straight from numpy's Philox: key (seed, role), counter (trial, block)."""
+    """Positions 0..count-1 of a lane, straight from numpy's Philox: key (seed, role), counter (trial, block).
+
+    The reference of the lane layout, one generator per block: ``lane_uniforms``, and ``RngLane`` through
+    it, must match it bit for bit.
+    """
     key = np.array([seed, role], dtype=np.uint64)
     raw = np.concatenate([Philox(counter=[trial, b, 0, 0], key=key).random_raw(4) for b in range(-(-count // 4))])
     return ((raw[:count] >> np.uint64(11)) + 0.5) * 2.0**-53
 
 
+@pytest.mark.byte_pinned
 class TestPhiloxKernel:
     """The batch draws against numpy.random.Philox keyed with exact uint64 words."""
 
@@ -211,9 +216,9 @@ class TestPhiloxKernel:
         # fewer rows are a prefix
         for count in (1, 3, 4, 5, 8):
             assert np.array_equal(lane_uniforms(SEED, ROLE_FORWARD, 0, 40_000, count), batch[:count])
-        # a column is the lane that RngLane reads
+        # a column is the pinned lane of its trial
         for trial in (0, 16_383, 16_384, 39_999):
-            assert np.array_equal(batch[:, trial], RngLane(SEED, trial, ROLE_FORWARD).uniforms(11))
+            assert np.array_equal(batch[:, trial], _pinned_lane(SEED, ROLE_FORWARD, trial, 11))
 
 
 def _lane_u(count, position=0):

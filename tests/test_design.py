@@ -11,7 +11,8 @@ tracer (``perfbench/layers.py``) swaps package attributes for timing
 wrappers, so a refactor that drops one of those names breaks the traced run.
 A deletion that leaves its name in a module's ``__all__`` breaks
 ``from module import *``. ``harness.worker_pool`` builds every worker pool,
-so no pool can skip its start method.
+so no pool can skip its start method, and ``channels.lane_uniforms`` reads
+every Philox lane, so the lane layout has one implementation in the package.
 """
 
 import ast
@@ -127,15 +128,15 @@ def test_benchmark_tracer_patch_targets_exist(monkeypatch):
             sys.modules.pop(name, None)
 
 
-def _pool_constructions(source: str) -> list:
-    """The innermost function around each ``ProcessPoolExecutor(...)`` call, ``None`` at module level."""
+def _call_sites(source: str, callee: str) -> list:
+    """The innermost function around each ``callee(...)`` call, ``None`` at module level."""
     owners = []
 
     def visit(node, owner):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, ast.Call):
                 func = child.func
-                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == "ProcessPoolExecutor":
+                if (func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)) == callee:
                     owners.append(owner)
             visit(child, child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else owner)
 
@@ -148,14 +149,23 @@ def test_pool_scan_sees_calls_in_functions_and_at_module_level():
         "def f():\n    def g():\n        futures.ProcessPoolExecutor(2)\n    ProcessPoolExecutor()\n"
         "ProcessPoolExecutor\nProcessPoolExecutor(1)\n"
     )
-    assert _pool_constructions(source) == ["g", "f", None]
+    assert _call_sites(source, "ProcessPoolExecutor") == ["g", "f", None]
+
+
+def _package_call_sites(callee: str) -> list:
+    """(module, innermost function) of each ``callee(...)`` call in the package."""
+    package = Path(skwiretap.__file__).parent
+    return [(p.stem, owner) for p in sorted(package.glob("*.py")) for owner in _call_sites(p.read_text(), callee)]
 
 
 def test_worker_pool_builds_every_pool():
     # a pool built anywhere else would run on the interpreter's default start method
-    package = Path(skwiretap.__file__).parent
-    sites = [(p.stem, owner) for p in sorted(package.glob("*.py")) for owner in _pool_constructions(p.read_text())]
-    assert sites == [("harness", "worker_pool")]
+    assert _package_call_sites("ProcessPoolExecutor") == [("harness", "worker_pool")]
+
+
+def test_lane_uniforms_reads_every_philox_lane():
+    # a second reader of the lane layout could drift from it; RngLane is a view of lane_uniforms
+    assert _package_call_sites("Philox") == [("channels", "lane_uniforms")]
 
 
 @pytest.mark.parametrize("module", ("channels", "protocol", "infotheory", "harness", "acceptance"))

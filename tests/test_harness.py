@@ -362,7 +362,7 @@ class TestBatchEqualsScalar:
         assert (one["m"][0], one["m_hat"][0], one["theta_n"][0]) == (oracle.m, oracle.m_hat, oracle.theta_n)
 
     def test_transcripts_match_chunk(self):
-        # collect_transcripts crosses a chunk boundary and keeps trial order
+        # past a report's chunk boundary, the transcripts are that chunk's trials, in order
         cfg = _affine_cfg("shifted-exponential", 0.5, trials=CHUNK_TRIALS + 2, n=2)
         transcripts = collect_transcripts(cfg)
         out = _chunk(cfg, CHUNK_TRIALS - 1, CHUNK_TRIALS + 2)
