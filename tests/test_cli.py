@@ -211,6 +211,20 @@ class TestBounds:
         assert result["tetration"]["order"] == 4
         assert result["tetration"]["underflow"] is True
 
+    @pytest.mark.parametrize("n, tetration", [
+        (12, {"order": 1, "bound": 0.36787944117144233, "underflow": False, "log10_bound": -0.4342944819032518}),
+        (13, {"order": 2, "bound": 0.06598803584531254, "underflow": False, "log10_bound": -1.180534798357645}),
+        (15, {"order": 3, "bound": 2.6217273894613575e-07, "underflow": False, "log10_bound": -6.581412468789248}),
+        (16, {"order": 4, "bound": 0.0, "underflow": True, "log10_bound": -1656520.3676362364}),
+        (17, {"order": 5, "bound": 0.0, "underflow": True, "log10_bound": None}),
+    ])
+    def test_tower_of_each_order(self, n, tetration, capsys):
+        run_cli(
+            "bounds", "--eta", 0.5, "--n-th", 1, "--n-s", 3, "--n", n, "--rate", 0.5,
+            "--format", "json",
+        )
+        assert json.loads(capsys.readouterr().out)["tetration"] == tetration
+
     def test_tiny_tap_variance_is_rejected(self, capsys):
         # (n_s + sigma2)/tap overflows, and the leakage budget with it; this printed total_bits inf
         argv = ("--eta", 0.5, "--n-th", 1, "--n-s", 3, "--n", 10, "--rate", 0.5, "--tap-variance", 1e-320)
