@@ -199,9 +199,9 @@ def cmd_bounds(args) -> int:
     if order is None:
         tet = {"note": "not applicable: rate >= P_H"}
     elif order >= 1:
-        tb = tetration_error_bound(query)
+        tb = tetration_error_bound(order)
         tet = {
-            "order": tb.order,
+            "order": order,
             "bound": tb.value,
             "underflow": tb.underflow,
             "log10_bound": tb.log10_value if math.isfinite(tb.log10_value) else None,

@@ -17,7 +17,6 @@ __all__ = [
     "BoundQuery",
     "LeakageBudget",
     "TetrationBound",
-    "BoundNotActiveError",
     "g_entropy",
     "awgn_capacity",
     "induced_sigma2",
@@ -35,10 +34,6 @@ __all__ = [
 _LN2 = math.log(2.0)
 _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _EPS = sys.float_info.epsilon
-
-
-class BoundNotActiveError(ValueError):
-    """Raised when an asymptotic bound is requested outside its active regime."""
 
 
 def _require(cond: bool, name: str, value, valid: str) -> None:
@@ -95,12 +90,11 @@ class TetrationBound:
 
     ``value`` is 0.0 with ``underflow=True`` once the tower exceeds double
     range (order >= 4); ``log10_value`` stays finite one level longer and is
-    -inf beyond that. The order itself is the informative output in the
-    underflow regime.
+    -inf beyond that. The order, which the caller passed in, is the
+    informative output in the underflow regime.
     """
 
     value: float
-    order: int
     underflow: bool
     log10_value: float
 
@@ -271,13 +265,17 @@ def tetration_order(b: BoundQuery) -> int:
     """Height of the error-bound exponential tower at blocklength n.
 
     floor(n (1 - nu*) - 5 (1 - nu*) / (P_H - R)) with nu* = phi_inverse(R).
-    Nonpositive values mean the tower bound is not yet active at this n.
+    Values below 1 mean the tower bound is not yet active at this n; pass
+    the order to :func:`tetration_error_bound` once it is. Where P_H - R is
+    so small that the second term overflows, the order is floored at
+    -sys.float_info.max; an n beyond double range counts as that maximum.
     """
     p_h = awgn_capacity(b.n_s, b.sigma2)
     _require(b.rate < p_h, "rate", b.rate, f"< P_H={p_h!r} for tower bounds")
     nu_star = phi_inverse(b.rate, b.n_s, b.sigma2)
     slack = 1.0 - nu_star
-    return math.floor(b.n * slack - 5.0 * slack / (p_h - b.rate))
+    n = min(b.n, sys.float_info.max)
+    return math.floor(max(n * slack - 5.0 * slack / (p_h - b.rate), -sys.float_info.max))
 
 
 # e, e^e, e^(e^e): the tallest towers whose reciprocal (resp. its log10)
@@ -285,25 +283,21 @@ def tetration_order(b: BoundQuery) -> int:
 _TOWER = (math.e, math.exp(math.e), math.exp(math.exp(math.e)))
 
 
-def tetration_error_bound(b: BoundQuery) -> TetrationBound:
-    """Error bound 1 / (e ^^ f(n)) with f(n) = :func:`tetration_order`.
+def tetration_error_bound(order: int) -> TetrationBound:
+    """Error bound 1 / (e ^^ order), for a tower order from :func:`tetration_order`.
 
-    Raises :class:`BoundNotActiveError` when f(n) < 1. Towers of height >= 4
-    exceed double range; the result then carries an explicit underflow marker
-    and the tower order, which is the informative quantity.
+    The order must be >= 1: below that the bound is not active. Towers of
+    height >= 4 exceed double range; the result then carries an explicit
+    underflow marker, and the order is the informative quantity.
     """
-    order = tetration_order(b)
-    if order < 1:
-        raise BoundNotActiveError(
-            f"tower order f(n)={order} < 1: bound not active at n={b.n}"
-        )
+    _require(order >= 1, "order", order, ">= 1; the tower bound is not active below 1")
     if order <= 3:
         value = 1.0 / _TOWER[order - 1]
-        return TetrationBound(value=value, order=order, underflow=False, log10_value=math.log10(value))
+        return TetrationBound(value=value, underflow=False, log10_value=math.log10(value))
     if order == 4:
         # 1/(e^^4) = exp(-e^e^e): underflows, but its log10 is still finite.
-        return TetrationBound(value=0.0, order=order, underflow=True, log10_value=-_TOWER[2] * math.log10(math.e))
-    return TetrationBound(value=0.0, order=order, underflow=True, log10_value=-math.inf)
+        return TetrationBound(value=0.0, underflow=True, log10_value=-_TOWER[2] * math.log10(math.e))
+    return TetrationBound(value=0.0, underflow=True, log10_value=-math.inf)
 
 
 def leakage_budget(

@@ -225,6 +225,15 @@ class TestBounds:
         )
         assert json.loads(capsys.readouterr().out)["tetration"] == tetration
 
+    def test_tower_not_active_next_to_capacity(self, capsys):
+        # the double just below P_H = 1.4426950408889636e-300: this failed with a float infinity to integer error
+        argv = ("--eta", 0.5, "--n-s", 1e-300, "--n", 10, "--rate", 1.4426950408889634e-300, "--format", "json")
+        assert run_cli("bounds", *argv) == 0
+        result = json.loads(capsys.readouterr().out, parse_constant=_reject_constant)
+        assert result["tetration"] == {
+            "order": math.floor(-sys.float_info.max), "note": "not active: tower order below 1 at this n",
+        }
+
     def test_tiny_tap_variance_is_rejected(self, capsys):
         # (n_s + sigma2)/tap overflows, and the leakage budget with it; this printed total_bits inf
         argv = ("--eta", 0.5, "--n-th", 1, "--n-s", 3, "--n", 10, "--rate", 0.5, "--tap-variance", 1e-320)

@@ -6,18 +6,18 @@ each displayed formula and are frozen here.
 
 import dataclasses
 import math
+import sys
 
 import mpmath
 import numpy as np
 import pytest
 import scipy.optimize
-from hypothesis import given
+from hypothesis import assume, given
 from hypothesis import strategies as st
 
 from skwiretap import infotheory
 from skwiretap.acceptance import ROOT_SEED, criterion_tetration
 from skwiretap.infotheory import (
-    BoundNotActiveError,
     BoundQuery,
     _bisect,
     awgn_capacity,
@@ -349,29 +349,43 @@ class TestTetration:
         with pytest.raises(ValueError, match="rate="):
             tetration_order(BoundQuery(n_s=3.0, sigma2=1.0, n=10, rate=1.0))
 
-    def _n_with_order(self, order):
-        for n in range(1, 300):
-            if tetration_order(BoundQuery(n_s=3.0, sigma2=1.0, n=n, rate=0.5)) == order:
-                return n
-        raise AssertionError(f"no n found with tower order {order}")
+    def test_order_floored_where_the_capacity_gap_is_subnormal(self):
+        # the double just below P_H = 1.4426950408889636e-300: 5 (1 - nu*)/(P_H - R) overflows
+        b = BoundQuery(n_s=1e-300, sigma2=0.5, n=10, rate=1.4426950408889634e-300)
+        assert tetration_order(b) == math.floor(-sys.float_info.max)
+
+    def test_n_beyond_double_range(self):
+        b = BoundQuery(n_s=3.0, sigma2=1.0, n=10**400, rate=0.5)
+        assert tetration_order(b) == math.floor(sys.float_info.max * (1.0 - phi_inverse(0.5, 3.0, 1.0)))
+
+    @given(
+        n_s=st.floats(min_value=1e-300, max_value=1e300), sigma2=st.floats(min_value=1e-300, max_value=1e300),
+        n=st.integers(min_value=1, max_value=10**400),
+        share=st.floats(min_value=0.0, max_value=1.0, exclude_min=True, exclude_max=True) | st.just(None),
+    )
+    def test_order_is_an_int_at_every_rate_below_capacity(self, n_s, sigma2, n, share):
+        # share None is the double just below P_H, where P_H - R is smallest
+        assume(math.isfinite(n_s / sigma2))
+        p_h = awgn_capacity(n_s, sigma2)
+        rate = math.nextafter(p_h, 0.0) if share is None else share * p_h
+        assume(0.0 < rate < p_h)
+        assert isinstance(tetration_order(BoundQuery(n_s=n_s, sigma2=sigma2, n=n, rate=rate)), int)
 
     def test_tower_values(self):
-        b1 = tetration_error_bound(BoundQuery(n_s=3.0, sigma2=1.0, n=self._n_with_order(1), rate=0.5))
+        b1 = tetration_error_bound(1)
         assert b1.value == pytest.approx(1.0 / math.e, abs=1e-16)
         assert not b1.underflow
-        b2 = tetration_error_bound(BoundQuery(n_s=3.0, sigma2=1.0, n=self._n_with_order(2), rate=0.5))
-        assert b2.value == pytest.approx(0.06598803584531254, abs=1e-16)
-        b3 = tetration_error_bound(BoundQuery(n_s=3.0, sigma2=1.0, n=self._n_with_order(3), rate=0.5))
-        assert b3.value == pytest.approx(2.6217273894613532e-07, rel=1e-12, abs=0.0)
+        assert tetration_error_bound(2).value == pytest.approx(0.06598803584531254, abs=1e-16)
+        assert tetration_error_bound(3).value == pytest.approx(2.6217273894613532e-07, rel=1e-12, abs=0.0)
 
     def test_underflow_marker(self):
-        b4 = tetration_error_bound(BoundQuery(n_s=3.0, sigma2=1.0, n=self._n_with_order(4), rate=0.5))
-        assert b4.underflow and b4.value == 0.0 and b4.order == 4
+        b4 = tetration_error_bound(4)
+        assert b4.underflow and b4.value == 0.0
         assert b4.log10_value == pytest.approx(-1656520.3676, rel=1e-8, abs=0.0)
 
     def test_not_active_error(self):
-        with pytest.raises(BoundNotActiveError):
-            tetration_error_bound(BoundQuery(n_s=3.0, sigma2=1.0, n=2, rate=0.5))
+        with pytest.raises(ValueError, match="order=0"):
+            tetration_error_bound(0)
 
 
 class TestLeakageBudget:
