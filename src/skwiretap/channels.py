@@ -24,7 +24,7 @@ import numpy as np
 from numpy.random import Philox
 from scipy.special import log1p, ndtri
 
-from .infotheory import induced_sigma2
+from .infotheory import ConfigError, induced_sigma2
 
 __all__ = [
     "NOISE_FAMILIES",
@@ -58,11 +58,11 @@ class NoiseModel:
 
     def __post_init__(self) -> None:
         if self.family not in NOISE_FAMILIES:
-            raise ValueError(f"family={self.family!r} must be one of {NOISE_FAMILIES}")
+            raise ConfigError(f"family={self.family!r} must be one of {NOISE_FAMILIES}")
         if not (math.isfinite(self.variance) and self.variance > 0):
-            raise ValueError(f"variance={self.variance!r} must be finite and > 0")
+            raise ConfigError(f"variance={self.variance!r} must be finite and > 0")
         if not math.isfinite(self.mean):
-            raise ValueError(f"mean={self.mean!r} must be finite")
+            raise ConfigError(f"mean={self.mean!r} must be finite")
 
 
 @dataclass(frozen=True)
@@ -74,7 +74,7 @@ class AffineChannel:
 
     def __post_init__(self) -> None:
         if self.gain == 0 or not math.isfinite(self.gain):
-            raise ValueError(f"gain={self.gain!r} must be finite and nonzero")
+            raise ConfigError(f"gain={self.gain!r} must be finite and nonzero")
 
 
 @dataclass(frozen=True)
@@ -96,7 +96,7 @@ class ThermalWiretapParams:
     def __post_init__(self) -> None:
         sigma2 = induced_sigma2(self.eta, self.n_th)  # it range-checks eta and n_th
         if not math.isfinite(sigma2):
-            raise ValueError(f"eta={self.eta!r} makes the induced sigma2 overflow")
+            raise ConfigError(f"eta={self.eta!r} makes the induced sigma2 overflow")
         object.__setattr__(self, "noise", NoiseModel("gaussian", sigma2, 0.0))
 
 
@@ -108,7 +108,7 @@ class EveTap:
 
     def __post_init__(self) -> None:
         if not (math.isfinite(self.variance) and self.variance > 0):
-            raise ValueError(
+            raise ConfigError(
                 f"tap variance={self.variance!r} must be finite and > 0 "
                 "(a noiseless tap has infinite capacity)"
             )

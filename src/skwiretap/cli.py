@@ -1,7 +1,8 @@
 """Command-line front end: rates, bounds, simulate, sweep, verify.
 
-Exit codes: 0 success, 1 configuration, domain or memory error, 2 I/O
-error, 3 verdict or verification failure.
+Exit codes: 0 success, 1 configuration or memory error, 2 I/O error,
+3 verdict or verification failure. Any other exception is a bug: it leaves
+``main`` as itself, and Python prints its traceback and exits 1.
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import numpy as np
 from .acceptance import run_all
 from .channels import EveTap, ThermalWiretapParams
 from .harness import (
-    ConfigError,
     ExperimentConfig,
     _fields,
     collect_transcripts,
@@ -32,6 +32,7 @@ from .harness import (
 )
 from .infotheory import (
     BoundQuery,
+    ConfigError,
     awgn_capacity,
     chebyshev_error_bound,
     induced_sigma2,
@@ -155,17 +156,14 @@ def _physics_params(args) -> Tuple[dict, BoundQuery]:
             raise ConfigError(f"missing required parameter --{field.replace('_', '-')}")
     params.setdefault("n_th", 0.0)
     # the range checks of an experiment config, in its order, so each rule has one message
-    try:
-        if "sigma2" in params:  # eta and n_th are range-checked even where a given sigma2 replaces theirs
-            induced_sigma2(params["eta"], params["n_th"])
-        else:
-            params["sigma2"] = ThermalWiretapParams(params["eta"], params["n_th"]).noise.variance
-        if "tap_variance" in params:
-            EveTap(params["tap_variance"])
-        query = BoundQuery(n_s=params["n_s"], sigma2=params["sigma2"], n=params["n"], rate=params["rate"])
-        codebook_bits(query.n, query.rate)  # a config's codebook check, short of its size limit
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if "sigma2" in params:  # eta and n_th are range-checked even where a given sigma2 replaces theirs
+        induced_sigma2(params["eta"], params["n_th"])
+    else:
+        params["sigma2"] = ThermalWiretapParams(params["eta"], params["n_th"]).noise.variance
+    if "tap_variance" in params:
+        EveTap(params["tap_variance"])
+    query = BoundQuery(n_s=params["n_s"], sigma2=params["sigma2"], n=params["n"], rate=params["rate"])
+    codebook_bits(query.n, query.rate)  # a config's codebook check, short of its size limit
     return params, query
 
 
@@ -210,10 +208,7 @@ def cmd_bounds(args) -> int:
         tet = {"order": order, "note": "not active: tower order below 1 at this n"}
     leak = None
     if "tap_variance" in p:
-        try:
-            leak = asdict(leakage_budget(p["eta"], p["n_th"], query.n_s, query.sigma2, p["tap_variance"], query.n))
-        except ValueError as exc:  # the tap's signal-to-noise ratio overflows
-            raise ConfigError(str(exc)) from exc
+        leak = asdict(leakage_budget(p["eta"], p["n_th"], query.n_s, query.sigma2, p["tap_variance"], query.n))
     def _finite(value: float):
         return value if math.isfinite(value) else None
 
@@ -391,9 +386,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return args.func(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (ValueError, OverflowError) as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)

@@ -38,6 +38,7 @@ from .channels import (
 )
 from .infotheory import (
     BoundQuery,
+    ConfigError,
     LeakageBudget,
     awgn_capacity,
     chebyshev_error_bound,
@@ -47,7 +48,6 @@ from .infotheory import (
 from .protocol import Codebook, SkSchedule, Transcript, make_codebook, make_schedule
 
 __all__ = [
-    "ConfigError",
     "MessageSelection",
     "ExperimentConfig",
     "Diagnostics",
@@ -74,10 +74,6 @@ CHUNK_TRIALS = 8192
 TRANSCRIPT_LIMIT = 10_000
 
 _SELECTION_POLICIES = ("uniform-random", "round-robin", "fixed")
-
-
-class ConfigError(ValueError):
-    """Invalid experiment configuration."""
 
 
 @dataclass(frozen=True)
@@ -120,15 +116,12 @@ class ExperimentConfig:
             raise ConfigError(f"trials={self.trials} must be <= 2^56, the most trials the lanes can address")
         if not 0 <= self.root_seed < 1 << 64:
             raise ConfigError(f"root_seed={self.root_seed} must be a 64-bit unsigned integer")
-        try:
-            # the range checks of rates and bounds: operating point, codebook size, thermal leakage budget
-            BoundQuery(n_s=self.n_s, sigma2=self.channel.noise.variance, n=self.n, rate=self.rate)
-            codebook = self.codebook()
-            if isinstance(self.channel, ThermalWiretapParams):
-                leakage_budget(self.channel.eta, self.channel.n_th, self.n_s, self.channel.noise.variance,
-                               self.tap.variance, self.n)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        # the range checks of rates and bounds: operating point, codebook size, thermal leakage budget
+        BoundQuery(n_s=self.n_s, sigma2=self.channel.noise.variance, n=self.n, rate=self.rate)
+        codebook = self.codebook()
+        if isinstance(self.channel, ThermalWiretapParams):
+            leakage_budget(self.channel.eta, self.channel.n_th, self.n_s, self.channel.noise.variance,
+                           self.tap.variance, self.n)
         fixed_m = self.message_selection.fixed_m
         if fixed_m is not None and fixed_m > codebook.message_count:
             raise ConfigError(f"fixed_m={fixed_m} exceeds message count {codebook.message_count}")
@@ -142,6 +135,12 @@ class ExperimentConfig:
                     f"the Chebyshev error bound gain^2 2^(-2n(C - R)) sigma2/n_s leaves double range at gain="
                     f"{self.channel.gain!r}, n_s={query.n_s!r}, sigma2={query.sigma2!r}, n={query.n}, R={query.rate!r}"
                 )
+        # numpy lays out no array of more bytes than an index holds, and a chunk draws (n + 1) x chunk doubles
+        chunk = min(self.trials, CHUNK_TRIALS)
+        if (self.n + 1) * chunk * 8 > sys.maxsize:
+            raise ConfigError(
+                f"n={self.n} makes a chunk's lane draws (n + 1) x {chunk} doubles, more than numpy can lay out"
+            )
 
     @classmethod
     def from_dict(cls, obj: Mapping) -> "ExperimentConfig":
@@ -150,29 +149,24 @@ class ExperimentConfig:
         obj = _fields(obj, "experiment config", required, ("n_s", "root_seed", "message_selection"))
         chan = obj["channel"]
         ctype = chan.get("type") if isinstance(chan, Mapping) else None
-        try:
-            if ctype == "thermal":
-                chan = _fields(chan, "thermal channel", ("type", "eta", "n_s"), ("n_th",))
-                if "n_s" in obj:
-                    raise ConfigError("n_s belongs inside the thermal channel object")
-                channel = ThermalWiretapParams(eta=chan["eta"], n_th=chan.get("n_th", 0.0))
-                n_s = chan["n_s"]
-            elif ctype == "affine":
-                chan = _fields(chan, "affine channel", ("type", "noise"), ("gain",))
-                if "n_s" not in obj:
-                    raise ConfigError("affine channel configs require a top-level n_s")
-                noise = _fields(chan["noise"], "noise", ("family", "variance"), ("mean",))
-                channel = AffineChannel(
-                    chan.get("gain", 1.0), NoiseModel(noise["family"], noise["variance"], noise.get("mean", 0.0))
-                )
-                n_s = obj["n_s"]
-            else:
-                raise ConfigError("channel must be a JSON object with type 'thermal' or 'affine'")
-            tap = EveTap(_fields(obj["tap"], "tap", ("variance",))["variance"])
-        except ConfigError:
-            raise
-        except ValueError as exc:  # a range check of the channel dataclasses
-            raise ConfigError(str(exc)) from exc
+        if ctype == "thermal":
+            chan = _fields(chan, "thermal channel", ("type", "eta", "n_s"), ("n_th",))
+            if "n_s" in obj:
+                raise ConfigError("n_s belongs inside the thermal channel object")
+            channel = ThermalWiretapParams(eta=chan["eta"], n_th=chan.get("n_th", 0.0))
+            n_s = chan["n_s"]
+        elif ctype == "affine":
+            chan = _fields(chan, "affine channel", ("type", "noise"), ("gain",))
+            if "n_s" not in obj:
+                raise ConfigError("affine channel configs require a top-level n_s")
+            noise = _fields(chan["noise"], "noise", ("family", "variance"), ("mean",))
+            channel = AffineChannel(
+                chan.get("gain", 1.0), NoiseModel(noise["family"], noise["variance"], noise.get("mean", 0.0))
+            )
+            n_s = obj["n_s"]
+        else:
+            raise ConfigError("channel must be a JSON object with type 'thermal' or 'affine'")
+        tap = EveTap(_fields(obj["tap"], "tap", ("variance",))["variance"])
         return cls(
             channel=channel,
             n_s=n_s,

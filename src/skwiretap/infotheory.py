@@ -14,6 +14,7 @@ from functools import lru_cache
 from typing import Callable
 
 __all__ = [
+    "ConfigError",
     "BoundQuery",
     "LeakageBudget",
     "TetrationBound",
@@ -36,9 +37,13 @@ _SQRT_2_OVER_PI = math.sqrt(2.0 / math.pi)
 _EPS = sys.float_info.epsilon
 
 
+class ConfigError(ValueError):
+    """An input that a range check refuses; the command line prints it as one ``config error:`` line."""
+
+
 def _require(cond: bool, name: str, value, valid: str) -> None:
     if not cond:
-        raise ValueError(f"{name}={value!r} is outside its valid range ({valid})")
+        raise ConfigError(f"{name}={value!r} is outside its valid range ({valid})")
 
 
 @dataclass(frozen=True)
@@ -71,7 +76,7 @@ class BoundQuery:
         _require(isinstance(self.n, int) and self.n >= 1, "n", self.n, "integer >= 1")
         _require(self.rate > 0, "rate", self.rate, "> 0")
         if not math.isfinite(self.n_s / self.sigma2):
-            raise ValueError(f"n_s/sigma2 = {self.n_s!r}/{self.sigma2!r} overflows")
+            raise ConfigError(f"n_s/sigma2 = {self.n_s!r}/{self.sigma2!r} overflows")
 
 
 @dataclass(frozen=True)
@@ -326,7 +331,7 @@ def leakage_budget(
     )
     _require(isinstance(n, int) and n >= 1, "n", n, "integer >= 1")
     if not math.isfinite((n_s + sigma2) / tap_variance):
-        raise ValueError(f"(n_s + sigma2)/tap variance = ({n_s!r} + {sigma2!r})/{tap_variance!r} overflows")
+        raise ConfigError(f"(n_s + sigma2)/tap variance = ({n_s!r} + {sigma2!r})/{tap_variance!r} overflows")
     tap_capacity = awgn_capacity(n_s + sigma2, tap_variance)
     eve_entropy_bound = g_entropy((1.0 - eta) * n_s + eta * n_th)
     total = tap_capacity + eve_entropy_bound

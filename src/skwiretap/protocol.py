@@ -16,6 +16,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .channels import AffineChannel, EveTap, ThermalWiretapParams, TrialLanes, noise_from_uniforms
+from .infotheory import ConfigError
 
 __all__ = [
     "Codebook",
@@ -72,7 +73,7 @@ def codebook_bits(n: int, rate: float) -> int:
     except OverflowError:  # an integer n beyond double range
         exact = math.inf
     if not math.isfinite(exact):
-        raise ValueError("n*rate is beyond double range")
+        raise ConfigError("n*rate is beyond double range")
     nearest = round(exact)
     # snap binary dust (e.g. 0.07 * 300 = 21.000000000000004) before the ceiling
     bits = nearest if abs(exact - nearest) <= 1e-9 * max(1.0, abs(exact)) else math.ceil(exact)
@@ -86,14 +87,14 @@ def make_codebook(n: int, rate: float, n_s: float) -> Codebook:
     rate >= nominal and intervals are never wider than the analysis assumes.
     """
     if n < 1:
-        raise ValueError(f"n={n} must be >= 1")
+        raise ConfigError(f"n={n} must be >= 1")
     if rate <= 0:
-        raise ValueError(f"rate={rate!r} must be > 0")
+        raise ConfigError(f"rate={rate!r} must be > 0")
     if n_s <= 0:
-        raise ValueError(f"n_s={n_s!r} must be > 0")
+        raise ConfigError(f"n_s={n_s!r} must be > 0")
     bits = codebook_bits(n, rate)
     if bits > _MAX_CODEBOOK_BITS:
-        raise ValueError(
+        raise ConfigError(
             f"codebook would need 2^{bits} messages (n*rate too large; limit 2^{_MAX_CODEBOOK_BITS})"
         )
     return Codebook(message_count=1 << bits, amplitude_bound=math.sqrt(n_s), realized_rate=bits / n)

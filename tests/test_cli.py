@@ -20,7 +20,8 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from skwiretap import cli
-from skwiretap.harness import CHUNK_TRIALS, ConfigError, ExperimentConfig, VerdictRow, VerdictTable
+from skwiretap.harness import CHUNK_TRIALS, ExperimentConfig, VerdictRow, VerdictTable
+from skwiretap.infotheory import ConfigError
 
 THERMAL_CFG = {
     "channel": {"type": "thermal", "eta": 0.5, "n_th": 1.0, "n_s": 3.0},
@@ -494,7 +495,7 @@ class TestInputBoundary:
 
 
 # the prefixes of an input that a command refuses (exit 1)
-_INPUT_FAULTS = ("config error: ", "domain error: ", "memory error: ")
+_INPUT_FAULTS = ("config error: ", "memory error: ")
 
 _FUZZ_VALUES = st.one_of(
     st.floats(min_value=0.01, max_value=10.0),
@@ -521,6 +522,8 @@ _FUZZ_VALUES = st.one_of(
 @example(params={"eta": 0.5, "n_s": 1e306, "n": 1, "rate": 0.5, "tap_variance": 1.0})
 @example(params={"eta": 0.5, "n_th": 1.0, "n_s": 3.0, "n": 10, "rate": 0.5, "tap_variance": 1e-320})
 @example(params={"eta": 0.5, "n_s": 4.49423283715579e307, "n": 1, "rate": 1.0})
+# bounds crashed on the tower order at the double just below capacity, P_H - R subnormal
+@example(params={"eta": 0.5, "n_s": 1e-300, "n": 10, "rate": 1.4426950408889634e-300})
 def test_fuzz_physics_config(command, params):
     # each command's own fields: rates rejects tap_variance before any other check
     params = {k: v for k, v in params.items() if command == "bounds" or k != "tap_variance"}
@@ -606,7 +609,7 @@ _CONFIG_FIELDS = [
 )
 # one past the trials the lanes can address was accepted
 @example(base=THERMAL_CFG, edits=[(("trials",), 2**56 + 1)])
-# n_s/sigma2 underflowed to 0 in the overflow check's log2: a math domain error, not a config error
+# n_s/sigma2 underflowed to 0 in the overflow check's log2, which raised a ValueError that no check named
 @example(base=AFFINE_CFG, edits=[(("channel", "noise", "variance"), 10**300), (("n_s",), 2.225073858507e-311)])
 def test_fuzz_experiment_config(base, edits):
     obj = base
@@ -793,6 +796,30 @@ class TestSimulate:
         assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 1
         assert _one_line_error(capsys).startswith("memory error: ")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("n", [10**18, 10**20], ids=["too-big", "too-many-rows"])
+    def test_run_numpy_cannot_lay_out_names_n(self, n, tmp_path, capsys):
+        # numpy refused its (n + 1) x 8192 lane draws with a ValueError that named no field
+        obj = dict(_with(AFFINE_CFG, ("channel", "noise"), {"family": "gaussian", "variance": 1.0}),
+                   n_s=1e-300, n=n, rate=1e-40, trials=CHUNK_TRIALS)
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(obj))
+        assert run_cli("simulate", "--config", path, "--out", tmp_path / "out") == 1
+        assert _one_line_error(capsys) == (
+            f"config error: n={n} makes a chunk's lane draws (n + 1) x {CHUNK_TRIALS} doubles,"
+            " more than numpy can lay out\n"
+        )
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("fault", [ValueError, OverflowError])
+    def test_a_fault_past_the_checks_is_not_a_refusal(self, fault, cfg_path, tmp_path, monkeypatch):
+        # only a check's ConfigError is an exit-1 line; any other fault is a bug and keeps its traceback
+        def compare_bounds(report):
+            raise fault("not an input check")
+
+        monkeypatch.setattr(cli, "compare_bounds", compare_bounds)
+        with pytest.raises(fault, match="not an input check"):
+            run_cli("simulate", "--config", cfg_path, "--out", tmp_path / "out")
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("simulate", "--config", tmp_path / "absent.json") == 2

@@ -34,7 +34,6 @@ from skwiretap.channels import (
 from skwiretap.harness import (
     CHUNK_TRIALS,
     TRANSCRIPT_LIMIT,
-    ConfigError,
     ExperimentConfig,
     MessageSelection,
     _chunk,
@@ -45,7 +44,7 @@ from skwiretap.harness import (
     wilson_interval,
     write_transcripts_csv,
 )
-from skwiretap.infotheory import BoundQuery, chebyshev_error_bound, leakage_budget, sk_error_bound
+from skwiretap.infotheory import BoundQuery, ConfigError, chebyshev_error_bound, leakage_budget, sk_error_bound
 from skwiretap.protocol import run_protocol
 
 SEED = 161803
@@ -270,6 +269,20 @@ class TestConfig:
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy overflow on the way
             json.loads(run_experiment(_affine_cfg(family, trials=300, **overrides)).to_json())
+
+    @pytest.mark.parametrize("trials", [1, CHUNK_TRIALS, 3 * CHUNK_TRIALS])
+    def test_lane_draws_numpy_cannot_lay_out_are_rejected(self, trials):
+        # a chunk draws (n + 1) x min(trials, CHUNK_TRIALS) doubles; from one byte past sys.maxsize
+        # numpy raises a ValueError for the shape, below that a MemoryError, touching no page either way
+        chunk = min(trials, CHUNK_TRIALS)
+        n = (sys.maxsize + 1) // (8 * chunk) - 2
+        _affine_cfg("gaussian", n_s=1e-300, n=n, rate=1e-40, trials=trials)
+        with pytest.raises(MemoryError):
+            np.empty((n + 1, chunk))
+        with pytest.raises(ConfigError, match=rf"^n={n + 1} makes a chunk's lane draws \(n \+ 1\) x {chunk} doubles"):
+            _affine_cfg("gaussian", n_s=1e-300, n=n + 1, rate=1e-40, trials=trials)
+        with pytest.raises(ValueError, match="array is too big"):
+            np.empty((n + 2, chunk))
 
 
 def _one_trial(cfg: ExperimentConfig, trial: int) -> dict:

@@ -31,8 +31,8 @@ from hypothesis import strategies as st
 
 from skwiretap.acceptance import _exact, _field
 from skwiretap.channels import NOISE_FAMILIES, AffineChannel, EveTap, NoiseModel, ThermalWiretapParams
-from skwiretap.harness import CHUNK_TRIALS, ConfigError, ExperimentConfig, run_experiment
-from skwiretap.infotheory import awgn_capacity
+from skwiretap.harness import CHUNK_TRIALS, ExperimentConfig, run_experiment
+from skwiretap.infotheory import ConfigError, awgn_capacity
 
 pytestmark = pytest.mark.byte_pinned
 
